@@ -190,6 +190,20 @@ def _parse_connection(spec, theta, where="connection") -> dolbeault.FreeConnecti
         raise ProblemFileError(f"{where}: {exc}")
 
 
+def _section(raw: dict, key: str) -> dict:
+    sec = raw[key]
+    if not isinstance(sec, dict):
+        raise ProblemFileError(f"{key}: expected an object, got {type(sec).__name__}")
+    return sec
+
+
+def _number(value, convert, where: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"{where}: {exc}")
+
+
 def parse_problem_file(text: str) -> ProblemFile:
     """Validate and load a problem file, with field-level diagnostics."""
     try:
@@ -228,16 +242,21 @@ def parse_problem_file(text: str) -> ProblemFile:
         except ValueError as exc:
             raise ProblemFileError(f"form: {exc}")
     if "search" in raw:
-        pf.bound = int(raw["search"].get("bound", 6))
-        pf.exact = bool(raw["search"].get("exact", False))
+        search = _section(raw, "search")
+        pf.bound = _number(search.get("bound", 6), int, "search.bound")
+        pf.exact = bool(search.get("exact", False))
     if "truncation" in raw:
-        pf.N = int(raw["truncation"].get("N")) if "N" in raw["truncation"] else None
-        pf.tol_rel = float(raw["truncation"].get("tol_rel", 1e-8))
+        trunc = _section(raw, "truncation")
+        pf.N = _number(trunc["N"], int, "truncation.N") if "N" in trunc else None
+        pf.tol_rel = _number(trunc.get("tol_rel", 1e-8), float, "truncation.tol_rel")
     pf.seed = int(raw.get("seed", 0))
     pf.samples = int(raw.get("samples", 100))
     pf.multiplier = int(raw.get("multiplier", 1))
     if "kunneth" in raw:
-        pf.kunneth = [list(map(int, d)) for d in raw["kunneth"]["dims"]]
+        dims = _section(raw, "kunneth").get("dims")
+        if not isinstance(dims, list) or not all(isinstance(d, list) for d in dims):
+            raise ProblemFileError("kunneth.dims: expected a list of lists of dimensions")
+        pf.kunneth = [[_number(x, int, "kunneth.dims") for x in d] for d in dims]
     if "small" in raw:
         pf.small = raw["small"]
     if "splittorus" in raw:
@@ -615,6 +634,10 @@ def main(argv=None) -> int:
         if args.samples is not None:
             pf.samples = args.samples
         report, status = run(args.command, pf, workers=args.workers)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a failed factorization is numerics, not input
+        emit({"version": REPORT_VERSION, "error": f"numerical failure: {exc}"})
+        return EXIT_INCONCLUSIVE
     except (ProblemFileError, OSError) as exc:
         emit({"version": REPORT_VERSION, "error": str(exc)})
         return EXIT_INPUT

@@ -316,7 +316,6 @@ class _Collector:
 class _BoxRun:
     dims: tuple[int, ...] | None
     ker_even: int | None
-    ker_odd: int | None
     sigma_kept: float
     sigma_cut: float
     conclusive: bool
@@ -499,10 +498,11 @@ class _Engine:
                              modes_for_q0: np.ndarray | None):
         """Collect spectra from batched per-block direction operators T_j.
 
-        T[j] has shape (g, c*r, c*r).  Operators, Laplacians, and the
-        even-to-odd block are assembled with the wedge sign matrices.
+        T[j] has shape (g, c*r, c*r).  The degree operators A_q are
+        assembled with the wedge sign matrices; batches that form a complex
+        take the Hodge-rank path, the others the Laplacians and D*D.
         """
-        n, r = self.n, self.r
+        n = self.n
         cr = c * self.r
         At = []
         for q in range(n):
@@ -512,6 +512,78 @@ class _Engine:
                 S = self.Stil[j][q]
                 acc += S[None, :, None, :, None] * T[j][:, None, :, None, :]
             At.append(acc.reshape(g, C1 * cr, C0 * cr))
+        if self._forms_complex(At):
+            self._hodge_rank_spectra(At, cr, modes_for_q0)
+        else:
+            self._laplacian_spectra(At, g, cr, modes_for_q0)
+
+    def _forms_complex(self, At: list[np.ndarray]) -> bool:
+        """Whether the batch is close enough to a complex for the Hodge-rank path.
+
+        eps = max over the batch and q of ||A_{q+1} A_q||_F bounds the defect
+        in operator norm.  With B = [A_q; A_{q-1}^*] we have Delta_q = B^* B
+        and B B^* = diag(A_q A_q^*, A_{q-1}^* A_{q-1}) + [[0, E], [E^*, 0]],
+        E = A_q A_{q-1}, so by Weyl each sorted eigenvalue of Delta_q lies
+        within eps of the Hodge-rank union.  D*D differs from the direct sum
+        of the even Delta_q by the blocks A_{q+1} A_q and their adjoints, at
+        most 2 eps more.  Every collector this batch feeds sees an eigenvalue
+        of at least s, the smallest over q of max |A_q|^2 (an entry bounds
+        ||A_q||), so its threshold is at least tol_rel * s, in eigenvalue
+        units for the singular-value collector too.  The gate asks
+        3 eps <= tol_rel * s / _GAP_BAND**2, so no value moves by more than
+        thresh / _GAP_BAND**2: a value at or below thresh / _GAP_BAND (a
+        singular value at or below its threshold / _GAP_BAND) stays below the
+        threshold, one at or above _GAP_BAND times it stays above, and the
+        kernel counts of a conclusive run cannot change.
+        """
+        s = min(float(np.max(np.abs(A))) for A in At) ** 2
+        gate = self.tol_rel * s / (3.0 * _GAP_BAND ** 2)
+        eps = 0.0
+        for q in range(len(At) - 1):
+            # ||E x|| <= ||E|| ||x||: a batch whose defect on the all-ones
+            # vector already exceeds the gate fails without forming E
+            x = np.ones(At[q].shape[-1])
+            Ex = np.matmul(At[q + 1], np.matmul(At[q], x)[..., None])
+            if float(np.max(np.linalg.norm(Ex, axis=(1, 2)))) > gate * math.sqrt(x.size):
+                return False
+            E = np.matmul(At[q + 1], At[q])
+            eps = max(eps, float(np.max(np.linalg.norm(E, axis=(1, 2)))))
+        return eps <= gate
+
+    def _hodge_rank_spectra(self, At: list[np.ndarray], cr: int,
+                            modes_for_q0: np.ndarray | None):
+        """Laplacian and D spectra from per-degree Gram eigenvalues.
+
+        For a complex, Delta_q = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal
+        summands, so its spectrum is the union of the nonzero squared
+        singular values of A_q and A_{q-1}, plus zeros; and D*D is the direct
+        sum of the even Delta_q.  Each Gram is taken on the smaller side.
+        With binomial form dimensions, m_q + m_{q-1} >= dim C_q, so the union
+        never falls short; any surplus, m_q + m_{q-1} - dim C_q values (n >= 3),
+        is exact zeros for a complex and the smallest values are dropped.
+        """
+        n = self.n
+        mu = []
+        for A in At:
+            AH = A.conj().swapaxes(-1, -2)
+            gram = np.matmul(A, AH) if A.shape[-2] < A.shape[-1] else np.matmul(AH, A)
+            mu.append(np.linalg.eigvalsh(gram))
+        for q in range(n + 1):
+            vals = np.concatenate([mu[k] for k in (q - 1, q) if 0 <= k < n], axis=-1)
+            surplus = vals.shape[-1] - self.fdims[q] * cr
+            if surplus > 0:
+                vals = np.sort(vals, axis=-1)[:, surplus:]
+            if self.lap is not None:
+                self.lap[q].add(vals)
+                if q == 0:
+                    self._record_q0(vals, modes_for_q0, mult=1)
+            if self.dsv is not None and q % 2 == 0:
+                self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
+
+    def _laplacian_spectra(self, At: list[np.ndarray], g: int, cr: int,
+                           modes_for_q0: np.ndarray | None):
+        """Per-degree Laplacian and D*D spectra; valid without A_{q+1} A_q = 0."""
+        n = self.n
         if self.lap is not None:
             for q in range(n + 1):
                 Lap = None
@@ -801,14 +873,14 @@ class _Engine:
                     if val < thresh0 and mode is not None:
                         agg[mode] = agg.get(mode, 0) + mult
                 kernel_modes = tuple(sorted(agg.items()))
-        ker_even = ker_odd = None
+        ker_even = None
         if self.dsv is not None:
             kernel, cut, kept, ok, _ = self.dsv.finalize(math.sqrt(self.tol_rel))
-            ker_even = ker_odd = kernel  # sv(D) and sv(D*) coincide for the square cut
+            ker_even = kernel
             sigma_cut = max(sigma_cut, cut)
             sigma_kept = min(sigma_kept, kept)
             conclusive = conclusive and ok
-        return _BoxRun(dims, ker_even, ker_odd, sigma_kept, sigma_cut, conclusive, kernel_modes)
+        return _BoxRun(dims, ker_even, sigma_kept, sigma_cut, conclusive, kernel_modes)
 
 
 def _iterative_small_eigs(Lap: sp.csr_matrix, k: int, rng) -> tuple[list[float], float, bool]:
@@ -827,11 +899,13 @@ def _iterative_small_eigs(Lap: sp.csr_matrix, k: int, rng) -> tuple[list[float],
     diag = np.where(diag > 1e-12 * max(vmax, 1.0), diag, 1.0)
     M = sp.diags(1.0 / diag).tocsr()
     X = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-    vals, _ = lobpcg(Lap, X, M=M, tol=1e-10 * max(vmax, 1.0), maxiter=400,
-                     largest=False)
-    vals = sorted(float(v) for v in vals)
-    complete = True
-    return vals, vmax, complete
+    tol = 1e-10 * max(vmax, 1.0)
+    vals, vecs = lobpcg(Lap, X, M=M, tol=tol, maxiter=400, largest=False)
+    # lobpcg returns its last iterate when maxiter runs out; only residuals
+    # within the requested tolerance make the values count as computed
+    resid = np.linalg.norm(Lap @ vecs - vecs * vals, axis=0)
+    complete = bool(np.all(resid <= tol))
+    return sorted(float(v) for v in vals), vmax, complete
 
 
 def _box_run(cs, frame, conn, N, tol_rel, want_dims, want_index) -> _BoxRun:
@@ -859,7 +933,7 @@ def cohomology_dims(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnect
     stable = runA.conclusive and runB.conclusive and runA.dims == runB.dims
     return SpectralReport(
         dims=runA.dims,
-        index=int(runA.ker_even - runA.ker_odd),
+        index=0,  # free module: see index()
         sigma_kept=runA.sigma_kept,
         sigma_cut=runA.sigma_cut,
         stable=stable,
@@ -875,17 +949,17 @@ def index(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
     """Kernel-count difference of the compressed even-to-odd operator.
 
     Defined for flat and non-flat connections alike.  The even and odd
-    compressions have equal dimension on a free module, so whenever the
-    kernel gap is resolved the difference vanishes, matching the zero
-    top component of the free K-class.
+    compressions of a free module have equal dimension, so D is square and
+    its kernel and cokernel have equal dimension: the index is 0 by
+    construction, matching the zero top component of the free K-class.
+    The D spectrum still decides whether the kernel gap is resolved, which
+    sets conclusive, stable and sigma_*.
     """
     runA = _box_run(cs, frame, conn, box.N, tol_rel, False, True)
     runB = _box_run(cs, frame, conn, box.N + 2, tol_rel, False, True)
-    valA = int(runA.ker_even - runA.ker_odd)
-    valB = int(runB.ker_even - runB.ker_odd)
-    stable = runA.conclusive and runB.conclusive and valA == valB
+    stable = runA.conclusive and runB.conclusive
     return IndexResult(
-        index=valA,
+        index=0,
         stable=stable,
         conclusive=runA.conclusive,
         sigma_kept=runA.sigma_kept,

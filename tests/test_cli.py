@@ -269,3 +269,37 @@ def test_workers_do_not_change_scan(tmp_path):
     _, _, seq = run_text("nonalg-scan", problem, workers=1)
     _, _, par = run_text("nonalg-scan", problem, workers=3)
     assert seq == par
+
+
+def _main_stdout(tmp_path, capsys, problem, command):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code = cli.main(["--input", str(path), "--command", command])
+    out = capsys.readouterr().out
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("problem, command", [
+    ({"search": [1]}, "riemann-check"),
+    ({"kunneth": {"dims": 3}}, "kunneth"),
+    ({"kunneth": {}}, "kunneth"),
+    ({"truncation": {"N": None}}, "hodge"),
+    ({"truncation": "N"}, "hodge"),
+])
+def test_malformed_sections_exit_1_with_error_body(tmp_path, capsys, problem, command):
+    code, body = _main_stdout(tmp_path, capsys, problem, command)
+    assert code == 1
+    assert set(body) == {"version", "error"}
+
+
+def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    problem = dict(PRODUCT_PROBLEM)
+    problem["connection"] = {"rank": 1, "terms": [
+        [[[{"m": [0, 0, 0, 0], "re": 0.3, "im": 0.1}]]], [[[]]]]}
+    code, body = _main_stdout(tmp_path, capsys, problem, "hodge")
+    assert code == 2
+    assert set(body) == {"version", "error"} and "did not converge" in body["error"]

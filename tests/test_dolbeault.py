@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import nctorus.dolbeault as dlb
 from nctorus.algebra import FourierElement, MatrixElement, ThetaMatrix
@@ -150,30 +152,91 @@ def test_scalar_shift_dims(setup2):
     assert rep2.kernel_modes_q0 == ((tuple(int(x) for x in m0), 1),)
 
 
-def test_chain_engine_matches_dense(setup2):
-    theta, cs, frame = setup2
-    conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
-    N = 2
-    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
-    forms = dlb._form_indices(2)
-    Ms, Ls, Linvs = dlb._form_grams(frame, invariant_metric(cs).G, forms)
-    K = dlb.mode_count(4, N)
+def dense_laplacian_dims(cs, frame, conn, N, tol_rel=1e-8):
+    """Kernel dimensions of the full-box Laplacians built from assemble_operator."""
+    n = frame.n
+    _, Ls, Linvs = dlb._form_grams(frame, invariant_metric(cs).G, dlb._form_indices(n))
+    eye = sp.identity(dlb.mode_count(2 * n, N) * conn.rank, format="csr")
     At = []
-    for q in range(2):
-        A = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q).toarray()
-        At.append(np.kron(Ls[q + 1].conj().T, np.eye(K)) @ A
-                  @ np.kron(Linvs[q].conj().T, np.eye(K)))
+    for q in range(n):
+        A = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q)
+        At.append(sp.kron(Ls[q + 1].conj().T, eye) @ A @ sp.kron(Linvs[q].conj().T, eye))
     dims = []
-    for q in range(3):
+    for q in range(n + 1):
         Lap = None
-        if q < 2:
+        if q < n:
             Lap = At[q].conj().T @ At[q]
         if q > 0:
             low = At[q - 1] @ At[q - 1].conj().T
             Lap = low if Lap is None else Lap + low
+        Lap = Lap.toarray()
         ev = np.linalg.eigvalsh(0.5 * (Lap + Lap.conj().T))
-        dims.append(int((ev < 1e-8 * ev.max()).sum()))
-    assert tuple(dims) == run.dims == (1, 2, 1)
+        dims.append(int((ev < tol_rel * ev.max()).sum()))
+    return tuple(dims)
+
+
+def spy_paths(monkeypatch):
+    """Count the batches that take the Hodge-rank and the Laplacian path."""
+    calls = {"hodge": 0, "laplacian": 0}
+    for name, key in (("_hodge_rank_spectra", "hodge"), ("_laplacian_spectra", "laplacian")):
+        orig = getattr(dlb._Engine, name)
+
+        def counted(self, *args, _orig=orig, _key=key):
+            calls[_key] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(dlb._Engine, name, counted)
+    return calls
+
+
+def test_chain_engine_matches_dense(setup2, monkeypatch):
+    theta, cs, frame = setup2
+    conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
+    N = 2
+    calls = spy_paths(monkeypatch)
+    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    assert calls["hodge"] > 0 and calls["laplacian"] == 0
+    assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 2, 1)
+
+
+def test_n3_chain_drops_surplus_zeros(monkeypatch):
+    # at n = 3 the Gram unions for q = 1, 2 hold more values than dim C_q
+    theta = ThetaMatrix.product([0.31, 0.47, 0.23])
+    cs = random_complex_structure(3, np.random.default_rng(33))
+    frame = antihol_frame(cs)
+    conn = gradient_connection(theta, frame, (1, 0, 0, 0, 0, 0), 0.6 + 0.2j)
+    N = 1
+    calls = spy_paths(monkeypatch)
+    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    assert calls["hodge"] > 0 and calls["laplacian"] == 0
+    assert run.conclusive
+    assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 3, 3, 1)
+
+
+def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
+    # a path can leave the box along e1 and come back along t, so the
+    # compressed operators of this exactly flat connection miss A_1 A_0 = 0
+    theta = ThetaMatrix.product([0.31, 0.52])
+    cs = random_complex_structure(2, np.random.default_rng(3))
+    frame = antihol_frame(cs)
+    e1, t = (1, 0, 0, 0), (-1, 0, 1, 0)
+    we, wt = frame.W @ np.array(e1), frame.W @ np.array(t)
+    terms = [MatrixElement(theta, [[FourierElement.monomial(theta, e1, we[j])
+                                    + FourierElement.monomial(theta, t, wt[j])]])
+             for j in range(2)]
+    conn = dlb.FreeConnection(1, terms)
+    assert dlb.flatness_curvature(conn, frame).max_abs == 0.0
+    N = 2
+    A0, A1 = (dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q) for q in (0, 1))
+    assert abs(A1 @ A0).max() > 0.1
+    calls = spy_paths(monkeypatch)
+    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    assert calls["laplacian"] > 0 and calls["hodge"] == 0
+    assert run.conclusive
+    assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
+    # the Hodge-rank union would put a value inside the gap band here
+    monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, At: True)
+    assert not dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
 
 
 def test_gradient_chain_cohomology(setup2):
@@ -221,6 +284,78 @@ def test_sparse_fallback_matches_dense(setup2, monkeypatch):
     assert sparse.ker_even == ref.ker_even
 
 
+def test_defect_gate_does_not_stop_at_the_probe():
+    # A_0 kills the all-ones probe vector, yet A_1 A_0 != 0
+    engine = SimpleNamespace(tol_rel=1e-8)
+    A0 = np.array([[[1.0, -1.0], [1.0, -1.0]]], dtype=complex)
+    assert not dlb._Engine._forms_complex(engine, [A0, np.array([[[1.0, 0.0]]], dtype=complex)])
+    assert dlb._Engine._forms_complex(engine, [A0, np.array([[[1.0, -1.0]]], dtype=complex)])
+
+
+def four_direction_connection(theta):
+    """Couples all four lattice directions: one component spans the box."""
+    def mono(m, c):
+        return FourierElement.monomial(theta, m, c)
+
+    return dlb.FreeConnection(1, [
+        MatrixElement(theta, [[mono((1, 0, 0, 0), 1.0) + mono((0, 1, 0, 0), 0.7)]]),
+        MatrixElement(theta, [[mono((0, 0, 1, 0), 0.8) + mono((0, 0, 0, 1), 0.5)]]),
+    ])
+
+
+def count_lobpcg(monkeypatch, **overrides):
+    """Wrap scipy's lobpcg, counting calls and overriding keyword arguments."""
+    import scipy.sparse.linalg as spla
+
+    orig = spla.lobpcg
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **{**kwargs, **overrides})
+
+    monkeypatch.setattr(spla, "lobpcg", wrapped)
+    return calls
+
+
+def test_iterative_small_eigs_matches_eigvalsh(monkeypatch):
+    # weighted path-graph Laplacian: PSD with a one-dimensional kernel
+    n = 100
+    w = 1.0 + 0.5 * np.sin(np.arange(n - 1))
+    L = sp.diags([np.r_[w, 0.0] + np.r_[0.0, w], -w, -w], [0, 1, -1],
+                 format="csr").astype(complex)
+    calls = count_lobpcg(monkeypatch)
+    vals, vmax, complete = dlb._iterative_small_eigs(L, 6, np.random.default_rng(0))
+    ref = np.linalg.eigvalsh(L.toarray())
+    assert calls and complete
+    assert np.allclose(vals, ref[:6], rtol=0.0, atol=1e-10 * ref[-1])
+    assert abs(vmax - ref[-1]) < 1e-7 * ref[-1]
+
+
+def test_sparse_engine_matches_dense(setup2, monkeypatch):
+    theta, cs, frame = setup2
+    conn = four_direction_connection(theta)
+    ref = dlb._box_run(cs, frame, conn, 1, 1e-8, True, True)
+    monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
+    calls = count_lobpcg(monkeypatch)
+    sparse = dlb._box_run(cs, frame, conn, 1, 1e-8, True, True)
+    assert calls
+    assert ref.conclusive and sparse.conclusive
+    assert sparse.dims == ref.dims
+    assert sparse.ker_even == ref.ker_even
+
+
+@pytest.mark.filterwarnings("ignore:Exited")
+def test_unconverged_lobpcg_makes_report_inconclusive(setup2, monkeypatch):
+    theta, cs, frame = setup2
+    conn = four_direction_connection(theta)
+    monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
+    calls = count_lobpcg(monkeypatch, maxiter=1)
+    res = dlb.index(cs, frame, conn, dlb.TruncationBox(1))
+    assert calls
+    assert not res.conclusive and not res.stable
+
+
 def test_constant_fiber_matrices_match_dense(setup2):
     # commuting constant r=2 fiber terms: flat, mode-diagonal, nontrivial fibers
     theta, cs, frame = setup2
@@ -231,25 +366,7 @@ def test_constant_fiber_matrices_match_dense(setup2):
     assert dlb.flatness_curvature(conn, frame).is_flat
     N = 1
     run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
-    forms = dlb._form_indices(2)
-    Ms, Ls, Linvs = dlb._form_grams(frame, invariant_metric(cs).G, forms)
-    K = dlb.mode_count(4, N)
-    At = []
-    for q in range(2):
-        A = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q).toarray()
-        At.append(np.kron(Ls[q + 1].conj().T, np.eye(K * 2)) @ A
-                  @ np.kron(Linvs[q].conj().T, np.eye(K * 2)))
-    dims = []
-    for q in range(3):
-        Lap = None
-        if q < 2:
-            Lap = At[q].conj().T @ At[q]
-        if q > 0:
-            low = At[q - 1] @ At[q - 1].conj().T
-            Lap = low if Lap is None else Lap + low
-        ev = np.linalg.eigvalsh(0.5 * (Lap + Lap.conj().T))
-        dims.append(int((ev < 1e-8 * ev.max()).sum()))
-    assert tuple(dims) == run.dims
+    assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
 
 
 def test_index_n3():
