@@ -17,7 +17,9 @@ Key structural facts the implementation leans on:
   decomposes the operator into independent blocks (single modes for
   constant terms, translation chains for single-direction supports);
   blocks are processed densely and in batches, which keeps everything
-  deterministic and exact to working precision.
+  deterministic and exact to working precision;
+* with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
+  complex, whose spectra are written down in closed form.
 """
 
 from __future__ import annotations
@@ -288,9 +290,8 @@ class _Collector:
         if small.size:
             self.vals.extend(float(x) for x in small)
             self.mults.extend([mult] * small.size)
-        big = v[v > self.prov]
-        if big.size:
-            self.above = min(self.above, float(big.min()))
+        if small.size < v.size:
+            self.above = min(self.above, float(np.min(v, where=v > self.prov, initial=math.inf)))
 
     def finalize(self, tol_rel: float):
         thresh = tol_rel * self.vmax
@@ -378,7 +379,17 @@ class _Engine:
         self.L1 = Ls[1]
 
         self.const, self.couplings, self.steps = _connection_data(conn)
-        self.const_zero = all(np.max(np.abs(c)) == 0.0 for c in self.const)
+        # const[j] == c_j I_r for every j (the trivial connection included):
+        # then v~(m) = (w(m) + c) L1-bar = v0 + sum_k m_k U[k] on each mode,
+        # kept as real and imaginary parts side by side (2n real columns)
+        shift = np.array([cj[0, 0] for cj in self.const])
+        self.scalar_const = all(
+            np.array_equal(cj, sj * np.eye(self.r)) for cj, sj in zip(self.const, shift)
+        )
+        U = (2j * math.pi) * (frame.W.T @ self.L1.conj())
+        v0 = shift @ self.L1.conj()
+        self.U = np.hstack([U.real, U.imag])
+        self.v0 = np.concatenate([v0.real, v0.imag])
 
         # operator norm bounds used for provisional cutoffs
         W = frame.W
@@ -440,37 +451,84 @@ class _Engine:
 
     # -- closed-form and batched single-mode paths --------------------
 
-    def _run_trivial_modes(self, flat_idx: np.ndarray | None):
-        """Closed-form spectra for uncoupled modes of the trivial connection.
+    def _run_koszul_modes(self, flat_idx: np.ndarray | None):
+        """Closed-form spectra for uncoupled modes with scalar constant parts.
 
-        On a single mode the complex is wedge multiplication by the
-        frequency covector; every degree of its Laplacian has the single
-        eigenvalue |v|^2 with full multiplicity.
+        With a_j = c_j 1 the complex on one mode is the Koszul complex of
+        the covector v = w + c: wedge multiplication by v.  Every degree of
+        its Laplacian has the single eigenvalue |v~|^2, v~ = v L1-bar, with
+        full multiplicity.  The whole box goes slab by slab without mode
+        coordinates; a subset of the box is decoded mode by mode.
         """
-        n, r, d, N = self.n, self.r, self.d, self.N
-        K = mode_count(d, N)
-        chunk = max(1, min(2_000_000, K))
-        start = 0
-        total = K if flat_idx is None else flat_idx.size
-        while start < total:
-            stop = min(start + chunk, total)
-            fl = np.arange(start, stop, dtype=np.int64) if flat_idx is None else flat_idx[start:stop]
-            modes = _decode_modes(fl, d, N)
-            w = self._frequencies(modes)
-            vt = w @ self.L1.conj()
-            lam = np.sum(np.abs(vt) ** 2, axis=1)
-            if self.lap is not None:
-                for q in range(n + 1):
-                    self.lap[q].add(lam, mult=r * self.fdims[q])
-                self._record_q0(lam, modes, mult=r)
-            if self.dsv is not None:
-                self.dsv.add(np.sqrt(lam), mult=r * 2 ** (n - 1))
-            start = stop
+        d, N = self.d, self.N
+        if flat_idx is None:
+            for start, lam in self._box_koszul_eigenvalues():
+                self._add_koszul(lam, lambda idx: _decode_modes(start + idx, d, N))
+            return
+        chunk = 2_000_000
+        for start in range(0, flat_idx.size, chunk):
+            modes = _decode_modes(flat_idx[start:start + chunk], d, N)
+            vt = modes @ self.U + self.v0
+            lam = np.einsum("ij,ij->i", vt, vt)
+            self._add_koszul(lam, lambda idx: modes[idx])
+
+    def _box_koszul_eigenvalues(self):
+        """Yield (first flat index, |v~|^2) over the box, one slab at a time.
+
+        The k fastest axes (side^k <= 2M modes) form the inner block, whose
+        part of v~ is built once by broadcasting in flat order (axis 0
+        fastest); a slab is a run of values of the slower axes, at most 2M
+        modes, and only those slower coordinates are decoded.
+        """
+        d, N = self.d, self.N
+        side = 2 * N + 1
+        cap = 2_000_000
+        k = d
+        while k > 0 and side ** k > cap:
+            k -= 1
+        coords = np.arange(-N, N + 1)
+        inner = []
+        for p in range(self.U.shape[1]):
+            col = np.zeros(1)
+            for a in range(k):
+                col = np.add.outer(coords * self.U[a, p], col).reshape(-1)
+            inner.append(col)
+        size = inner[0].size
+        rows = cap // size
+        outer = side ** (d - k)
+        for o0 in range(0, outer, rows):
+            o1 = min(o0 + rows, outer)
+            vout = _decode_modes(np.arange(o0, o1), d - k, N) @ self.U[k:] + self.v0
+            lam = np.empty((o1 - o0, size))
+            t = np.empty_like(lam)
+            for p, col in enumerate(inner):
+                part = lam if p == 0 else t
+                np.add(vout[:, p, None], col, out=part)
+                np.square(part, out=part)
+                if p:
+                    lam += t
+            yield o0 * size, lam.reshape(-1)
+
+    def _add_koszul(self, lam: np.ndarray, modes_at):
+        """Feed closed-form eigenvalues; modes_at(idx) decodes q0 candidates."""
+        n, r = self.n, self.r
+        if self.lap is not None:
+            for q in range(n + 1):
+                self.lap[q].add(lam, mult=r * self.fdims[q])
+            idx = np.nonzero(lam <= self.lap[0].prov)[0][:256]
+            self._record_q0(lam[idx], modes_at(idx), mult=r)
+        if self.dsv is not None:
+            self.dsv.add(np.sqrt(lam), mult=r * 2 ** (n - 1))
 
     def _run_single_modes(self, flat_idx: np.ndarray | None):
-        """Batched dense spectra for uncoupled modes with constant fiber parts."""
-        if self.const_zero:
-            self._run_trivial_modes(flat_idx)
+        """Spectra of uncoupled modes, all of the box or the flat indices given.
+
+        Scalar constant fiber parts (the trivial connection included) take
+        the closed-form Koszul path; other constant fiber matrices go through
+        batched dense blocks, one mode per block.
+        """
+        if self.scalar_const:
+            self._run_koszul_modes(flat_idx)
             return
         n, r, d, N = self.n, self.r, self.d, self.N
         K = mode_count(d, N)
@@ -508,9 +566,12 @@ class _Engine:
         for q in range(n):
             C1, C0 = self.fdims[q + 1], self.fdims[q]
             acc = np.zeros((g, C1, cr, C0, cr), dtype=complex)
-            for j in range(n):
-                S = self.Stil[j][q]
-                acc += S[None, :, None, :, None] * T[j][:, None, :, None, :]
+            for b in range(C1):
+                for a in range(C0):
+                    for j in range(n):
+                        s = self.Stil[j][q][b, a]
+                        if s != 0:
+                            acc[:, b, :, a, :] += s * T[j]
             At.append(acc.reshape(g, C1 * cr, C0 * cr))
         if self._forms_complex(At):
             self._hodge_rank_spectra(At, cr, modes_for_q0)
@@ -780,18 +841,15 @@ class _Engine:
                 order = np.lexsort((flat_all[multi], labels[multi]))
                 grouped = multi[order]
                 glabels = labels[grouped]
-                boundaries = np.nonzero(np.diff(glabels))[0] + 1
-                comp_slices = np.split(grouped, boundaries)
+                starts = np.r_[0, np.nonzero(np.diff(glabels))[0] + 1]
+                csize = sizes[glabels]
                 pos_of = np.empty(K, dtype=np.int64)
-                for comp in comp_slices:
-                    pos_of[comp] = np.arange(comp.size)
-                comp_of = labels
-                by_size: dict[int, list[np.ndarray]] = {}
-                for comp in comp_slices:
-                    by_size.setdefault(comp.size, []).append(comp)
-                for c, comps in sorted(by_size.items()):
-                    members = np.vstack(comps)
-                    patterns = self._patterns(members, modes_all, pos_of, comp_of, radix)
+                pos_of[grouped] = np.arange(grouped.size) - np.repeat(starts, csize[starts])
+                for c in np.unique(csize):
+                    c = int(c)
+                    # components of one size, in label order, as rows
+                    members = grouped[csize == c].reshape(-1, c)
+                    patterns = self._patterns(members, modes_all, pos_of, radix)
                     uniform = all(
                         np.all(p == p[0:1, :], axis=None) for p in patterns
                     )
@@ -812,7 +870,7 @@ class _Engine:
         return self._finalize()
 
     def _patterns(self, members: np.ndarray, modes_all: np.ndarray,
-                  pos_of: np.ndarray, comp_of: np.ndarray, radix: np.ndarray):
+                  pos_of: np.ndarray, radix: np.ndarray):
         """Within-component target positions for each coupling, per component."""
         N = self.N
         G, c = members.shape

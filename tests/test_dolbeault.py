@@ -369,6 +369,108 @@ def test_constant_fiber_matrices_match_dense(setup2):
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
 
 
+def scalar_fiber_connection(theta, shifts, rank):
+    """a_j = c_j I_rank: constant and scalar on every fiber."""
+    return dlb.FreeConnection(rank, [MatrixElement.from_scalars(theta, c * np.eye(rank))
+                                     for c in shifts])
+
+
+def lattice_shift(frame, m0):
+    """The shift c = -2 pi i W m0 that moves the kernel to mode m0."""
+    return list(-2j * math.pi * (frame.W @ np.array(m0)))
+
+
+def test_rank2_scalar_shift_matches_dense(setup2):
+    theta, cs, frame = setup2
+    N = 1
+    off = scalar_fiber_connection(theta, [0.37 + 0.21j, -0.13 + 0.52j], 2)
+    run = dlb._box_run(cs, frame, off, N, 1e-8, True, True)
+    assert run.conclusive
+    assert dense_laplacian_dims(cs, frame, off, N) == run.dims == (0, 0, 0)
+    m0 = (1, 0, -1, 1)
+    on = scalar_fiber_connection(theta, lattice_shift(frame, m0), 2)
+    run = dlb._box_run(cs, frame, on, N, 1e-8, True, True)
+    assert run.conclusive
+    assert dense_laplacian_dims(cs, frame, on, N) == run.dims == (2, 4, 2)
+    assert run.kernel_modes_q0 == ((m0, 2),)
+
+
+def test_chain_singletons_take_the_shifted_closed_form(setup2, monkeypatch):
+    # a flat gradient chain along (1,1,0,0) plus a scalar shift on the lattice
+    # point of a singleton mode: the singletons go through the closed form at
+    # their flat indices, fed w + c
+    theta, cs, frame = setup2
+    s, m0 = (1, 1, 0, 0), (1, -1, 1, 0)
+    ws, c = frame.W @ np.array(s), lattice_shift(frame, m0)
+    terms = [MatrixElement(theta, [[FourierElement.monomial(theta, s, (0.6 - 0.2j) * ws[j])
+                                    + FourierElement.monomial(theta, (0, 0, 0, 0), c[j])]])
+             for j in range(2)]
+    conn = dlb.FreeConnection(1, terms)
+    assert dlb.flatness_curvature(conn, frame).is_flat
+    subsets = []
+    orig = dlb._Engine._run_koszul_modes
+
+    def spy(self, flat_idx):
+        subsets.append(flat_idx)
+        return orig(self, flat_idx)
+
+    monkeypatch.setattr(dlb._Engine, "_run_koszul_modes", spy)
+    for N in (1, 2):
+        subsets.clear()
+        run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+        assert len(subsets) == 1 and 0 < subsets[0].size < dlb.mode_count(4, N)
+        assert run.conclusive
+        assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 2, 1)
+        if N == 1:
+            assert run.kernel_modes_q0 == ((m0, 1),)
+
+
+def test_n3_lattice_shift_kernel_in_a_later_slab(monkeypatch):
+    # the N + 2 = 6 box holds 13^6 modes, more than one slab; the kernel mode
+    # has last coordinate +3, past the first slab
+    theta = ThetaMatrix.product([0.31, 0.47, 0.23])
+    cs = random_complex_structure(3, np.random.default_rng(33))
+    frame = antihol_frame(cs)
+    m0 = (1, 0, -1, 0, 2, 3)
+    conn = dlb.FreeConnection.scalar_shift(theta, lattice_shift(frame, m0))
+    rep = dlb.cohomology_dims(cs, frame, conn, dlb.TruncationBox(4))
+    assert rep.dims == (1, 3, 3, 1)
+    assert rep.stable and rep.conclusive
+    assert rep.kernel_modes_q0 == ((m0, 1),)
+    starts = []
+    orig = dlb._Engine._box_koszul_eigenvalues
+
+    def spy(self):
+        for start, lam in orig(self):
+            starts.append(start)
+            yield start, lam
+
+    monkeypatch.setattr(dlb._Engine, "_box_koszul_eigenvalues", spy)
+    run = dlb._box_run(cs, frame, conn, 6, 1e-8, True, False)
+    flat0 = sum((m + 6) * 13 ** k for k, m in enumerate(m0))
+    assert len(starts) > 1 and flat0 >= starts[1]
+    assert run.dims == (1, 3, 3, 1) and run.conclusive
+    assert run.kernel_modes_q0 == ((m0, 1),)
+
+
+def test_only_non_scalar_constant_fibers_assemble_blocks(setup2, monkeypatch):
+    theta, cs, frame = setup2
+
+    def refuse(self, *args):
+        raise AssertionError("dense blocks assembled")
+
+    monkeypatch.setattr(dlb._Engine, "_spectra_from_blocks", refuse)
+    for conn in (dlb.FreeConnection.scalar_shift(theta, [0.37 + 0.21j, -0.13 + 0.52j]),
+                 scalar_fiber_connection(theta, [0.2j, 0.5 - 0.1j], 2)):
+        assert dlb._box_run(cs, frame, conn, 2, 1e-8, True, True).conclusive
+    diagonal = dlb.FreeConnection(2, [
+        MatrixElement.from_scalars(theta, np.diag([0.3 + 0.1j, -0.2j])),
+        MatrixElement.from_scalars(theta, np.diag([0.1 - 0.4j, 0.25])),
+    ])
+    with pytest.raises(AssertionError, match="dense blocks assembled"):
+        dlb._box_run(cs, frame, diagonal, 2, 1e-8, True, True)
+
+
 def test_index_n3():
     theta = ThetaMatrix.product([0.31, 0.47, 0.23])
     cs = random_complex_structure(3, np.random.default_rng(33))
