@@ -638,6 +638,10 @@ def main(argv=None) -> int:
         # a ValueError subclass, but a failed factorization is numerics, not input
         emit({"version": REPORT_VERSION, "error": f"numerical failure: {exc}"})
         return EXIT_INCONCLUSIVE
+    except riemann.InternalCheckError as exc:
+        # an exact self-check of a result failed: a fault of the run, not the input
+        emit({"version": REPORT_VERSION, "error": str(exc)})
+        return EXIT_INCONCLUSIVE
     except (ProblemFileError, OSError) as exc:
         emit({"version": REPORT_VERSION, "error": str(exc)})
         return EXIT_INPUT

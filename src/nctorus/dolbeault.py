@@ -930,7 +930,10 @@ class _Engine:
                 for val, mode, mult in self.q0_candidates:
                     if val < thresh0 and mode is not None:
                         agg[mode] = agg.get(mode, 0) + mult
-                kernel_modes = tuple(sorted(agg.items()))
+                # _record_q0 keeps at most 256 candidates per chunk; a list
+                # that lost some would misattribute the kernel
+                if sum(agg.values()) == dims[0]:
+                    kernel_modes = tuple(sorted(agg.items()))
         ker_even = None
         if self.dsv is not None:
             kernel, cut, kept, ok, _ = self.dsv.finalize(math.sqrt(self.tol_rel))

@@ -10,6 +10,7 @@ noncommutativity bivector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -134,8 +135,12 @@ class NonAlgCertificate:
         }
 
 
+@functools.lru_cache(maxsize=8)
 def _primitive_lex_positive(B: int, dim: int = 4) -> np.ndarray:
-    """All primitive integer vectors with sup norm <= B, first nonzero > 0."""
+    """All primitive integer vectors with sup norm <= B, first nonzero > 0.
+
+    Built once per (B, dim) and shared by every caller, so read-only.
+    """
     rng = np.arange(-B, B + 1)
     grid = np.stack(np.meshgrid(*([rng] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     g = np.zeros(grid.shape[0], dtype=np.int64)
@@ -149,7 +154,9 @@ def _primitive_lex_positive(B: int, dim: int = 4) -> np.ndarray:
         newly = undecided & (grid[:, k] != 0)
         lead[newly] = grid[newly, k]
         undecided &= ~newly
-    return grid[lead > 0]
+    out = grid[lead > 0]
+    out.setflags(write=False)
+    return out
 
 
 def nonalg_certificate(cs: ComplexStructure, theta: ThetaMatrix, bound: int = 5,
@@ -217,13 +224,12 @@ def nonalg_certificate(cs: ComplexStructure, theta: ThetaMatrix, bound: int = 5,
             axis=1,
         ) / (nn[:, None] ** 2)
         radius = 2.0 * tol / (tiny_cut * tiny_cut) * 1.01
-        tree = cKDTree(hopf)
+        tree = cKDTree(hopf, balanced_tree=False)
         pairs = tree.query_pairs(r=radius, output_type="ndarray")
-        for ii, jj in pairs:
-            i, j = int(normal[ii]), int(normal[jj])
-            val = abs(U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0])
-            if val < tol:
-                record(i, j, val)
+        i, j = normal[pairs[:, 0]], normal[pairs[:, 1]]
+        vals = np.abs(U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0])
+        for p in np.nonzero(vals < tol)[0]:
+            record(int(i[p]), int(j[p]), float(vals[p]))
 
     top = curvature_functional(frame, theta, "top")
     certified = not vanishing and abs(top) > tol

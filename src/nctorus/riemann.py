@@ -49,6 +49,10 @@ class DegenerateFormError(ValueError):
     """An operation that needs det E != 0 received a degenerate form."""
 
 
+class InternalCheckError(RuntimeError):
+    """An exact self-check of a computed result failed (a program fault)."""
+
+
 @dataclass(frozen=True)
 class IntegerSkewForm:
     """Integer alternating form on the lattice."""
@@ -266,10 +270,10 @@ def frobenius_basis(E: IntegerSkewForm) -> FrobeniusBasis:
         expected[k, k + n] = d
         expected[k + n, k] = -d
     if not np.array_equal(Efin, expected):
-        raise RuntimeError("internal check failed: reduction did not reach canonical form")
+        raise InternalCheckError("internal check failed: reduction did not reach canonical form")
     det = fraction_det(fraction_matrix(Ufin.tolist()))
     if abs(det) != 1:
-        raise RuntimeError("internal check failed: basis matrix not unimodular")
+        raise InternalCheckError("internal check failed: basis matrix not unimodular")
     Ufin.setflags(write=False)
     return FrobeniusBasis(Ufin, divisors)
 
@@ -306,10 +310,10 @@ def decompose_riemann_form(E: IntegerSkewForm, basis: FrobeniusBasis,
         pieces.append(form)
         reports.append(hermitian_from_form(form, cs, require_compatible=False))
     if not np.array_equal(total, E.E):
-        raise RuntimeError("internal check failed: pieces do not sum to E")
+        raise InternalCheckError("internal check failed: pieces do not sum to E")
     for form in pieces:
         if not wedge_square_is_zero(form):
-            raise RuntimeError("internal check failed: piece is not decomposable")
+            raise InternalCheckError("internal check failed: piece is not decomposable")
     return pieces, reports
 
 
@@ -374,6 +378,15 @@ def _compat_operator_exact(J) -> list[list[Fraction]]:
     return A
 
 
+def _exact_int_dtype(max_abs: int):
+    """int64 if it holds every value up to max_abs, else Python ints (object).
+
+    Callers pass an a-priori bound on every intermediate value, so either
+    way the integer arithmetic is exact.
+    """
+    return np.int64 if max_abs <= np.iinfo(np.int64).max else object
+
+
 def _bounded_kernel_points(kernel: list[list[int]], bound: int) -> list[tuple[int, ...]]:
     """All nonzero integer vectors of the kernel lattice with sup norm <= bound.
 
@@ -387,7 +400,7 @@ def _bounded_kernel_points(kernel: list[list[int]], bound: int) -> list[tuple[in
     basis = [[int(x) for x in np.rint(row)] for row in red]
     basis = [b for b in basis if any(b)]
     if len(basis) != len(kernel):
-        raise RuntimeError("internal check failed: reduction changed the kernel rank")
+        raise InternalCheckError("internal check failed: reduction changed the kernel rank")
     Pf = np.array(basis, dtype=float)
     M = np.linalg.solve(Pf @ Pf.T, Pf)
     boxes = [int(math.floor(bound * float(np.sum(np.abs(M[i]))) * (1 + 1e-9))) + 1
@@ -399,16 +412,55 @@ def _bounded_kernel_points(kernel: list[list[int]], bound: int) -> list[tuple[in
             raise ValueError(
                 "the bounded enumeration is too large for this kernel; reduce the bound"
             )
-    D = len(basis[0])
-    points = []
-    for v in itertools.product(*[range(-b, b + 1) for b in boxes]):
-        if not any(v):
-            continue
-        x = tuple(sum(v[i] * basis[i][j] for i in range(len(basis))) for j in range(D))
-        if max(abs(t) for t in x) <= bound:
-            points.append(x)
-    points.sort(key=lambda x: (max(abs(t) for t in x), x))
-    return points
+    # every coordinate of V @ basis is at most sum_i box_i max|basis_i| in size
+    reach = sum(b * max(abs(t) for t in row) for b, row in zip(boxes, basis))
+    B = np.array(basis, dtype=_exact_int_dtype(reach))
+    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in boxes]
+    V = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(boxes))
+    V = V[V.any(axis=1)]
+    X = V.astype(B.dtype) @ B
+    X = X[np.max(np.abs(X), axis=1) <= bound].astype(np.int64)
+    sup = np.max(np.abs(X), axis=1)
+    # lexsort's last key is the primary one: sup norm, then x_0, x_1, ...
+    order = np.lexsort(tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1)) + (sup,))
+    return [tuple(row) for row in X[order].tolist()]
+
+
+def _first_positive_exact(points: list[tuple[int, ...]], J_frac, size: int):
+    """First kernel point, in the given order, whose J^T E is positive definite.
+
+    With den the lcm of the denominators of J, den J^T E is an integer
+    matrix with the signs of the leading minors of J^T E (den > 0), and it
+    is symmetric for every kernel point (J^T E J = E and J^2 = -1).  A
+    positive definite matrix has a positive diagonal, which is linear in
+    the skew coordinates; it is checked for all points at once, and only
+    the points that pass reach the Sylvester test.
+    """
+    if not points:
+        return None
+    den = 1
+    for row in J_frac:
+        for x in row:
+            den = math.lcm(den, x.denominator)
+    J_int = [[int(x * den) for x in row] for row in J_frac]
+    # diag_r(den J^T E) = sum_a J_int[a][r] E[a][r]; E[i][j] = v_k = -E[j][i]
+    idx = _skew_basis_indices(size)
+    Dmap = [[0] * len(idx) for _ in range(size)]
+    for k, (i, j) in enumerate(idx):
+        Dmap[j][k] += J_int[i][j]
+        Dmap[i][k] -= J_int[j][i]
+    X = np.array(points, dtype=np.int64)
+    reach = int(np.max(np.abs(X))) * sum(abs(t) for row in Dmap for t in row)
+    dtype = _exact_int_dtype(reach)
+    diag = X.astype(dtype) @ np.array(Dmap, dtype=dtype).T
+    for p in np.nonzero(np.all(diag > 0, axis=1))[0]:
+        vec = points[p]
+        E = _skew_from_vector(vec, size).tolist()
+        S = [[sum(J_int[a][r] * E[a][c] for a in range(size)) for c in range(size)]
+             for r in range(size)]
+        if is_positive_definite_exact(S):
+            return vec
+    return None
 
 
 @dataclass
@@ -512,19 +564,16 @@ def riemann_form_search(cs: ComplexStructure, bound: int = 6, exact: bool = Fals
         except ValueError:
             basis_try = sorted(basis_try, key=lambda v: (max(abs(t) for t in v), v))[:-1]
             truncated = True
-    J_frac = fraction_matrix(exact_j) if exact else None
-    for vec in points:
-        Emat = _skew_from_vector(vec, size)
-        form = IntegerSkewForm(Emat)
-        if exact:
-            S = [[sum(J_frac[a][r] * Fraction(int(Emat[a, c])) for a in range(size))
-                  for c in range(size)] for r in range(size)]
-            if not is_positive_definite_exact(S):
-                continue
+    if exact:
+        hit = _first_positive_exact(points, J_frac, size)
+        if hit is not None:
+            form = IntegerSkewForm(_skew_from_vector(hit, size))
             report = hermitian_from_form(form, cs)
             return RiemannSearchResult(True, form, report, numerical_dim, bound, exact,
                                        diagnostics=diagnostics)
-        else:
+    else:
+        for vec in points:
+            form = IntegerSkewForm(_skew_from_vector(vec, size))
             if _compat_residual(form.as_float(), cs.J) > COMPAT_TOL:
                 continue
             report = hermitian_from_form(form, cs)

@@ -3,7 +3,11 @@
 Each oracle recomputes a quantity by a route that shares no code with the
 implementation under test: word reordering for the twisted product,
 finite-dimensional clock-and-shift representations at rational angles,
-and stable Hermite-function evaluation for the oscillator modules.
+and stable Hermite-function evaluation for the oscillator modules.  The
+Riemann-form references keep the plain loop form of the bounded search
+(itertools enumeration, Fraction products, a Sylvester test on every
+candidate); they share the kernel and the exact determinant with the
+implementation, not its vectorized scan.
 """
 
 from __future__ import annotations
@@ -116,3 +120,81 @@ def hermite_functions(grid: np.ndarray, kmax: int) -> np.ndarray:
         out[k + 1] = (math.sqrt(2.0 / (k + 1)) * grid * out[k]
                       - math.sqrt(k / (k + 1)) * out[k - 1])
     return out
+
+
+def kernel_points_reference(kernel, bound: int) -> list[tuple[int, ...]]:
+    """Bounded kernel-lattice points by itertools over the coefficient boxes.
+
+    The loop form of nctorus.riemann._bounded_kernel_points: the same LLL
+    basis, boxes and size guard, then one Python sum per coefficient vector
+    and a sort by (sup norm, lexicographic).
+    """
+    import itertools
+
+    from nctorus.lattice import lll_reduce
+
+    red = lll_reduce(np.array(kernel, dtype=float))
+    basis = [[int(x) for x in np.rint(row)] for row in red]
+    basis = [b for b in basis if any(b)]
+    Pf = np.array(basis, dtype=float)
+    M = np.linalg.solve(Pf @ Pf.T, Pf)
+    boxes = [int(math.floor(bound * float(np.sum(np.abs(M[i]))) * (1 + 1e-9))) + 1
+             for i in range(len(basis))]
+    if math.prod(2 * b + 1 for b in boxes) > 400_000:
+        raise ValueError("the bounded enumeration is too large for this kernel")
+    D = len(basis[0])
+    points = []
+    for v in itertools.product(*[range(-b, b + 1) for b in boxes]):
+        if not any(v):
+            continue
+        x = tuple(sum(v[i] * basis[i][j] for i in range(len(basis))) for j in range(D))
+        if max(abs(t) for t in x) <= bound:
+            points.append(x)
+    points.sort(key=lambda x: (max(abs(t) for t in x), x))
+    return points
+
+
+def exact_kernel_reference(exact_j) -> list[list[int]]:
+    """Primitive integer basis of the compatibility kernel of a rational J."""
+    from nctorus.lattice import fraction_matrix, integer_kernel, primitive_vector
+    from nctorus.riemann import _compat_operator_exact
+
+    A = _compat_operator_exact(fraction_matrix(exact_j))
+    denom = 1
+    for row in A:
+        for x in row:
+            denom = math.lcm(denom, x.denominator)
+    A_int = [[int(x * denom) for x in row] for row in A]
+    return [primitive_vector(v) for v in integer_kernel(A_int)]
+
+
+def exact_search_reference(exact_j, bound: int):
+    """The exact Riemann-form search with Fraction arithmetic throughout.
+
+    Returns (found, E as a list of rows or None, inconclusive).  Kernel,
+    truncation rule and scan order follow nctorus.riemann; each candidate
+    J^T E is multiplied out over Q and sent to the Sylvester test, with no
+    prefilter.
+    """
+    from fractions import Fraction
+
+    from nctorus.lattice import fraction_matrix, is_positive_definite_exact
+    from nctorus.riemann import _skew_from_vector
+
+    J = fraction_matrix(exact_j)
+    size = len(J)
+    basis, truncated, points = exact_kernel_reference(exact_j), False, []
+    while basis:
+        try:
+            points = kernel_points_reference(basis, bound)
+            break
+        except ValueError:
+            basis = sorted(basis, key=lambda v: (max(abs(t) for t in v), v))[:-1]
+            truncated = True
+    for vec in points:
+        E = _skew_from_vector(vec, size)
+        S = [[sum(J[a][r] * Fraction(int(E[a, c])) for a in range(size)) for c in range(size)]
+             for r in range(size)]
+        if is_positive_definite_exact(S):
+            return True, E.astype(int).tolist(), False
+    return False, None, truncated

@@ -303,3 +303,20 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
     code, body = _main_stdout(tmp_path, capsys, problem, "hodge")
     assert code == 2
     assert set(body) == {"version", "error"} and "did not converge" in body["error"]
+
+
+def test_internal_check_failure_exits_2(tmp_path, capsys, monkeypatch):
+    from nctorus import riemann
+
+    reduce = riemann.lll_reduce
+    monkeypatch.setattr(riemann, "lll_reduce", lambda basis: reduce(basis)[:-1])
+    period = [[[1, 0], [0, 1], [0, 0], [0, 0]], [[0, 0], [0, 0], [1, 0], [0, 1]]]
+    problem = {
+        "n": 2,
+        "J": {"period": [[{"re": {"num": re, "den": 1}, "im": {"num": im, "den": 1}}
+                          for re, im in row] for row in period]},
+        "search": {"bound": 3, "exact": True},
+    }
+    code, body = _main_stdout(tmp_path, capsys, problem, "riemann-check")
+    assert code == 2
+    assert set(body) == {"version", "error"} and "internal check failed" in body["error"]

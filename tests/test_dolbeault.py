@@ -129,6 +129,20 @@ def test_trivial_dims_all_n():
             assert rep.kernel_modes_q0 == (((0,) * 2 * n, r),)
 
 
+def test_kernel_modes_q0_unset_when_candidates_were_capped():
+    # a loose tolerance puts hundreds of modes in the kernel, more than the
+    # 256 q0 candidates kept per chunk: the attribution would fall short
+    theta = ThetaMatrix.product([0.31])
+    cs = random_complex_structure(1, np.random.default_rng(17))
+    frame = antihol_frame(cs)
+    conn = dlb.FreeConnection.trivial(theta, 1, 1)
+    run = dlb._box_run(cs, frame, conn, 12, 0.3, True, False)
+    assert run.dims[0] > 256 and run.kernel_modes_q0 is None
+    run = dlb._box_run(cs, frame, conn, 12, 0.01, True, False)
+    assert run.dims[0] > 1
+    assert sum(c for _, c in run.kernel_modes_q0) == run.dims[0]
+
+
 def test_trivial_truncation_exact(setup2):
     theta, cs, frame = setup2
     conn = dlb.FreeConnection.trivial(theta, 2, 1)

@@ -11,6 +11,7 @@ from nctorus.complexstruct import (
 from nctorus.ktheory import (
     Decomposable2Form,
     K0Class,
+    _primitive_lex_positive,
     chern_top,
     curvature_functional,
     nonalg_certificate,
@@ -164,3 +165,39 @@ def test_certificate_catches_planted_vanishing():
     for a, b, val in cert.vanishing_pairs[:5]:
         direct = curvature_functional(frame, theta, Decomposable2Form(a, b))
         assert abs(direct) <= cert.tol
+
+
+def all_pairs_certificate(cs, theta, bound, tol):
+    """Vanishing pairs, top value and verdict by testing every pair of covectors."""
+    frame = antihol_frame(cs)
+    vecs = [tuple(int(x) for x in v) for v in _primitive_lex_positive(bound)]
+    U = np.array(vecs, dtype=float) @ frame.W.T
+    vals = np.abs(U[:, 0][:, None] * U[:, 1][None, :] - U[:, 1][:, None] * U[:, 0][None, :])
+    pairs = {}
+    for i, j in zip(*np.nonzero(vals < tol)):
+        if i != j:
+            pairs[tuple(sorted((vecs[i], vecs[j])))] = float(vals[i, j])
+    top = curvature_functional(frame, theta, "top")
+    return pairs, top, not pairs and abs(top) > tol
+
+
+@pytest.mark.parametrize("cs, theta", [
+    (random_complex_structure(2, np.random.default_rng(seed)), generic_theta(seed))
+    for seed in (3, 8, 41, 42)
+] + [(product_cs(), generic_theta(4))])
+def test_certificate_matches_all_pairs(cs, theta):
+    cert = nonalg_certificate(cs, theta, bound=3)
+    pairs, top, certified = all_pairs_certificate(cs, theta, 3, cert.tol)
+    assert {(a, b) for a, b, _ in cert.vanishing_pairs} == set(pairs)
+    for a, b, val in cert.vanishing_pairs:
+        assert val == pytest.approx(pairs[(a, b)], rel=1e-12, abs=1e-300)
+    assert cert.top_value == top
+    assert cert.certified == certified
+
+
+def test_certificate_vectors_are_shared_read_only():
+    vecs = _primitive_lex_positive(3)
+    assert vecs is _primitive_lex_positive(3)
+    assert not vecs.flags.writeable
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 7

@@ -12,7 +12,9 @@ from nctorus.complexstruct import (
     period_from_j,
     random_complex_structure,
 )
+from _oracles import exact_kernel_reference, exact_search_reference, kernel_points_reference
 from nctorus.dolbeault import HypothesisError
+from nctorus.lattice import fraction_matrix, is_positive_definite_exact
 from nctorus.riemann import (
     DegenerateFormError,
     IncompatibleFormError,
@@ -22,6 +24,8 @@ from nctorus.riemann import (
     exact_j_from_rational_period,
     frobenius_basis,
     hermitian_from_form,
+    _bounded_kernel_points,
+    _skew_from_vector,
     ncriemann_h0_bound,
     riemann_form_search,
     siegel_normalize,
@@ -193,6 +197,77 @@ def test_search_found_forms_verify():
         E = res.form.as_float()
         assert np.max(np.abs(cs.J.T @ E @ cs.J - E)) < 1e-8
         assert res.hermitian.positivity() == "positive"
+
+
+def rational_split_torus(wre, wim):
+    """Split torus with tau = tau' = i and rational w: exact J and its float cs."""
+    Qre = [[1, 0, 0, wre], [0, 0, 1, 0]]
+    Qim = [[0, 1, 0, wim], [0, 0, 0, 1]]
+    Jx = exact_j_from_rational_period(Qre, Qim)
+    cs = ComplexStructure(2, np.array([[float(x) for x in r] for r in Jx]), tol=1e-9)
+    return cs, Jx
+
+
+EXACT_TORI = {
+    "w=1/2": (Fraction(1, 2), Fraction(0)),
+    "w=1/2+i/3": (Fraction(1, 2), Fraction(1, 3)),
+    "w=0": (Fraction(0), Fraction(0)),
+    "w~1e-7": (Fraction(5347859, 10 ** 7), Fraction(2531177, 10 ** 7)),
+    # J's denominators pass int64: the prefilter's diagonal takes Python ints
+    "w~1e-30": (Fraction(1, 2) + Fraction(1, 10 ** 30), Fraction(1, 10 ** 30)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TORI))
+def test_exact_search_matches_fraction_reference(name):
+    cs, Jx = rational_split_torus(*EXACT_TORI[name])
+    for bound in (2, 3, 4):
+        res = riemann_form_search(cs, bound=bound, exact=True, exact_j=Jx)
+        found, E, inconclusive = exact_search_reference(Jx, bound)
+        assert (res.found, res.inconclusive) == (found, inconclusive)
+        assert (res.form.E.tolist() if res.found else None) == E
+
+
+@pytest.mark.parametrize("name", ["w=1/2", "w=0"])
+def test_exact_scan_skips_forms_with_positive_diagonal(name):
+    # candidates that pass the diagonal prefilter and fail Sylvester precede
+    # the form found, so the comparison above covers the second test too
+    cs, Jx = rational_split_torus(*EXACT_TORI[name])
+    J = fraction_matrix(Jx)
+    res = riemann_form_search(cs, bound=3, exact=True, exact_j=Jx)
+    skipped = 0
+    for vec in _bounded_kernel_points(exact_kernel_reference(Jx), 3):
+        E = _skew_from_vector(vec, 4)
+        if E.tolist() == res.form.E.tolist():
+            break
+        S = [[sum(J[a][r] * int(E[a, c]) for a in range(4)) for c in range(4)]
+             for r in range(4)]
+        if all(S[r][r] > 0 for r in range(4)):
+            assert not is_positive_definite_exact(S)
+            skipped += 1
+    assert skipped > 0
+
+
+def test_bounded_kernel_points_match_itertools():
+    kernels = [
+        exact_kernel_reference(rational_split_torus(*EXACT_TORI["w=1/2"])[1]),
+        exact_kernel_reference(rational_split_torus(*EXACT_TORI["w~1e-7"])[1]),
+        [[1]],
+        [[1, 2, 3], [2, 5, 7]],
+        [[2, 0, 0], [0, 3, 1]],
+        # a coordinate past int64: the combination runs on Python ints
+        [[1, 0, 3], [0, 1, 2 ** 70 + 1]],
+    ]
+    for kernel in kernels:
+        for bound in (1, 2, 4):
+            got = _bounded_kernel_points(kernel, bound)
+            assert got == kernel_points_reference(kernel, bound)
+            assert all(type(t) is int for x in got for t in x)
+
+
+def test_bounded_kernel_points_oversized_box_raises():
+    with pytest.raises(ValueError, match="too large"):
+        _bounded_kernel_points(np.eye(6, dtype=int).tolist(), 10)
 
 
 # -- decomposition ---------------------------------------------------------
