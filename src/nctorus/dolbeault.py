@@ -16,8 +16,9 @@ Key structural facts the implementation leans on:
   phase given by the product cocycle, so the coupling graph on modes
   decomposes the operator into independent blocks (single modes for
   constant terms, translation chains for single-direction supports);
-  blocks are processed densely and in batches, which keeps everything
-  deterministic and exact to working precision;
+  one method writes the direction operators of every block, and blocks
+  of one size and coupling pattern are processed densely and in batches,
+  which keeps everything deterministic and exact to working precision;
 * with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
   complex, whose spectra are written down in closed form.
 """
@@ -205,7 +206,7 @@ def _wedge_signs(n: int, forms) -> list[list[np.ndarray]]:
 
 
 def _form_grams(frame: AntiholFrame, G: np.ndarray, forms):
-    """Gram matrices M_q on the wedge bases and their Cholesky factors."""
+    """Cholesky factors L_q of the Gram matrices M_q on the wedge bases, and their inverses."""
     n = frame.n
     W = frame.W
     P = np.vstack([W.conj(), W])
@@ -218,7 +219,7 @@ def _form_grams(frame: AntiholFrame, G: np.ndarray, forms):
         for b in range(n):
             M1[b, a] = dzbar[a] @ Ginv @ dzbar[b].conj()
     M1 = 0.5 * (M1 + M1.conj().T)
-    Ms, Ls, Linvs = [], [], []
+    Ls, Linvs = [], []
     for q in range(n + 1):
         dim = len(forms[q])
         Mq = np.empty((dim, dim), dtype=complex)
@@ -227,10 +228,9 @@ def _form_grams(frame: AntiholFrame, G: np.ndarray, forms):
                 Mq[b, a] = 1.0 if q == 0 else np.linalg.det(M1[np.ix_(B, A)])
         Mq = 0.5 * (Mq + Mq.conj().T)
         L = np.linalg.cholesky(Mq)
-        Ms.append(Mq)
         Ls.append(L)
         Linvs.append(np.linalg.inv(L))
-    return Ms, Ls, Linvs
+    return Ls, Linvs
 
 
 def _tilde_signs(S, Ls, Linvs, n):
@@ -352,6 +352,27 @@ def _phases(theta: ThetaMatrix, step, modes: np.ndarray) -> np.ndarray:
     return np.exp(2j * math.pi * np.mod(sig, 1.0))
 
 
+def _smallest_below(values: np.ndarray, prov: float) -> np.ndarray:
+    """Indices of the 256 smallest of the 1-D values at or below prov (all, if fewer)."""
+    idx = np.nonzero(values <= prov)[0]
+    if idx.size > 256:
+        idx = idx[np.argpartition(values[idx], 255)[:256]]
+    return idx
+
+
+def _pattern_groups(patterns: np.ndarray):
+    """Row sets of equal coupling pattern, in order of first appearance.
+
+    Takes the first remaining row, gathers every row equal to it and
+    repeats, so a size class with one pattern costs one comparison.
+    """
+    rest = np.arange(patterns.shape[0])
+    while rest.size:
+        same = np.all(patterns[rest] == patterns[rest[0]], axis=(1, 2))
+        yield rest[same]
+        rest = rest[~same]
+
+
 # -- the engine ----------------------------------------------------------
 
 
@@ -374,7 +395,7 @@ class _Engine:
         self.fdims = [len(f) for f in self.forms]
         signs = _wedge_signs(n, self.forms)
         metric = invariant_metric(cs)
-        _, Ls, Linvs = _form_grams(frame, metric.G, self.forms)
+        Ls, Linvs = _form_grams(frame, metric.G, self.forms)
         self.Stil = _tilde_signs(signs, Ls, Linvs, n)
         self.L1 = Ls[1]
 
@@ -428,28 +449,24 @@ class _Engine:
         return (2j * math.pi) * (modes @ self.frame.W.T)
 
     def _record_q0(self, values: np.ndarray, modes: np.ndarray | None, mult: int):
+        """Keep the smallest degree-0 eigenvalues as kernel candidates.
+
+        values holds one eigenvalue (1-D) or one row of them (2-D) per row
+        of modes; modes is None for blocks of several modes, whose
+        candidates cannot be attributed.  One candidate per eigenvalue, so
+        the final threshold keeps or drops each kernel vector individually.
+        """
         if self.lap is None:
             return
-        prov = self.lap[0].prov
-        small = values <= prov
-        if values.ndim == 1:
-            idx = np.nonzero(small)[0]
-            for i in idx[:256]:
-                mode = tuple(int(x) for x in modes[i]) if modes is not None else None
-                if mode is None:
-                    self.q0_attributable = False
-                self.q0_candidates.append((float(values[i]), mode, mult))
-        else:
-            # one candidate per (mode, eigenvalue) so the final threshold can
-            # keep or drop each kernel vector individually
-            rows, cols = np.nonzero(small)
-            for i, jj in list(zip(rows, cols))[:256]:
-                mode = tuple(int(x) for x in modes[i]) if modes is not None else None
-                if mode is None:
-                    self.q0_attributable = False
-                self.q0_candidates.append((float(values[i, jj]), mode, mult))
+        width = math.prod(values.shape[1:])
+        flat = values.reshape(-1)
+        for i in _smallest_below(flat, self.lap[0].prov):
+            mode = tuple(int(x) for x in modes[i // width]) if modes is not None else None
+            if mode is None:
+                self.q0_attributable = False
+            self.q0_candidates.append((float(flat[i]), mode, mult))
 
-    # -- closed-form and batched single-mode paths --------------------
+    # -- closed-form path ------------------------------------------------
 
     def _run_koszul_modes(self, flat_idx: np.ndarray | None):
         """Closed-form spectra for uncoupled modes with scalar constant parts.
@@ -515,42 +532,59 @@ class _Engine:
         if self.lap is not None:
             for q in range(n + 1):
                 self.lap[q].add(lam, mult=r * self.fdims[q])
-            idx = np.nonzero(lam <= self.lap[0].prov)[0][:256]
+            idx = _smallest_below(lam, self.lap[0].prov)
             self._record_q0(lam[idx], modes_at(idx), mult=r)
         if self.dsv is not None:
             self.dsv.add(np.sqrt(lam), mult=r * 2 ** (n - 1))
 
-    def _run_single_modes(self, flat_idx: np.ndarray | None):
-        """Spectra of uncoupled modes, all of the box or the flat indices given.
+    # -- block paths ------------------------------------------------------
 
-        Scalar constant fiber parts (the trivial connection included) take
-        the closed-form Koszul path; other constant fiber matrices go through
-        batched dense blocks, one mode per block.
+    def _direction_terms(self, mvec: np.ndarray, pattern: np.ndarray):
+        """Entries of the direction operators T_j = dbar_j + a_j on blocks.
+
+        mvec (g, c, d) holds the coordinates of g blocks of c modes each;
+        pattern[k] is the position within the block that coupling k sends
+        each member to (-1: out of the box), one row shared by the g blocks.
+        T_j indexes (position, fiber) with the fiber fastest.  Yields
+        (j, rows, cols, values) with values of shape (g, len(rows)): for each
+        T_j the diagonal w and then the constant fiber entries, then the
+        couplings in self.couplings order.
         """
-        if self.scalar_const:
-            self._run_koszul_modes(flat_idx)
-            return
-        n, r, d, N = self.n, self.r, self.d, self.N
-        K = mode_count(d, N)
-        total = K if flat_idx is None else flat_idx.size
-        big = max(self.fdims) * r
-        chunk = max(1, int(4_000_000 / max(big * big, 1)))
-        start = 0
-        eye_r = np.eye(r, dtype=complex)
-        while start < total:
-            stop = min(start + chunk, total)
-            fl = np.arange(start, stop, dtype=np.int64) if flat_idx is None else flat_idx[start:stop]
-            modes = _decode_modes(fl, d, N)
-            w = self._frequencies(modes)
-            g = fl.size
-            T = [
-                w[:, j, None, None] * eye_r + self.const[j][None, :, :]
-                for j in range(n)
-            ]
-            self._spectra_from_blocks(T, g, 1, modes)
-            start = stop
+        r = self.r
+        g, c, _ = mvec.shape
+        modes = mvec.reshape(-1, self.d)
+        w = self._frequencies(modes).reshape(g, c, self.n)
+        ar = np.arange(c)
+        for j in range(self.n):
+            for i in range(r):
+                yield j, ar * r + i, ar * r + i, w[:, :, j]
+            for i2, i1 in zip(*np.nonzero(self.const[j])):
+                yield j, ar * r + i2, ar * r + i1, np.broadcast_to(self.const[j][i2, i1], (g, c))
+        for (j, i2, i1, step, coeff), tgt in zip(self.couplings, pattern):
+            src = np.nonzero(tgt >= 0)[0]
+            if src.size:
+                ph = _phases(self.theta, step, modes).reshape(g, c)
+                yield j, tgt[src] * r + i2, src * r + i1, coeff * ph[:, src]
 
-    # -- component paths ------------------------------------------------
+    def _run_blocks(self, members: np.ndarray, pattern: np.ndarray):
+        """Dense spectra of blocks that share one coupling pattern, in batches.
+
+        members (G, c) holds the flat mode indices of G blocks; pattern is
+        as in _direction_terms.  Blocks of one mode keep their coordinates
+        for kernel_modes_q0.
+        """
+        G, c = members.shape
+        cr = c * self.r
+        big = max(self.fdims) * cr
+        chunk = max(1, int(8_000_000 / max(big * big, 1)))
+        for start in range(0, G, chunk):
+            sub = members[start:start + chunk]
+            g = sub.shape[0]
+            mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
+            T = [np.zeros((g, cr, cr), dtype=complex) for _ in range(self.n)]
+            for j, rows, cols, values in self._direction_terms(mvec, pattern):
+                T[j][:, rows, cols] += values
+            self._spectra_from_blocks(T, g, c, mvec[:, 0] if c == 1 else None)
 
     def _spectra_from_blocks(self, T: list[np.ndarray], g: int, c: int,
                              modes_for_q0: np.ndarray | None):
@@ -676,78 +710,18 @@ class _Engine:
             ev = np.linalg.eigvalsh(np.matmul(D.conj().swapaxes(-1, -2), D))
             self.dsv.add(np.sqrt(np.clip(ev, 0.0, None)))
 
-    def _group_blocks(self, modes_all: np.ndarray, members: np.ndarray,
-                      patterns: np.ndarray):
-        """Batched T_j blocks for same-size uniform-pattern components."""
-        n, r = self.n, self.r
-        G, c = members.shape
-        cr = c * r
-        big = max(self.fdims) * cr
-        chunk = max(1, int(8_000_000 / max(big * big, 1)))
-        ar = np.arange(c)
-        start = 0
-        while start < G:
-            stop = min(start + chunk, G)
-            sub = members[start:stop]
-            g = sub.shape[0]
-            mvec = modes_all[sub]  # (g, c, d)
-            w = self._frequencies(mvec.reshape(-1, self.d)).reshape(g, c, n)
-            T = [np.zeros((g, cr, cr), dtype=complex) for _ in range(n)]
-            for j in range(n):
-                for i in range(r):
-                    T[j][:, ar * r + i, ar * r + i] = w[:, :, j]
-                if np.max(np.abs(self.const[j])) > 0:
-                    for i2 in range(r):
-                        for i1 in range(r):
-                            val = self.const[j][i2, i1]
-                            if val != 0:
-                                T[j][:, ar * r + i2, ar * r + i1] += val
-            for ci, (j, i2, i1, step, coeff) in enumerate(self.couplings):
-                tgt = patterns[ci]
-                valid = tgt >= 0
-                if not valid.any():
-                    continue
-                ph = _phases(self.theta, step, mvec.reshape(-1, self.d)).reshape(g, c)
-                T[j][:, tgt[valid] * r + i2, ar[valid] * r + i1] += coeff * ph[:, valid]
-            self._spectra_from_blocks(T, g, c, None)
-            start = stop
-
-    def _sparse_component(self, modes_all: np.ndarray, member: np.ndarray,
-                          patterns: np.ndarray):
+    def _sparse_component(self, member: np.ndarray, pattern: np.ndarray):
         """Iterative spectra for one component too large for dense blocks."""
         n, r = self.n, self.r
-        c = member.size
-        cr = c * r
-        mvec = modes_all[member]
-        w = self._frequencies(mvec)
-        ar = np.arange(c)
-        T = []
-        for j in range(n):
-            data, ri, ci = [], [], []
-            for i in range(r):
-                ri.extend(ar * r + i)
-                ci.extend(ar * r + i)
-                data.extend(w[:, j])
-            if np.max(np.abs(self.const[j])) > 0:
-                for i2 in range(r):
-                    for i1 in range(r):
-                        val = self.const[j][i2, i1]
-                        if val != 0:
-                            ri.extend(ar * r + i2)
-                            ci.extend(ar * r + i1)
-                            data.extend([val] * c)
-            for ci_idx, (jj, i2, i1, step, coeff) in enumerate(self.couplings):
-                if jj != j:
-                    continue
-                tgt = patterns[ci_idx]
-                valid = np.nonzero(tgt >= 0)[0]
-                if valid.size == 0:
-                    continue
-                ph = _phases(self.theta, step, mvec[valid])
-                ri.extend(tgt[valid] * r + i2)
-                ci.extend(valid * r + i1)
-                data.extend(coeff * ph)
-            T.append(sp.csr_matrix((data, (ri, ci)), shape=(cr, cr)))
+        cr = member.size * r
+        mvec = _decode_modes(member, self.d, self.N)[None]
+        parts = [([], [], []) for _ in range(n)]
+        for j, rows, cols, values in self._direction_terms(mvec, pattern):
+            parts[j][0].append(values[0])
+            parts[j][1].append(rows)
+            parts[j][2].append(cols)
+        T = [sp.csr_matrix((np.concatenate(v), (np.concatenate(ri), np.concatenate(ci))),
+                           shape=(cr, cr)) for v, ri, ci in parts]
         At = []
         for q in range(n):
             acc = None
@@ -806,108 +780,76 @@ class _Engine:
     # -- main --------------------------------------------------------
 
     def run(self) -> _BoxRun:
-        n, d, N, r = self.n, self.d, self.N, self.r
+        d, N = self.d, self.N
+        K = mode_count(d, N)
         if not self.steps:
-            self._run_single_modes(None)
-        else:
-            K = mode_count(d, N)
-            if K * d * 8 > 2e9:
-                raise ValueError("mode box too large for a coupled connection")
-            flat_all = np.arange(K, dtype=np.int64)
-            modes_all = _decode_modes(flat_all, d, N)
-            radix = _radix(d, N)
-            rows, cols = [], []
-            for s in self.steps:
-                svec = np.array(s, dtype=np.int64)
-                shifted = modes_all + svec
-                ok = np.all(np.abs(shifted) <= N, axis=1)
-                src = flat_all[ok]
-                dst = (shifted[ok] + N) @ radix
-                rows.append(src)
-                cols.append(dst)
-            rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-            cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-            adj = sp.csr_matrix(
-                (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(K, K)
-            )
-            ncomp, labels = connected_components(adj, directed=False)
-            sizes = np.bincount(labels)
-            single_mask = sizes[labels] == 1
-            if single_mask.any():
-                self._run_single_modes(flat_all[single_mask])
-
-            multi = np.nonzero(~single_mask)[0]
-            if multi.size:
-                order = np.lexsort((flat_all[multi], labels[multi]))
-                grouped = multi[order]
-                glabels = labels[grouped]
-                starts = np.r_[0, np.nonzero(np.diff(glabels))[0] + 1]
-                csize = sizes[glabels]
-                pos_of = np.empty(K, dtype=np.int64)
-                pos_of[grouped] = np.arange(grouped.size) - np.repeat(starts, csize[starts])
-                for c in np.unique(csize):
-                    c = int(c)
-                    # components of one size, in label order, as rows
-                    members = grouped[csize == c].reshape(-1, c)
-                    patterns = self._patterns(members, modes_all, pos_of, radix)
-                    uniform = all(
-                        np.all(p == p[0:1, :], axis=None) for p in patterns
-                    )
-                    dim = c * r * max(self.fdims)
-                    if dim > DENSE_BLOCK_LIMIT:
-                        for gi in range(members.shape[0]):
-                            self._sparse_component(
-                                modes_all, members[gi], [p[gi] for p in patterns]
-                            )
-                    elif uniform:
-                        self._group_blocks(modes_all, members,
-                                           np.array([p[0] for p in patterns]))
-                    else:
-                        for gi in range(members.shape[0]):
-                            self._run_component_dense(
-                                modes_all, members[gi], [p[gi] for p in patterns]
-                            )
+            if self.scalar_const:
+                self._run_koszul_modes(None)
+            else:
+                self._run_blocks(np.arange(K, dtype=np.int64)[:, None],
+                                 np.empty((0, 1), dtype=np.int64))
+            return self._finalize()
+        if K * d * 8 > 2e9:
+            raise ValueError("mode box too large for a coupled connection")
+        flat_all = np.arange(K, dtype=np.int64)
+        modes_all = _decode_modes(flat_all, d, N)
+        radix = _radix(d, N)
+        rows, cols = [], []
+        for s in self.steps:
+            svec = np.array(s, dtype=np.int64)
+            shifted = modes_all + svec
+            ok = np.all(np.abs(shifted) <= N, axis=1)
+            rows.append(flat_all[ok])
+            cols.append((shifted[ok] + N) @ radix)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        adj = sp.csr_matrix(
+            (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(K, K)
+        )
+        _, labels = connected_components(adj, directed=False)
+        sizes = np.bincount(labels)
+        # modes sorted by component, then flat index; csize[i] is the size of
+        # the component of grouped[i], pos_of its position there
+        grouped = np.lexsort((flat_all, labels))
+        glabels = labels[grouped]
+        starts = np.r_[0, np.nonzero(np.diff(glabels))[0] + 1]
+        csize = sizes[glabels]
+        pos_of = np.empty(K, dtype=np.int64)
+        pos_of[grouped] = np.arange(K) - np.repeat(starts, csize[starts])
+        for c in np.unique(csize):
+            c = int(c)
+            # components of one size, in label order, as rows
+            members = grouped[csize == c].reshape(-1, c)
+            if c == 1 and self.scalar_const:
+                self._run_koszul_modes(members[:, 0])
+                continue
+            patterns = self._patterns(members, modes_all, pos_of, radix)
+            for group in _pattern_groups(patterns):
+                pattern = patterns[group[0]]
+                if c * self.r * max(self.fdims) > DENSE_BLOCK_LIMIT:
+                    for member in members[group]:
+                        self._sparse_component(member, pattern)
+                else:
+                    self._run_blocks(members[group], pattern)
         return self._finalize()
 
     def _patterns(self, members: np.ndarray, modes_all: np.ndarray,
-                  pos_of: np.ndarray, radix: np.ndarray):
-        """Within-component target positions for each coupling, per component."""
+                  pos_of: np.ndarray, radix: np.ndarray) -> np.ndarray:
+        """Within-component target positions, shape (components, couplings, c).
+
+        Entry [g, k, i] is the position that coupling k sends member i of
+        component g to, -1 when the target leaves the box.
+        """
         N = self.N
         G, c = members.shape
-        out = []
-        for (j, i2, i1, step, coeff) in self.couplings:
-            svec = np.array(step, dtype=np.int64)
-            shifted = modes_all[members.reshape(-1)] + svec
+        src = modes_all[members.reshape(-1)]
+        out = np.full((G, len(self.couplings), c), -1, dtype=np.int64)
+        for k, (_, _, _, step, _) in enumerate(self.couplings):
+            shifted = src + np.array(step, dtype=np.int64)
             ok = np.all(np.abs(shifted) <= N, axis=1)
             tgt = np.full(G * c, -1, dtype=np.int64)
-            dst = (shifted[ok] + N) @ radix
-            tgt[ok] = pos_of[dst]
-            out.append(tgt.reshape(G, c))
+            tgt[ok] = pos_of[(shifted[ok] + N) @ radix]
+            out[:, k] = tgt.reshape(G, c)
         return out
-
-    def _run_component_dense(self, modes_all, member, patterns):
-        n, r = self.n, self.r
-        c = member.size
-        mvec = modes_all[member]
-        w = self._frequencies(mvec)
-        ar = np.arange(c)
-        eye_r = np.eye(r, dtype=complex)
-        T = []
-        for j in range(n):
-            Tj = np.zeros((1, c * r, c * r), dtype=complex)
-            for i in range(r):
-                Tj[0, ar * r + i, ar * r + i] = w[:, j]
-            if np.max(np.abs(self.const[j])) > 0:
-                Tj[0] += np.kron(np.eye(c), self.const[j])
-            T.append(Tj)
-        for ci, (j, i2, i1, step, coeff) in enumerate(self.couplings):
-            tgt = patterns[ci]
-            valid = np.nonzero(tgt >= 0)[0]
-            if valid.size == 0:
-                continue
-            ph = _phases(self.theta, step, mvec[valid])
-            T[j][0, tgt[valid] * r + i2, valid * r + i1] += coeff * ph
-        self._spectra_from_blocks(T, 1, c, None)
 
     def _finalize(self) -> _BoxRun:
         dims = None

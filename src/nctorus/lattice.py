@@ -185,14 +185,18 @@ def integer_kernel(A) -> list[list[int]]:
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
-    """Textbook LLL on integer row vectors (float Gram-Schmidt).
+    """Textbook LLL on row vectors (float Gram-Schmidt).
 
-    Adequate for the small, well-scaled relation lattices used here.
+    Size reductions and swaps act on the rows in the dtype they come in, so
+    Python-int rows (an object array) stay exact and keep spanning their
+    lattice; the Gram-Schmidt data that steer them are computed on a float
+    copy.  Adequate for the small, well-scaled relation lattices used here.
     """
-    B = np.array(basis, dtype=float)
+    B = np.array(basis)
     m = B.shape[0]
 
     def gso(B):
+        B = B.astype(float)
         Bs = np.zeros_like(B)
         mu = np.zeros((m, m))
         for i in range(m):

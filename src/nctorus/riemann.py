@@ -395,9 +395,8 @@ def _bounded_kernel_points(kernel: list[list[int]], bound: int) -> list[tuple[in
     point x with |x|_inf <= bound.  Candidates are returned sorted by
     sup norm, then lexicographically, so the scan order is canonical.
     """
-    P = np.array(kernel, dtype=float)
-    red = lll_reduce(P)
-    basis = [[int(x) for x in np.rint(row)] for row in red]
+    red = lll_reduce(np.array(kernel, dtype=object))
+    basis = [[int(x) for x in row] for row in red]
     basis = [b for b in basis if any(b)]
     if len(basis) != len(kernel):
         raise InternalCheckError("internal check failed: reduction changed the kernel rank")

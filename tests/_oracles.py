@@ -133,8 +133,8 @@ def kernel_points_reference(kernel, bound: int) -> list[tuple[int, ...]]:
 
     from nctorus.lattice import lll_reduce
 
-    red = lll_reduce(np.array(kernel, dtype=float))
-    basis = [[int(x) for x in np.rint(row)] for row in red]
+    red = lll_reduce(np.array(kernel, dtype=object))
+    basis = [[int(x) for x in row] for row in red]
     basis = [b for b in basis if any(b)]
     Pf = np.array(basis, dtype=float)
     M = np.linalg.solve(Pf @ Pf.T, Pf)

@@ -98,7 +98,8 @@ def test_gram_adjoint_identity(setup2):
     conn = gradient_connection(theta, frame, (0, 1, 0, 0), 0.3 + 0.4j)
     N = 1
     forms = dlb._form_indices(2)
-    Ms, _, _ = dlb._form_grams(frame, invariant_metric(cs).G, forms)
+    Ls, _ = dlb._form_grams(frame, invariant_metric(cs).G, forms)
+    Ms = [L @ L.conj().T for L in Ls]
     K = dlb.mode_count(4, N)
     rng = np.random.default_rng(8)
     for q in range(2):
@@ -138,9 +139,12 @@ def test_kernel_modes_q0_unset_when_candidates_were_capped():
     conn = dlb.FreeConnection.trivial(theta, 1, 1)
     run = dlb._box_run(cs, frame, conn, 12, 0.3, True, False)
     assert run.dims[0] > 256 and run.kernel_modes_q0 is None
-    run = dlb._box_run(cs, frame, conn, 12, 0.01, True, False)
-    assert run.dims[0] > 1
-    assert sum(c for _, c in run.kernel_modes_q0) == run.dims[0]
+    # at 0.02 more than 256 modes sit below the provisional cutoff but only
+    # 35 below the threshold: the 256 smallest candidates hold all of them
+    for tol_rel in (0.01, 0.02):
+        run = dlb._box_run(cs, frame, conn, 12, tol_rel, True, False)
+        assert run.dims[0] > 1
+        assert sum(c for _, c in run.kernel_modes_q0) == run.dims[0]
 
 
 def test_trivial_truncation_exact(setup2):
@@ -166,16 +170,16 @@ def test_scalar_shift_dims(setup2):
     assert rep2.kernel_modes_q0 == ((tuple(int(x) for x in m0), 1),)
 
 
-def dense_laplacian_dims(cs, frame, conn, N, tol_rel=1e-8):
-    """Kernel dimensions of the full-box Laplacians built from assemble_operator."""
+def dense_laplacian_spectra(cs, frame, conn, N):
+    """Eigenvalues of the full-box Laplacians built from assemble_operator, per degree."""
     n = frame.n
-    _, Ls, Linvs = dlb._form_grams(frame, invariant_metric(cs).G, dlb._form_indices(n))
+    Ls, Linvs = dlb._form_grams(frame, invariant_metric(cs).G, dlb._form_indices(n))
     eye = sp.identity(dlb.mode_count(2 * n, N) * conn.rank, format="csr")
     At = []
     for q in range(n):
         A = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q)
         At.append(sp.kron(Ls[q + 1].conj().T, eye) @ A @ sp.kron(Linvs[q].conj().T, eye))
-    dims = []
+    spectra = []
     for q in range(n + 1):
         Lap = None
         if q < n:
@@ -184,9 +188,14 @@ def dense_laplacian_dims(cs, frame, conn, N, tol_rel=1e-8):
             low = At[q - 1] @ At[q - 1].conj().T
             Lap = low if Lap is None else Lap + low
         Lap = Lap.toarray()
-        ev = np.linalg.eigvalsh(0.5 * (Lap + Lap.conj().T))
-        dims.append(int((ev < tol_rel * ev.max()).sum()))
-    return tuple(dims)
+        spectra.append(np.linalg.eigvalsh(0.5 * (Lap + Lap.conj().T)))
+    return spectra
+
+
+def dense_laplacian_dims(cs, frame, conn, N, tol_rel=1e-8):
+    """Kernel dimensions of the full-box Laplacians built from assemble_operator."""
+    return tuple(int((ev < tol_rel * ev.max()).sum())
+                 for ev in dense_laplacian_spectra(cs, frame, conn, N))
 
 
 def spy_paths(monkeypatch):
@@ -251,6 +260,44 @@ def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
     # the Hodge-rank union would put a value inside the gap band here
     monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, At: True)
     assert not dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
+
+
+def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
+    # at N = 1 the steps (1,1,0,0) and (-1,0,-1,0) give components of sizes
+    # 3 and 6 whose members leave the box in two different patterns per size
+    theta, cs, frame = setup2
+    conn = dlb.FreeConnection(1, [
+        MatrixElement(theta, [[FourierElement.monomial(theta, (1, 1, 0, 0), 0.5)]]),
+        MatrixElement(theta, [[FourierElement.monomial(theta, (-1, 0, -1, 0), 0.3)]]),
+    ])
+    N = 1
+    batches = []
+    orig = dlb._Engine._spectra_from_blocks
+
+    def spy(self, T, g, c, modes):
+        batches.append((g, c))
+        return orig(self, T, g, c, modes)
+
+    monkeypatch.setattr(dlb._Engine, "_spectra_from_blocks", spy)
+    added = {}
+    orig_add = dlb._Collector.add
+
+    def record(self, values, mult=1):
+        added.setdefault(id(self), []).append(np.repeat(values.reshape(-1), mult))
+        return orig_add(self, values, mult)
+
+    monkeypatch.setattr(dlb._Collector, "add", record)
+    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, False)
+    run = engine.run()
+    assert any(g >= 2 and c >= 2 for g, c in batches)
+    assert run.conclusive
+    assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
+    # the whole spectrum of every degree, so a block built with another
+    # component's pattern cannot hide behind a zero kernel
+    for col, ref in zip(engine.lap, dense_laplacian_spectra(cs, frame, conn, N)):
+        got = np.sort(np.concatenate(added[id(col)]))
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-10 * ref[-1])
 
 
 def test_gradient_chain_cohomology(setup2):

@@ -14,7 +14,7 @@ from nctorus.complexstruct import (
 )
 from _oracles import exact_kernel_reference, exact_search_reference, kernel_points_reference
 from nctorus.dolbeault import HypothesisError
-from nctorus.lattice import fraction_matrix, is_positive_definite_exact
+from nctorus.lattice import fraction_matrix, is_positive_definite_exact, lll_reduce
 from nctorus.riemann import (
     DegenerateFormError,
     IncompatibleFormError,
@@ -25,6 +25,7 @@ from nctorus.riemann import (
     frobenius_basis,
     hermitian_from_form,
     _bounded_kernel_points,
+    _compat_operator_exact,
     _skew_from_vector,
     ncriemann_h0_bound,
     riemann_form_search,
@@ -263,6 +264,20 @@ def test_bounded_kernel_points_match_itertools():
             got = _bounded_kernel_points(kernel, bound)
             assert got == kernel_points_reference(kernel, bound)
             assert all(type(t) is int for x in got for t in x)
+
+
+def test_reduced_kernel_basis_stays_in_the_kernel():
+    # kernel entries near 1e30 are past float precision: the reduction must
+    # act on the integer rows themselves, as _bounded_kernel_points calls it
+    Jx = rational_split_torus(*EXACT_TORI["w~1e-30"])[1]
+    kernel = exact_kernel_reference(Jx)
+    assert max(abs(t) for v in kernel for t in v) > 2 ** 53
+    A = _compat_operator_exact(fraction_matrix(Jx))
+    red = lll_reduce(np.array(kernel, dtype=object))
+    assert len(red) == len(kernel)
+    for row in red:
+        assert any(row) and all(type(t) is int for t in row)
+        assert all(sum(a * x for a, x in zip(arow, row)) == 0 for arow in A)
 
 
 def test_bounded_kernel_points_oversized_box_raises():
