@@ -455,9 +455,8 @@ class _Engine:
         of modes; modes is None for blocks of several modes, whose
         candidates cannot be attributed.  One candidate per eigenvalue, so
         the final threshold keeps or drops each kernel vector individually.
+        Callers feed it only when the Laplacian spectra are wanted.
         """
-        if self.lap is None:
-            return
         width = math.prod(values.shape[1:])
         flat = values.reshape(-1)
         for i in _smallest_below(flat, self.lap[0].prov):

@@ -501,7 +501,7 @@ def riemann_form_search(cs: ComplexStructure, bound: int = 6, exact: bool = Fals
     size = 2 * cs.n
     if exact:
         if exact_j is None:
-            raise ValueError("the exact path needs exact_j (rational J entries)")
+            raise ValueError("the exact path needs J given as a rational period matrix")
         J_frac = fraction_matrix(exact_j)
         Jf = np.array([[float(x) for x in row] for row in J_frac])
         if np.max(np.abs(Jf - cs.J)) > 1e-9:

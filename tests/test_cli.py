@@ -1,15 +1,22 @@
+import copy
 import json
 import math
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nctorus import cli
+from nctorus import cli, dolbeault
 
 
-def run_text(command, problem, **kwargs):
+def run_text(command, problem):
     pf = cli.parse_problem_file(json.dumps(problem))
-    report, status = cli.run(command, pf, **kwargs)
+    report, status = cli.run(command, pf)
     return report, status, cli.canonical_json(report)
 
 
@@ -264,11 +271,15 @@ def test_main_exit_codes(tmp_path):
                      "--output", str(out)]) == 1
 
 
-def test_workers_do_not_change_scan(tmp_path):
-    problem = {"seed": 9, "samples": 4, "search": {"bound": 3}}
-    _, _, seq = run_text("nonalg-scan", problem, workers=1)
-    _, _, par = run_text("nonalg-scan", problem, workers=3)
-    assert seq == par
+def test_workers_do_not_change_scan(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"seed": 9, "samples": 4, "search": {"bound": 3}}))
+    reports = []
+    for workers in ("1", "3"):
+        assert cli.main(["--input", str(path), "--command", "nonalg-scan",
+                         "--workers", workers]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def _main_stdout(tmp_path, capsys, problem, command):
@@ -285,6 +296,16 @@ def _main_stdout(tmp_path, capsys, problem, command):
     ({"kunneth": {}}, "kunneth"),
     ({"truncation": {"N": None}}, "hodge"),
     ({"truncation": "N"}, "hodge"),
+    ({"truncation": {"N": 2.5}}, "hodge"),
+    ({"truncation": {"N": True}}, "hodge"),
+    ({"seed": -1}, "nonalg-scan"),
+    ({"multiplier": 0}, "ncriemann-bound"),
+    ({"form": [[0, 2 ** 31], [-(2 ** 31), 0]]}, "frobenius"),
+    ({"n": 1, "theta": [[0.0, 0.4], [-0.4, 0.0]],
+      "connection": {"rank": 1, "terms": [[[[{"m": [10 ** 30, 0], "re": 1.0}]]]]}}, "flatness"),
+    ({"n": 1, "theta": [[0.0, 0.4], [-0.4, 0.0]],
+      "connection": {"rank": 1, "terms": [[[[{"m": [1, 0], "re": 1e300}]]]]}}, "flatness"),
+    ({"J": {"period": [[{"re": {"num": 1, "den": 0}, "im": 0}]]}}, "siegel"),
 ])
 def test_malformed_sections_exit_1_with_error_body(tmp_path, capsys, problem, command):
     code, body = _main_stdout(tmp_path, capsys, problem, command)
@@ -320,3 +341,157 @@ def test_internal_check_failure_exits_2(tmp_path, capsys, monkeypatch):
     code, body = _main_stdout(tmp_path, capsys, problem, "riemann-check")
     assert code == 2
     assert set(body) == {"version", "error"} and "internal check failed" in body["error"]
+
+
+README_EXAMPLE = re.search(r"```json\n(.*?)```",
+                           (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                           re.S).group(1)
+
+
+def test_defaults_of_the_field_table():
+    pf = cli.parse_problem_file(json.dumps({"module1d": {"q": 1}}))
+    assert (pf.tol_rel, pf.bound, pf.exact) == (1e-8, 6, False)
+    assert (pf.samples, pf.seed, pf.multiplier, pf.workers, pf.N) == (100, 0, 1, 1, None)
+    assert (pf.module1d.p, pf.module1d.tau, pf.module1d.M) == (1, 1j, 200)
+    # no truncation section: the default box, N = 8 at n = 2 (trivial
+    # connection, so the closed-form Koszul path keeps this cheap)
+    problem = {key: PRODUCT_PROBLEM[key] for key in ("n", "theta", "J")}
+    report, status, _ = run_text("hodge", problem)
+    assert status == 0
+    assert report["results"]["N"] == 8 and report["results"]["dims"] == [1, 2, 1]
+
+
+def test_infinite_sigma_kept_serializes_as_inf():
+    rep = dolbeault.SpectralReport(dims=(1, 0), index=1, sigma_kept=math.inf, sigma_cut=0.0,
+                                   stable=True, conclusive=True, N=4, tol_rel=1e-8)
+    assert '"sigma_kept":"inf"' in cli.canonical_json(cli._spectral_results(rep))
+
+
+def test_readme_example_parses():
+    pf = cli.parse_problem_file(README_EXAMPLE)
+    assert pf.N == 8 and pf.cs.n == 2 and pf.connection.rank == 1
+    assert pf.module1d.q == 2 and pf.form.size == 4 and pf.multiplier == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "nonalg-scan", "--truncation", "abc"],
+    ["--command", "nonalg-scan", "--samples", "-1"],
+    ["--command", "nonalg-scan", "--workers", "0"],
+    ["--command", "nonalg-scan", "--seed", "2.5"],
+    ["--command", "nonalg-scan", "--bound", "1e30"],
+    ["--command", "nonalg-scan", "--tol-rel", "nan"],
+    ["--command", "nope"],
+    ["--command", "nonalg-scan", "--no-such-flag"],
+    [],
+])
+def test_malformed_flags_exit_1_with_error_body(tmp_path, capsys, argv):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"seed": 9, "samples": 2, "search": {"bound": 2}}))
+    assert cli.main(["--input", str(path), *argv]) == 1
+    out = capsys.readouterr().out
+    assert set(json.loads(out)) == {"version", "error"}
+    assert out == cli.canonical_json(json.loads(out))
+
+
+def test_range_edges():
+    """Upper ends of the documented ranges, checked by parsing alone: no work starts."""
+    def parses(problem, flags=None):
+        try:
+            cli.parse_problem_file(json.dumps(problem), flags)
+        except cli.ProblemFileError:
+            return False
+        return True
+
+    # n = 3 at N = 8 is the largest box the docs use: its N + 2 box has 21^6 modes
+    three = {"n": 3, "J": {"blocks": [[[0.0, -1.0], [1.0, 0.0]]] * 3}}
+    assert parses({**three, "truncation": {"N": 8}})
+    assert not parses({**three, "truncation": {"N": 9}})
+    assert parses(PRODUCT_PROBLEM, {"N": ("--truncation", "10")})
+    assert parses({"samples": 10 ** 6}) and not parses({"samples": 10 ** 6 + 1})
+    assert parses({}, {"workers": ("--workers", "64")})
+    assert not parses({}, {"workers": ("--workers", "65")})
+    assert parses({"search": {"bound": 16}}) and not parses({"search": {"bound": 17}})
+    assert parses({"module1d": {"q": 1, "M": 10 ** 4}})
+    assert not parses({"module1d": {"q": 1, "M": 10 ** 4 + 1}})
+
+
+# -- fuzzing ----------------------------------------------------------------------
+
+FUZZ_BASE = {
+    **json.loads(README_EXAMPLE),
+    "small": {"theta": [[0.0, 0.3], [-0.3, 0.0]], "connection": {"rank": 1, "terms": [[[[]]]]}},
+    "splittorus": {"tau": [0.0, 1.0], "tau_prime": [0.0, 1.0], "w": [0.5, 0.25]},
+    "truncation": {"N": 1, "tol_rel": 1e-8},
+    "samples": 3,
+    "search": {"bound": 2, "exact": False},
+}
+JUNK = (None, [], {}, "x", 1e300, math.nan, -1, 0, True, [[1]], {"re": "a"}, 1e30, -1e30, 2.5)
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, prefix + (key,))
+
+
+def test_fuzzed_problem_files_exit_0_1_or_2_with_one_json_object(tmp_path, capsys, monkeypatch):
+    """One junk value at a random place of a full problem file, then a random command."""
+    boxes = []
+    box_run = dolbeault._box_run
+
+    def recorded_box_run(cs, frame, conn, N, *rest):
+        boxes.append(N)
+        return box_run(cs, frame, conn, N, *rest)
+
+    monkeypatch.setattr(dolbeault, "_box_run", recorded_box_run)
+    rng = random.Random(1)
+    paths = list(_paths(FUZZ_BASE))
+    path = tmp_path / "p.json"
+    codes = set()
+    for _ in range(600):
+        problem = copy.deepcopy(FUZZ_BASE)
+        where, junk = rng.choice(paths), rng.choice(JUNK)
+        node = problem
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = copy.deepcopy(junk)
+        path.write_text(json.dumps(problem))
+        argv = ["--input", str(path), "--command", rng.choice(cli.COMMANDS)]
+        if not isinstance(problem["truncation"], dict) or "N" not in problem["truncation"]:
+            argv += ["--truncation", "1"]  # keep the N = 1 box of the base problem
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        body = json.loads(out)
+        assert out == cli.canonical_json(body), (where, junk, argv)
+        assert code in (0, 1, 2), (where, junk, argv)
+        if code == 1:
+            assert set(body) == {"version", "error"}, (where, junk, argv)
+        codes.add(code)
+    assert codes == {0, 1, 2}
+    assert boxes and max(boxes) <= 3  # N = 1 and its N + 2 check box
+
+
+def test_module_entry_point_runs(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "n": 1, "theta": [[0.0, 0.3], [-0.3, 0.0]], "J": {"tau": [0.0, 1.0]},
+        "connection": {"rank": 1, "terms": [[[[]]]]},
+    }))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run_cli(*extra):
+        return subprocess.run([sys.executable, "-m", "nctorus.cli", "--input", str(path),
+                               "--command", "flatness", *extra],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = run_cli()
+    assert ok.returncode == 0
+    assert ok.stdout == cli.canonical_json(json.loads(ok.stdout))
+    assert json.loads(ok.stdout)["results"]["is_flat"] is True
+    bad = run_cli("--truncation", "abc")
+    assert bad.returncode == 1
+    assert set(json.loads(bad.stdout)) == {"version", "error"}

@@ -114,6 +114,24 @@ def test_gram_adjoint_identity(setup2):
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_form_gram_matches_dual_basis_metric(n):
+    # dz-bar is the dual basis of the rows of W, and J-invariance makes the
+    # spans of W and W-bar G-orthogonal, so the degree-1 Gram M_1 = L_1 L_1^H
+    # is (W G W^H)^-1, an entry built without _form_grams; the adjoint
+    # identity above holds for any invertible Hermitian Gram
+    cs = random_complex_structure(n, np.random.default_rng(7 + n))
+    frame = antihol_frame(cs)
+    G = invariant_metric(cs).G
+    Ls, _ = dlb._form_grams(frame, G, dlb._form_indices(n))
+    want = np.linalg.inv(frame.W @ G @ frame.W.conj().T)
+    assert np.allclose(Ls[1] @ Ls[1].conj().T, want, rtol=0, atol=1e-12)
+    # a Hermitian positive M that is no metric of the frame fails it
+    skew = np.triu(np.ones((n, n)), 1)
+    fake = np.diag(np.arange(1.0, n + 1)) + 0.3j * (skew - skew.T)
+    assert not np.allclose(fake, want, rtol=0, atol=1e-2)
+
+
 def test_trivial_dims_all_n():
     rng = np.random.default_rng(17)
     for n, N in [(1, 3), (2, 2), (3, 1)]:
@@ -415,6 +433,11 @@ def test_unconverged_lobpcg_makes_report_inconclusive(setup2, monkeypatch):
     res = dlb.index(cs, frame, conn, dlb.TruncationBox(1))
     assert calls
     assert not res.conclusive and not res.stable
+    # the Laplacian-only run goes through the sparse path's Laplacian solves
+    calls.clear()
+    run = dlb._box_run(cs, frame, conn, 1, 1e-8, True, False)
+    assert calls
+    assert not run.conclusive
 
 
 def test_constant_fiber_matrices_match_dense(setup2):
