@@ -282,16 +282,28 @@ class _Collector:
         self.incomplete = False
 
     def add(self, values: np.ndarray, mult: int = 1) -> None:
+        """Take nonnegative values: eigensolves fold their rounding negatives first."""
         if values.size == 0:
             return
-        v = np.abs(values.reshape(-1))
+        v = values.reshape(-1)
         self.vmax = max(self.vmax, float(v.max()))
-        small = v[v <= self.prov]
+        below = v <= self.prov
+        small = v[below]
         if small.size:
             self.vals.extend(float(x) for x in small)
             self.mults.extend([mult] * small.size)
         if small.size < v.size:
-            self.above = min(self.above, float(np.min(v, where=v > self.prov, initial=math.inf)))
+            above = np.logical_not(below, out=below)
+            self.above = min(self.above, float(np.min(v, where=above, initial=math.inf)))
+
+    def add_iterative(self, values: np.ndarray, vmax: float, complete: bool, dim: int) -> None:
+        """Take the smallest values of a dim x dim matrix from _iterative_small_eigs."""
+        self.vmax = max(self.vmax, vmax)
+        self.add(values)
+        # if every computed value sits below the provisional cutoff,
+        # more kernel candidates may exist beyond the solver's block
+        if not complete or (values.size < dim and float(values.max()) <= self.prov):
+            self.incomplete = True
 
     def finalize(self, tol_rel: float):
         thresh = tol_rel * self.vmax
@@ -310,7 +322,7 @@ class _Collector:
             conclusive = (cut <= thresh / _GAP_BAND) and (kept >= thresh * _GAP_BAND)
         if self.incomplete:
             conclusive = False
-        return kernel, cut, kept, conclusive, thresh
+        return kernel, cut, kept, conclusive
 
 
 @dataclass
@@ -373,6 +385,14 @@ def _pattern_groups(patterns: np.ndarray):
         rest = rest[~same]
 
 
+def _dense_bmat(blocks) -> np.ndarray:
+    """np.block over batches (g, rows, cols); None is a zero block, the diagonal is square."""
+    g = blocks[0][0].shape[0]
+    size = [row[i].shape[-1] for i, row in enumerate(blocks)]
+    return np.block([[np.zeros((g, size[i], size[k]), dtype=complex) if B is None else B
+                      for k, B in enumerate(row)] for i, row in enumerate(blocks)])
+
+
 # -- the engine ----------------------------------------------------------
 
 
@@ -385,11 +405,10 @@ class _Engine:
         theta = conn.theta
         if theta.d != 2 * n:
             raise ValueError("Theta size and frame dimension disagree")
-        self.cs, self.frame, self.conn = cs, frame, conn
+        self.frame = frame
         self.n, self.d, self.r, self.N = n, 2 * n, conn.rank, N
         self.theta = theta
         self.tol_rel = tol_rel
-        self.want_dims, self.want_index = want_dims, want_index
 
         self.forms = _form_indices(n)
         self.fdims = [len(f) for f in self.forms]
@@ -432,12 +451,9 @@ class _Engine:
         self.lap = [
             _Collector(16.0 * tol_rel * max(lam_bound[q], 1e-300)) for q in range(n + 1)
         ] if want_dims else None
-        d_bound = sum(
-            self.opbound[q] + (self.opbound[q - 1] if q > 0 else 0.0)
-            for q in range(0, n + 1, 2)
-        )
-        self.dsv = _Collector(16.0 * math.sqrt(tol_rel) * max(d_bound, 1e-300)) if want_index else None
-        self.evens = list(range(0, n + 1, 2))
+        # ||D|| is at most the sum of the ||A_q||
+        d_bound = max(self.opbound.sum(), 1e-300)
+        self.dsv = _Collector(16.0 * math.sqrt(tol_rel) * d_bound) if want_index else None
         self.odds = list(range(1, n + 1, 2))
 
         self.q0_candidates: list[tuple[float, tuple | None, int]] = []
@@ -591,7 +607,7 @@ class _Engine:
 
         T[j] has shape (g, c*r, c*r).  The degree operators A_q are
         assembled with the wedge sign matrices; batches that form a complex
-        take the Hodge-rank path, the others the Laplacians and D*D.
+        take the Hodge-rank path, the others the Laplacians.
         """
         n = self.n
         cr = c * self.r
@@ -609,7 +625,7 @@ class _Engine:
         if self._forms_complex(At):
             self._hodge_rank_spectra(At, cr, modes_for_q0)
         else:
-            self._laplacian_spectra(At, g, cr, modes_for_q0)
+            self._laplacian_spectra(At, modes_for_q0)
 
     def _forms_complex(self, At: list[np.ndarray]) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
@@ -618,17 +634,18 @@ class _Engine:
         in operator norm.  With B = [A_q; A_{q-1}^*] we have Delta_q = B^* B
         and B B^* = diag(A_q A_q^*, A_{q-1}^* A_{q-1}) + [[0, E], [E^*, 0]],
         E = A_q A_{q-1}, so by Weyl each sorted eigenvalue of Delta_q lies
-        within eps of the Hodge-rank union.  D*D differs from the direct sum
-        of the even Delta_q by the blocks A_{q+1} A_q and their adjoints, at
-        most 2 eps more.  Every collector this batch feeds sees an eigenvalue
-        of at least s, the smallest over q of max |A_q|^2 (an entry bounds
-        ||A_q||), so its threshold is at least tol_rel * s, in eigenvalue
-        units for the singular-value collector too.  The gate asks
-        3 eps <= tol_rel * s / _GAP_BAND**2, so no value moves by more than
-        thresh / _GAP_BAND**2: a value at or below thresh / _GAP_BAND (a
-        singular value at or below its threshold / _GAP_BAND) stays below the
-        threshold, one at or above _GAP_BAND times it stays above, and the
-        kernel counts of a conclusive run cannot change.
+        within eps of the Hodge-rank union.  DD^* on the odd forms differs
+        from the direct sum of the odd Delta_q by the blocks A_{q+1} A_q and
+        their adjoints, at most 2 eps more.  Every collector this batch
+        feeds sees an eigenvalue of at least s, the smallest over q of
+        max |A_q|^2 (an entry bounds ||A_q||), so its threshold is at least
+        tol_rel * s, in eigenvalue units for the singular-value collector
+        too.  The gate asks 3 eps <= tol_rel * s / _GAP_BAND**2, so no value
+        moves by more than thresh / _GAP_BAND**2: a value at or below
+        thresh / _GAP_BAND (a singular value at or below its threshold /
+        _GAP_BAND) stays below the threshold, one at or above _GAP_BAND
+        times it stays above, and the kernel counts of a conclusive run
+        cannot change.
         """
         s = min(float(np.max(np.abs(A))) for A in At) ** 2
         gate = self.tol_rel * s / (3.0 * _GAP_BAND ** 2)
@@ -646,12 +663,12 @@ class _Engine:
 
     def _hodge_rank_spectra(self, At: list[np.ndarray], cr: int,
                             modes_for_q0: np.ndarray | None):
-        """Laplacian and D spectra from per-degree Gram eigenvalues.
+        """Laplacian and DD^* spectra from per-degree Gram eigenvalues.
 
         For a complex, Delta_q = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal
         summands, so its spectrum is the union of the nonzero squared
-        singular values of A_q and A_{q-1}, plus zeros; and D*D is the direct
-        sum of the even Delta_q.  Each Gram is taken on the smaller side.
+        singular values of A_q and A_{q-1}, plus zeros; and DD^* is the direct
+        sum of the odd Delta_q.  Each Gram is taken on the smaller side.
         With binomial form dimensions, m_q + m_{q-1} >= dim C_q, so the union
         never falls short; any surplus, m_q + m_{q-1} - dim C_q values (n >= 3),
         is exact zeros for a complex and the smallest values are dropped.
@@ -668,45 +685,53 @@ class _Engine:
             if surplus > 0:
                 vals = np.sort(vals, axis=-1)[:, surplus:]
             if self.lap is not None:
-                self.lap[q].add(vals)
+                self.lap[q].add(np.abs(vals))
                 if q == 0:
                     self._record_q0(vals, modes_for_q0, mult=1)
-            if self.dsv is not None and q % 2 == 0:
+            if self.dsv is not None and q % 2 == 1:
                 self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
 
-    def _laplacian_spectra(self, At: list[np.ndarray], g: int, cr: int,
-                           modes_for_q0: np.ndarray | None):
-        """Per-degree Laplacian and D*D spectra; valid without A_{q+1} A_q = 0."""
+    def _laplacians(self, At: list, adjoint, bmat) -> dict:
+        """The matrices whose spectra the collectors need, keyed q or "odd".
+
+        At holds dense batches or one component's sparse matrices, and
+        adjoint and bmat act on that kind.  Key q is Delta_q = A_q^* A_q +
+        A_{q-1} A_{q-1}^*, every degree when the dims are wanted.  The index
+        reads DD^* on the odd forms, which has the spectrum of D^*D since
+        D = dbar + dbar^* (even forms -> odd forms) is square: the odd
+        Delta_q on the diagonal, the defect blocks A_{q+1} A_q (C_q -> C_{q+2})
+        below it and their adjoints above.  At n <= 2 the only odd degree is 1
+        and DD^* is Delta_1, key 1; above, it is key "odd".
+        """
         n = self.n
+        laps = {}
+        for q in range(n + 1) if self.lap is not None else self.odds:
+            terms = ([adjoint(At[q]) @ At[q]] if q < n else []) + \
+                    ([At[q - 1] @ adjoint(At[q - 1])] if q > 0 else [])
+            laps[q] = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        if self.dsv is None or len(self.odds) == 1:
+            return laps
+        size = len(self.odds)
+        blocks = [[None] * size for _ in range(size)]
+        for i, q in enumerate(self.odds):
+            blocks[i][i] = laps[q]
+            if q + 2 <= n:
+                E = At[q + 1] @ At[q]
+                blocks[i + 1][i], blocks[i][i + 1] = E, adjoint(E)
+        mats = laps if self.lap is not None else {}
+        mats["odd"] = bmat(blocks)
+        return mats
+
+    def _laplacian_spectra(self, At: list[np.ndarray], modes_for_q0: np.ndarray | None):
+        """Dense spectra of the Delta_q and of DD^* on the odd forms; valid without dbar^2 = 0."""
+        mats = self._laplacians(At, lambda A: A.conj().swapaxes(-1, -2), _dense_bmat)
+        spectra = {key: np.linalg.eigvalsh(M) for key, M in mats.items()}
         if self.lap is not None:
-            for q in range(n + 1):
-                Lap = None
-                if q < n:
-                    A = At[q]
-                    Lap = np.matmul(A.conj().swapaxes(-1, -2), A)
-                if q > 0:
-                    A = At[q - 1]
-                    low = np.matmul(A, A.conj().swapaxes(-1, -2))
-                    Lap = low if Lap is None else Lap + low
-                vals = np.linalg.eigvalsh(Lap)
-                self.lap[q].add(vals)
-                if q == 0:
-                    self._record_q0(vals, modes_for_q0, mult=1)
+            for q in range(self.n + 1):
+                self.lap[q].add(np.abs(spectra[q]))
+            self._record_q0(spectra[0], modes_for_q0, mult=1)
         if self.dsv is not None:
-            ecols = [self.fdims[q] * cr for q in self.evens]
-            orows = [self.fdims[q] * cr for q in self.odds]
-            eoff = np.concatenate([[0], np.cumsum(ecols)])
-            ooff = np.concatenate([[0], np.cumsum(orows)])
-            D = np.zeros((g, int(ooff[-1]), int(eoff[-1])), dtype=complex)
-            for qi, q in enumerate(self.evens):
-                c0, c1 = int(eoff[qi]), int(eoff[qi + 1])
-                if q < n:
-                    oi = self.odds.index(q + 1)
-                    D[:, int(ooff[oi]):int(ooff[oi + 1]), c0:c1] += At[q]
-                if q > 0:
-                    oi = self.odds.index(q - 1)
-                    D[:, int(ooff[oi]):int(ooff[oi + 1]), c0:c1] += At[q - 1].conj().swapaxes(-1, -2)
-            ev = np.linalg.eigvalsh(np.matmul(D.conj().swapaxes(-1, -2), D))
+            ev = spectra["odd" if len(self.odds) > 1 else 1]
             self.dsv.add(np.sqrt(np.clip(ev, 0.0, None)))
 
     def _sparse_component(self, member: np.ndarray, pattern: np.ndarray):
@@ -728,53 +753,24 @@ class _Engine:
                 term = sp.kron(sp.csr_matrix(self.Stil[j][q]), T[j], format="csr")
                 acc = term if acc is None else acc + term
             At.append(acc)
+        mats = self._laplacians(At, lambda A: A.conj().T, sp.bmat)
         rng = np.random.default_rng(20240711)
+        # 2 r values per form index, plus 6
+        spectra = {key: _iterative_small_eigs(M, 2 * M.shape[0] // member.size + 6, rng)
+                   for key, M in mats.items()}
         if self.lap is not None:
             for q in range(n + 1):
-                Lap = None
-                if q < n:
-                    Lap = (At[q].conj().T @ At[q]).tocsr()
-                if q > 0:
-                    low = (At[q - 1] @ At[q - 1].conj().T).tocsr()
-                    Lap = low if Lap is None else Lap + low
-                vals, vmax, complete = _iterative_small_eigs(
-                    Lap, 2 * r * self.fdims[q] + 6, rng
-                )
-                self.lap[q].vmax = max(self.lap[q].vmax, vmax)
-                self.lap[q].add(np.asarray(vals))
-                # if every computed value sits below the provisional cutoff,
-                # more kernel candidates may exist beyond the solver's block
-                if not complete or (len(vals) < Lap.shape[0]
-                                    and max(vals) <= self.lap[q].prov):
-                    self.lap[q].incomplete = True
-                if q == 0 and any(v <= self.lap[0].prov for v in vals):
-                    self.q0_attributable = False
-                    self.q0_candidates.append((min(vals), None, 1))
+                vals, vmax, complete = spectra[q]
+                self.lap[q].add_iterative(np.abs(vals), vmax, complete, mats[q].shape[0])
+            vals = spectra[0][0]
+            if vals[0] <= self.lap[0].prov:
+                self.q0_attributable = False
+                self.q0_candidates.append((float(vals[0]), None, 1))
         if self.dsv is not None:
-            ecols = [self.fdims[q] * cr for q in self.evens]
-            orows = [self.fdims[q] * cr for q in self.odds]
-            eoff = np.concatenate([[0], np.cumsum(ecols)]).astype(int)
-            ooff = np.concatenate([[0], np.cumsum(orows)]).astype(int)
-            blocks = [[None] * len(self.evens) for _ in range(len(self.odds))]
-            for qi, q in enumerate(self.evens):
-                if q < n:
-                    blocks[self.odds.index(q + 1)][qi] = At[q]
-                if q > 0:
-                    oi = self.odds.index(q - 1)
-                    prev = blocks[oi][qi]
-                    adj = At[q - 1].conj().T
-                    blocks[oi][qi] = adj if prev is None else prev + adj
-            D = sp.bmat(blocks, format="csr")
-            DhD = (D.conj().T @ D).tocsr()
-            vals, vmax, complete = _iterative_small_eigs(
-                DhD, 2 * r * 2 ** (n - 1) + 6, rng
-            )
-            self.dsv.vmax = max(self.dsv.vmax, math.sqrt(vmax))
-            sv = np.sqrt(np.clip(np.asarray(vals), 0.0, None))
-            self.dsv.add(sv)
-            if not complete or (len(vals) < DhD.shape[0]
-                                and float(sv.max()) <= self.dsv.prov):
-                self.dsv.incomplete = True
+            key = "odd" if len(self.odds) > 1 else 1
+            vals, vmax, complete = spectra[key]
+            self.dsv.add_iterative(np.sqrt(np.clip(vals, 0.0, None)), math.sqrt(vmax),
+                                   complete, mats[key].shape[0])
 
     # -- main --------------------------------------------------------
 
@@ -859,7 +855,7 @@ class _Engine:
         if self.lap is not None:
             dlist = []
             for q in range(self.n + 1):
-                kernel, cut, kept, ok, thresh = self.lap[q].finalize(self.tol_rel)
+                kernel, cut, kept, ok = self.lap[q].finalize(self.tol_rel)
                 dlist.append(kernel)
                 sigma_cut = max(sigma_cut, cut)
                 sigma_kept = min(sigma_kept, kept)
@@ -877,22 +873,22 @@ class _Engine:
                     kernel_modes = tuple(sorted(agg.items()))
         ker_even = None
         if self.dsv is not None:
-            kernel, cut, kept, ok, _ = self.dsv.finalize(math.sqrt(self.tol_rel))
-            ker_even = kernel
+            ker_even, cut, kept, ok = self.dsv.finalize(math.sqrt(self.tol_rel))
             sigma_cut = max(sigma_cut, cut)
             sigma_kept = min(sigma_kept, kept)
             conclusive = conclusive and ok
         return _BoxRun(dims, ker_even, sigma_kept, sigma_cut, conclusive, kernel_modes)
 
 
-def _iterative_small_eigs(Lap: sp.csr_matrix, k: int, rng) -> tuple[list[float], float, bool]:
-    """Smallest eigenvalues of a sparse Hermitian PSD matrix, plus its largest."""
+def _iterative_small_eigs(Lap, k: int, rng) -> tuple[np.ndarray, float, bool]:
+    """Smallest eigenvalues of a sparse Hermitian PSD matrix, in order, plus its largest."""
     from scipy.sparse.linalg import eigsh, lobpcg
 
+    Lap = Lap.tocsr()
     dim = Lap.shape[0]
     if dim < max(64, 5 * k):
         vals = np.linalg.eigvalsh(Lap.toarray())
-        return [float(v) for v in vals], float(vals[-1]), True
+        return vals, float(vals[-1]), True
     v0 = np.ones(dim) / math.sqrt(dim)
     vmax = float(eigsh(Lap, k=1, which="LA", v0=v0, tol=1e-7,
                        return_eigenvectors=False)[0])
@@ -907,7 +903,7 @@ def _iterative_small_eigs(Lap: sp.csr_matrix, k: int, rng) -> tuple[list[float],
     # within the requested tolerance make the values count as computed
     resid = np.linalg.norm(Lap @ vecs - vecs * vals, axis=0)
     complete = bool(np.all(resid <= tol))
-    return sorted(float(v) for v in vals), vmax, complete
+    return np.sort(vals), vmax, complete
 
 
 def _box_run(cs, frame, conn, N, tol_rel, want_dims, want_index) -> _BoxRun:
@@ -948,14 +944,16 @@ def cohomology_dims(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnect
 
 def index(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
           box: TruncationBox, tol_rel: float = DEFAULT_TOL_REL) -> IndexResult:
-    """Kernel-count difference of the compressed even-to-odd operator.
+    """Kernel-count difference of the compressed even-to-odd operator D.
 
     Defined for flat and non-flat connections alike.  The even and odd
     compressions of a free module have equal dimension, so D is square and
     its kernel and cokernel have equal dimension: the index is 0 by
     construction, matching the zero top component of the free K-class.
-    The D spectrum still decides whether the kernel gap is resolved, which
-    sets conclusive, stable and sigma_*.
+    The singular values of D still decide whether the kernel gap is
+    resolved, which sets conclusive, stable and sigma_*.  They are read off
+    DD^* on the odd forms, the direct sum of the odd Laplacians plus the
+    defect blocks A_{q+1} A_q: Delta_1 itself at n <= 2.
     """
     runA = _box_run(cs, frame, conn, box.N, tol_rel, False, True)
     runB = _box_run(cs, frame, conn, box.N + 2, tol_rel, False, True)

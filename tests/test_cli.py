@@ -367,10 +367,19 @@ def test_infinite_sigma_kept_serializes_as_inf():
     assert '"sigma_kept":"inf"' in cli.canonical_json(cli._spectral_results(rep))
 
 
-def test_readme_example_parses():
+def test_readme_example_parses(tmp_path, capsys):
     pf = cli.parse_problem_file(README_EXAMPLE)
     assert pf.N == 8 and pf.cs.n == 2 and pf.connection.rank == 1
     assert pf.module1d.q == 2 and pf.form.size == 4 and pf.multiplier == 2
+    # the commands it illustrates run on it: a flat connection, a nonsingular
+    # siegel split and a J-compatible Riemann form
+    path = tmp_path / "readme.json"
+    path.write_text(README_EXAMPLE)
+    for command in ("hodge", "index", "siegel", "ncriemann-bound"):
+        code = cli.main(["--input", str(path), "--command", command, "--truncation", "2"])
+        body = json.loads(capsys.readouterr().out)
+        assert code == 0, (command, body)
+        assert body["command"] == command
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,6 +428,10 @@ def test_range_edges():
 
 FUZZ_BASE = {
     **json.loads(README_EXAMPLE),
+    # a non-flat connection: hodge refuses it (exit 1), and one of the
+    # seeded mutations of it leaves the index inconclusive (exit 2)
+    "connection": {"rank": 1, "terms": [[[[{"m": [1, 0, 0, 0], "re": 0.5, "im": 0.0}]]],
+                                        [[[]]]]},
     "small": {"theta": [[0.0, 0.3], [-0.3, 0.0]], "connection": {"rank": 1, "terms": [[[[]]]]}},
     "splittorus": {"tau": [0.0, 1.0], "tau_prime": [0.0, 1.0], "w": [0.5, 0.25]},
     "truncation": {"N": 1, "tol_rel": 1e-8},

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import nctorus.dolbeault as dlb
 from nctorus.algebra import FourierElement, MatrixElement, ThetaMatrix
@@ -188,8 +189,8 @@ def test_scalar_shift_dims(setup2):
     assert rep2.kernel_modes_q0 == ((tuple(int(x) for x in m0), 1),)
 
 
-def dense_laplacian_spectra(cs, frame, conn, N):
-    """Eigenvalues of the full-box Laplacians built from assemble_operator, per degree."""
+def normalized_operators(cs, frame, conn, N):
+    """The full-box A_q from assemble_operator, in the orthonormal form bases."""
     n = frame.n
     Ls, Linvs = dlb._form_grams(frame, invariant_metric(cs).G, dlb._form_indices(n))
     eye = sp.identity(dlb.mode_count(2 * n, N) * conn.rank, format="csr")
@@ -197,6 +198,13 @@ def dense_laplacian_spectra(cs, frame, conn, N):
     for q in range(n):
         A = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q)
         At.append(sp.kron(Ls[q + 1].conj().T, eye) @ A @ sp.kron(Linvs[q].conj().T, eye))
+    return At
+
+
+def dense_laplacian_spectra(cs, frame, conn, N):
+    """Eigenvalues of the full-box Laplacians built from assemble_operator, per degree."""
+    n = frame.n
+    At = normalized_operators(cs, frame, conn, N)
     spectra = []
     for q in range(n + 1):
         Lap = None
@@ -214,6 +222,43 @@ def dense_laplacian_dims(cs, frame, conn, N, tol_rel=1e-8):
     """Kernel dimensions of the full-box Laplacians built from assemble_operator."""
     return tuple(int((ev < tol_rel * ev.max()).sum())
                  for ev in dense_laplacian_spectra(cs, frame, conn, N))
+
+
+def dense_index_spectra(cs, frame, conn, N):
+    """Singular values of the full-box D = dbar + dbar^*, even forms -> odd forms.
+
+    D is assembled from assemble_operator and split by the connected
+    components of its own sparsity pattern, not by the engine's grouping.
+    Per component, the sorted singular values padded with zeros to its
+    number of odd rows: the spectrum of DD^* there, in singular-value units.
+    """
+    n = frame.n
+    At = normalized_operators(cs, frame, conn, N)
+    blocks = [[At[q] if p == q + 1 else At[p].conj().T if p == q - 1 else None
+               for q in range(0, n + 1, 2)] for p in range(1, n + 1, 2)]
+    D = sp.bmat(blocks, format="csr")
+    pattern = (D != 0).astype(np.int8)
+    _, labels = connected_components(sp.bmat([[None, pattern], [pattern.T, None]]), directed=False)
+    rows, cols = labels[:D.shape[0]], labels[D.shape[0]:]
+    out = []
+    for label in np.unique(rows):
+        R, C = np.nonzero(rows == label)[0], np.nonzero(cols == label)[0]
+        s = np.linalg.svd(D[R][:, C].toarray(), compute_uv=False) if C.size else np.zeros(0)
+        out.append(np.sort(np.r_[s, np.zeros(R.size - s.size)]))
+    return out
+
+
+def record_collector_values(monkeypatch):
+    """Every value each collector is fed, with multiplicities, keyed by id(collector)."""
+    added = {}
+    orig_add = dlb._Collector.add
+
+    def record(self, values, mult=1):
+        added.setdefault(id(self), []).append(np.repeat(values.reshape(-1), mult))
+        return orig_add(self, values, mult)
+
+    monkeypatch.setattr(dlb._Collector, "add", record)
+    return added
 
 
 def spy_paths(monkeypatch):
@@ -297,14 +342,7 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
         return orig(self, T, g, c, modes)
 
     monkeypatch.setattr(dlb._Engine, "_spectra_from_blocks", spy)
-    added = {}
-    orig_add = dlb._Collector.add
-
-    def record(self, values, mult=1):
-        added.setdefault(id(self), []).append(np.repeat(values.reshape(-1), mult))
-        return orig_add(self, values, mult)
-
-    monkeypatch.setattr(dlb._Collector, "add", record)
+    added = record_collector_values(monkeypatch)
     engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, False)
     run = engine.run()
     assert any(g >= 2 and c >= 2 for g, c in batches)
@@ -438,6 +476,137 @@ def test_unconverged_lobpcg_makes_report_inconclusive(setup2, monkeypatch):
     run = dlb._box_run(cs, frame, conn, 1, 1e-8, True, False)
     assert calls
     assert not run.conclusive
+
+
+# -- the index spectrum: DD^* on the odd forms ------------------------------
+
+
+def two_direction_connection(theta):
+    """Non-flat, coupling e1 in direction 1 and e2 in direction 2, as in index-grid."""
+    return dlb.FreeConnection(1, [
+        MatrixElement(theta, [[FourierElement.monomial(theta, (1, 0, 0, 0), 1.1)]]),
+        MatrixElement(theta, [[FourierElement.monomial(theta, (0, 1, 0, 0), 0.9j)]]),
+    ])
+
+
+@pytest.fixture(scope="module")
+def setup3():
+    """n = 3 with direction j coupling lattice axis 2j: non-flat, 27-mode components."""
+    theta = ThetaMatrix.product([0.31, 0.47, 0.23])
+    cs = random_complex_structure(3, np.random.default_rng(33))
+    axes = [tuple(int(i == k) for i in range(6)) for k in (0, 2, 4)]
+    conn = dlb.FreeConnection(1, [MatrixElement(theta, [[FourierElement.monomial(theta, m, c)]])
+                                  for m, c in zip(axes, (0.8, 0.6 - 0.3j, 0.5j))])
+    return cs, antihol_frame(cs), conn
+
+
+def index_values(monkeypatch, cs, frame, conn, N, want_dims):
+    """A box run with the index wanted, and every value its collector is fed, sorted."""
+    added = record_collector_values(monkeypatch)
+    engine = dlb._Engine(cs, frame, conn, N, 1e-8, want_dims, True)
+    run = engine.run()
+    return run, np.sort(np.concatenate(added[id(engine.dsv)]))
+
+
+def assert_matches_oracle(run, got, ref):
+    assert got.shape == ref.shape
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-10 * ref.max())
+    assert run.conclusive
+    assert run.ker_even == int((ref < 1e-4 * ref.max()).sum())
+
+
+@pytest.mark.parametrize("want_dims", [True, False])
+def test_index_spectrum_matches_dense_oracle_n2(setup2, monkeypatch, want_dims):
+    # DD^* = Delta_1 at n = 2, flat or not; here A_1 A_0 != 0 and D^*D is
+    # not the sum of the even Laplacians
+    theta, cs, frame = setup2
+    conn = two_direction_connection(theta)
+    assert not dlb.flatness_curvature(conn, frame).is_flat
+    calls = spy_paths(monkeypatch)
+    run, got = index_values(monkeypatch, cs, frame, conn, 2, want_dims)
+    assert calls["laplacian"] > 0 and calls["hodge"] == 0
+    assert_matches_oracle(run, got, np.sort(np.concatenate(dense_index_spectra(cs, frame, conn, 2))))
+
+
+@pytest.mark.parametrize("want_dims", [True, False])
+def test_index_spectrum_with_defect_blocks_matches_dense_oracle_n3(setup3, monkeypatch,
+                                                                   want_dims):
+    cs, frame, conn = setup3
+    assert not dlb.flatness_curvature(conn, frame).is_flat
+    calls = spy_paths(monkeypatch)
+    run, got = index_values(monkeypatch, cs, frame, conn, 1, want_dims)
+    assert calls["laplacian"] > 0 and calls["hodge"] == 0
+    assert_matches_oracle(run, got, np.sort(np.concatenate(dense_index_spectra(cs, frame, conn, 1))))
+
+
+def test_sparse_index_spectrum_matches_dense_oracle_n3(setup3, monkeypatch):
+    cs, frame, conn = setup3
+    monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
+    calls = count_lobpcg(monkeypatch)
+    run, got = index_values(monkeypatch, cs, frame, conn, 1, False)
+    assert calls
+    comps = dense_index_spectra(cs, frame, conn, 1)
+    # every 108 x 108 DD^* goes to LOBPCG for its 2 r 2^(n-1) + 6 = 14 smallest values
+    assert {c.size for c in comps} == {108}
+    small = np.sort(np.concatenate([c[:14] for c in comps]))
+    ref = np.concatenate(comps)
+    assert np.allclose(got, small, rtol=0.0, atol=1e-10 * ref.max())
+    assert run.conclusive and run.ker_even == int((ref < 1e-4 * ref.max()).sum())
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name, keeping the positional arguments of each call."""
+    orig = getattr(owner, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+def test_laplacian_batches_solve_each_degree_once(setup2, monkeypatch):
+    # both halves wanted at n = 2: the index reads the Delta_1 eigenvalues
+    theta, cs, frame = setup2
+    engine = dlb._Engine(cs, frame, two_direction_connection(theta), 2, 1e-8, True, True)
+    paths = spy_paths(monkeypatch)
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    engine.run()
+    assert paths["laplacian"] > 0 and paths["hodge"] == 0
+    assert len(eigs) == (engine.n + 1) * paths["laplacian"]
+
+
+def test_sparse_component_solves_each_degree_once(setup2, monkeypatch):
+    theta, cs, frame = setup2
+    monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
+    components = count_calls(monkeypatch, dlb._Engine, "_sparse_component")
+    solves = count_calls(monkeypatch, dlb, "_iterative_small_eigs")
+    run = dlb._box_run(cs, frame, four_direction_connection(theta), 1, 1e-8, True, True)
+    assert len(components) == 1 and len(solves) == 3
+    assert run.conclusive
+
+
+def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
+    theta, cs, frame = setup2
+    engine = dlb._Engine(cs, frame, two_direction_connection(theta), 2, 1e-8, False, True)
+    batches = count_calls(monkeypatch, dlb._Engine, "_laplacian_spectra")
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    engine.run()
+    assert batches and len(eigs) == len(batches)
+    for (_, (A0, A1), _), (M,) in zip(batches, eigs):
+        delta1 = A0 @ A0.conj().swapaxes(-1, -2) + A1.conj().swapaxes(-1, -2) @ A1
+        assert np.allclose(M, delta1, rtol=0.0, atol=1e-12 * np.abs(delta1).max())
+    # one component spanning the box, in the oracle's basis order
+    conn = four_direction_connection(theta)
+    monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
+    solves = count_calls(monkeypatch, dlb, "_iterative_small_eigs")
+    assert dlb._box_run(cs, frame, conn, 1, 1e-8, False, True).conclusive
+    A0, A1 = normalized_operators(cs, frame, conn, 1)
+    delta1 = (A0 @ A0.conj().T + A1.conj().T @ A1).toarray()
+    assert len(solves) == 1
+    assert np.allclose(solves[0][0].toarray(), delta1, rtol=0.0, atol=1e-12 * np.abs(delta1).max())
 
 
 def test_constant_fiber_matrices_match_dense(setup2):
