@@ -16,9 +16,10 @@ Key structural facts the implementation leans on:
   phase given by the product cocycle, so the coupling graph on modes
   decomposes the operator into independent blocks (single modes for
   constant terms, translation chains for single-direction supports);
-  one method writes the direction operators of every block, and blocks
-  of one size and coupling pattern are processed densely and in batches,
-  which keeps everything deterministic and exact to working precision;
+  one method writes the entries of the degree operators of every block,
+  for dense batches and sparse components alike, and blocks of one size
+  and coupling pattern are processed densely and in batches, which keeps
+  everything deterministic and exact to working precision;
 * with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
   complex, whose spectra are written down in closed form.
 """
@@ -283,8 +284,6 @@ class _Collector:
 
     def add(self, values: np.ndarray, mult: int = 1) -> None:
         """Take nonnegative values: eigensolves fold their rounding negatives first."""
-        if values.size == 0:
-            return
         v = values.reshape(-1)
         self.vmax = max(self.vmax, float(v.max()))
         below = v <= self.prov
@@ -316,10 +315,7 @@ class _Collector:
                 cut = max(cut, v)
             else:
                 kept = min(kept, v)
-        if math.isinf(kept):
-            conclusive = True
-        else:
-            conclusive = (cut <= thresh / _GAP_BAND) and (kept >= thresh * _GAP_BAND)
+        conclusive = (cut <= thresh / _GAP_BAND) and (kept >= thresh * _GAP_BAND)
         if self.incomplete:
             conclusive = False
         return kernel, cut, kept, conclusive
@@ -563,7 +559,9 @@ class _Engine:
         T_j indexes (position, fiber) with the fiber fastest.  Yields
         (j, rows, cols, values) with values of shape (g, len(rows)): for each
         T_j the diagonal w and then the constant fiber entries, then the
-        couplings in self.couplings order.
+        couplings in self.couplings order.  No two entries of one yield
+        share a position, so a yield can be scattered with one fancy-indexed
+        add; two yields may (w and a constant diagonal entry).
         """
         r = self.r
         g, c, _ = mvec.shape
@@ -581,12 +579,30 @@ class _Engine:
                 ph = _phases(self.theta, step, modes).reshape(g, c)
                 yield j, tgt[src] * r + i2, src * r + i1, coeff * ph[:, src]
 
+    def _degree_terms(self, mvec: np.ndarray, pattern: np.ndarray):
+        """Entries of the degree operators A_q = sum_j S~[j][q] (x) T_j on blocks.
+
+        Arguments as in _direction_terms.  A_q maps C_q to C_{q+1} and
+        indexes (form, position, fiber) with the fiber fastest, so form b of
+        a block of cr = c*r rows starts at row b*cr.  Yields (q, rows, cols,
+        values) with values of shape (g, len(rows)): each direction term
+        once for every nonzero wedge weight S~[j][q][b, a], in the order of
+        _direction_terms.
+        """
+        cr = mvec.shape[1] * self.r
+        for j, rows, cols, values in self._direction_terms(mvec, pattern):
+            for q in range(self.n):
+                S = self.Stil[j][q]
+                for b, a in zip(*np.nonzero(S)):
+                    yield q, b * cr + rows, a * cr + cols, S[b, a] * values
+
     def _run_blocks(self, members: np.ndarray, pattern: np.ndarray):
         """Dense spectra of blocks that share one coupling pattern, in batches.
 
         members (G, c) holds the flat mode indices of G blocks; pattern is
-        as in _direction_terms.  Blocks of one mode keep their coordinates
-        for kernel_modes_q0.
+        as in _direction_terms.  Batches that form a complex take the
+        Hodge-rank path, the others the Laplacians.  Blocks of one mode keep
+        their coordinates for kernel_modes_q0.
         """
         G, c = members.shape
         cr = c * self.r
@@ -596,36 +612,15 @@ class _Engine:
             sub = members[start:start + chunk]
             g = sub.shape[0]
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
-            T = [np.zeros((g, cr, cr), dtype=complex) for _ in range(self.n)]
-            for j, rows, cols, values in self._direction_terms(mvec, pattern):
-                T[j][:, rows, cols] += values
-            self._spectra_from_blocks(T, g, c, mvec[:, 0] if c == 1 else None)
-
-    def _spectra_from_blocks(self, T: list[np.ndarray], g: int, c: int,
-                             modes_for_q0: np.ndarray | None):
-        """Collect spectra from batched per-block direction operators T_j.
-
-        T[j] has shape (g, c*r, c*r).  The degree operators A_q are
-        assembled with the wedge sign matrices; batches that form a complex
-        take the Hodge-rank path, the others the Laplacians.
-        """
-        n = self.n
-        cr = c * self.r
-        At = []
-        for q in range(n):
-            C1, C0 = self.fdims[q + 1], self.fdims[q]
-            acc = np.zeros((g, C1, cr, C0, cr), dtype=complex)
-            for b in range(C1):
-                for a in range(C0):
-                    for j in range(n):
-                        s = self.Stil[j][q][b, a]
-                        if s != 0:
-                            acc[:, b, :, a, :] += s * T[j]
-            At.append(acc.reshape(g, C1 * cr, C0 * cr))
-        if self._forms_complex(At):
-            self._hodge_rank_spectra(At, cr, modes_for_q0)
-        else:
-            self._laplacian_spectra(At, modes_for_q0)
+            At = [np.zeros((g, self.fdims[q + 1] * cr, self.fdims[q] * cr), dtype=complex)
+                  for q in range(self.n)]
+            for q, rows, cols, values in self._degree_terms(mvec, pattern):
+                At[q][:, rows, cols] += values
+            modes_for_q0 = mvec[:, 0] if c == 1 else None
+            if self._forms_complex(At):
+                self._hodge_rank_spectra(At, cr, modes_for_q0)
+            else:
+                self._laplacian_spectra(At, modes_for_q0)
 
     def _forms_complex(self, At: list[np.ndarray]) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
@@ -740,19 +735,13 @@ class _Engine:
         cr = member.size * r
         mvec = _decode_modes(member, self.d, self.N)[None]
         parts = [([], [], []) for _ in range(n)]
-        for j, rows, cols, values in self._direction_terms(mvec, pattern):
-            parts[j][0].append(values[0])
-            parts[j][1].append(rows)
-            parts[j][2].append(cols)
-        T = [sp.csr_matrix((np.concatenate(v), (np.concatenate(ri), np.concatenate(ci))),
-                           shape=(cr, cr)) for v, ri, ci in parts]
-        At = []
-        for q in range(n):
-            acc = None
-            for j in range(n):
-                term = sp.kron(sp.csr_matrix(self.Stil[j][q]), T[j], format="csr")
-                acc = term if acc is None else acc + term
-            At.append(acc)
+        for q, rows, cols, values in self._degree_terms(mvec, pattern):
+            parts[q][0].append(values[0])
+            parts[q][1].append(rows)
+            parts[q][2].append(cols)
+        At = [sp.csr_matrix((np.concatenate(v), (np.concatenate(ri), np.concatenate(ci))),
+                            shape=(self.fdims[q + 1] * cr, self.fdims[q] * cr))
+              for q, (v, ri, ci) in enumerate(parts)]
         mats = self._laplacians(At, lambda A: A.conj().T, sp.bmat)
         rng = np.random.default_rng(20240711)
         # 2 r values per form index, plus 6

@@ -138,9 +138,6 @@ def integer_kernel(A) -> list[list[int]]:
     p, D = len(A), len(A[0])
     U = [[1 if i == j else 0 for j in range(D)] for i in range(D)]
 
-    def col(mat, j):
-        return [mat[i][j] for i in range(len(mat))]
-
     def addmul_col(j, k, q):
         # column j -= q * column k, on A and U together
         for i in range(p):

@@ -462,16 +462,26 @@ def test_fuzzed_problem_files_exit_0_1_or_2_with_one_json_object(tmp_path, capsy
     rng = random.Random(1)
     paths = list(_paths(FUZZ_BASE))
     path = tmp_path / "p.json"
-    codes = set()
-    for _ in range(600):
+
+    def cases():
+        for _ in range(600):
+            problem = copy.deepcopy(FUZZ_BASE)
+            where, junk = rng.choice(paths), rng.choice(JUNK)
+            node = problem
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = copy.deepcopy(junk)
+            yield problem, rng.choice(cli.COMMANDS), where, junk
+        # the coupling step (1, 0, -1, 0) leaves the index inconclusive at
+        # N = 1 (exit 2); fixed, so that exit code is seen whatever the draw
         problem = copy.deepcopy(FUZZ_BASE)
-        where, junk = rng.choice(paths), rng.choice(JUNK)
-        node = problem
-        for key in where[:-1]:
-            node = node[key]
-        node[where[-1]] = copy.deepcopy(junk)
+        problem["connection"]["terms"][0][0][0][0]["m"] = [1, 0, -1, 0]
+        yield problem, "index", ("connection", "terms", 0, 0, 0, 0, "m", 2), -1
+
+    codes = set()
+    for problem, command, where, junk in cases():
         path.write_text(json.dumps(problem))
-        argv = ["--input", str(path), "--command", rng.choice(cli.COMMANDS)]
+        argv = ["--input", str(path), "--command", command]
         if not isinstance(problem["truncation"], dict) or "N" not in problem["truncation"]:
             argv += ["--truncation", "1"]  # keep the N = 1 box of the base problem
         code = cli.main(argv)

@@ -335,13 +335,14 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
     ])
     N = 1
     batches = []
-    orig = dlb._Engine._spectra_from_blocks
+    orig = dlb._Engine._forms_complex
 
-    def spy(self, T, g, c, modes):
-        batches.append((g, c))
-        return orig(self, T, g, c, modes)
+    def spy(self, At):
+        # A_0 of a batch of g blocks of c modes has shape (g, n c r, c r), r = 1
+        batches.append((At[0].shape[0], At[0].shape[-1]))
+        return orig(self, At)
 
-    monkeypatch.setattr(dlb._Engine, "_spectra_from_blocks", spy)
+    monkeypatch.setattr(dlb._Engine, "_forms_complex", spy)
     added = record_collector_values(monkeypatch)
     engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, False)
     run = engine.run()
@@ -354,6 +355,64 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
         got = np.sort(np.concatenate(added[id(col)]))
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=0.0, atol=1e-10 * ref[-1])
+
+
+def oracle_block(ref, member, r, q, K):
+    """Rows and columns of the full-box A_q for one component, in the engine's order.
+
+    The engine indexes a block by (form, position, fiber), the oracle the
+    whole box by (form, mode, fiber).
+    """
+    def index(C):
+        return (np.arange(C)[:, None, None] * (K * r) + member[None, :, None] * r
+                + np.arange(r)).reshape(-1)
+
+    n = len(ref)
+    return ref[q][index(math.comb(n, q + 1))][:, index(math.comb(n, q))].toarray()
+
+
+def test_degree_operators_match_oracle_entries(monkeypatch):
+    # n = 3, where the metric mixes the form indices (S~ has more nonzero
+    # weights than the wedge signs); r = 2 with a non-scalar constant fiber
+    # part that shares the diagonal with w, and one coupling along e1
+    theta = ThetaMatrix.product([0.31, 0.47, 0.23])
+    cs = random_complex_structure(3, np.random.default_rng(33))
+    frame = antihol_frame(cs)
+    zero = FourierElement.zero(theta)
+    e1 = FourierElement.monomial(theta, (1, 0, 0, 0, 0, 0), 0.7 - 0.2j)
+    const = [np.diag([0.1, -0.3j]), np.array([[0.3 + 0.1j, 0.5], [0.0, -0.2j]]), np.zeros((2, 2))]
+    terms = [MatrixElement.from_scalars(theta, c) for c in const]
+    terms[0] = terms[0] + MatrixElement(theta, [[zero, zero], [e1, zero]])
+    conn = dlb.FreeConnection(2, terms)
+    N, r = 1, 2
+    K = dlb.mode_count(6, N)
+    ref = normalized_operators(cs, frame, conn, N)
+    scale = max(abs(A).max() for A in ref)
+    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, False)
+    signs = dlb._wedge_signs(3, engine.forms)
+    assert sum(np.count_nonzero(S) for row in engine.Stil for S in row) > \
+        sum(np.count_nonzero(S) for row in signs for S in row)
+    # the dense path: one batch of all 243 chains of three modes
+    members = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
+    batches = count_calls(monkeypatch, dlb._Engine, "_forms_complex")
+    engine.run()
+    assert len(members) == len(batches) == 1
+    ((_, blocks, _),), ((_, At),) = members, batches
+    assert blocks.shape == (243, 3)
+    for q in range(3):
+        for i, member in enumerate(blocks):
+            want = oracle_block(ref, member, r, q, K)
+            assert np.allclose(At[q][i], want, rtol=0.0, atol=1e-12 * scale)
+    # the sparse path: one CSR matrix per degree and component
+    monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
+    components = count_calls(monkeypatch, dlb._Engine, "_sparse_component")
+    operators = count_calls(monkeypatch, dlb._Engine, "_laplacians")
+    dlb._Engine(cs, frame, conn, N, 1e-8, True, False).run()
+    assert len(components) == len(operators) == 243
+    for (_, member, _), (_, At, _, _) in zip(components, operators):
+        for q in range(3):
+            want = oracle_block(ref, member, r, q, K)
+            assert np.allclose(At[q].toarray(), want, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_gradient_chain_cohomology(setup2):
@@ -447,6 +506,18 @@ def test_iterative_small_eigs_matches_eigvalsh(monkeypatch):
     assert calls and complete
     assert np.allclose(vals, ref[:6], rtol=0.0, atol=1e-10 * ref[-1])
     assert abs(vmax - ref[-1]) < 1e-7 * ref[-1]
+
+
+def test_iterative_values_all_below_the_threshold_are_inconclusive():
+    # the solver's block holds fewer values than the matrix and all sit below
+    # the threshold, so more kernel candidates may lie beyond it: with no value
+    # kept, the gap test alone would pass (cut <= thresh / _GAP_BAND)
+    col = dlb._Collector(prov=0.16)
+    col.add_iterative(np.array([1e-5, 2e-5]), vmax=1.0, complete=True, dim=10)
+    kernel, cut, kept, conclusive = col.finalize(0.01)
+    assert (kernel, cut, kept) == (2, 2e-5, math.inf)
+    assert cut <= 0.01 / dlb._GAP_BAND
+    assert not conclusive
 
 
 def test_sparse_engine_matches_dense(setup2, monkeypatch):
@@ -712,7 +783,7 @@ def test_only_non_scalar_constant_fibers_assemble_blocks(setup2, monkeypatch):
     def refuse(self, *args):
         raise AssertionError("dense blocks assembled")
 
-    monkeypatch.setattr(dlb._Engine, "_spectra_from_blocks", refuse)
+    monkeypatch.setattr(dlb._Engine, "_run_blocks", refuse)
     for conn in (dlb.FreeConnection.scalar_shift(theta, [0.37 + 0.21j, -0.13 + 0.52j]),
                  scalar_fiber_connection(theta, [0.2j, 0.5 - 0.1j], 2)):
         assert dlb._box_run(cs, frame, conn, 2, 1e-8, True, True).conclusive

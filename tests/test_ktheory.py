@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from nctorus.algebra import ThetaMatrix
 from nctorus.complexstruct import (
@@ -181,10 +182,17 @@ def all_pairs_certificate(cs, theta, bound, tol):
     return pairs, top, not pairs and abs(top) > tol
 
 
+def thin_product_cs():
+    """A product whose first factor is nearly degenerate: the covector
+    (2, 1, 0, 0) falls under the certificate's tiny cutoff."""
+    J = block_diag(j_from_tau(0.5 + 3e-4j).J, j_from_tau(0.3 + 1.1j).J)
+    return ComplexStructure(2, J, tol=1e-9)
+
+
 @pytest.mark.parametrize("cs, theta", [
     (random_complex_structure(2, np.random.default_rng(seed)), generic_theta(seed))
     for seed in (3, 8, 41, 42)
-] + [(product_cs(), generic_theta(4))])
+] + [(product_cs(), generic_theta(4)), (thin_product_cs(), generic_theta(4))])
 def test_certificate_matches_all_pairs(cs, theta):
     cert = nonalg_certificate(cs, theta, bound=3)
     pairs, top, certified = all_pairs_certificate(cs, theta, 3, cert.tol)
