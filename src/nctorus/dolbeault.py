@@ -49,6 +49,10 @@ FLATNESS_TOL = 1e-10
 DEFAULT_TOL_REL = 1e-8
 DENSE_BLOCK_LIMIT = 1200
 _GAP_BAND = 10.0
+# Gershgorin discs are widened by _DISC_SLACK * m * eps * (disc radius) for an
+# m x m block before they decide which blocks skip the eigensolve
+_DISC_SLACK = 64.0
+_EPS = float(np.finfo(float).eps)
 
 
 class NonFlatError(ValueError):
@@ -272,7 +276,13 @@ def _connection_data(conn: FreeConnection):
 class _Collector:
     """Streams eigenvalues (or singular values), keeping only what the
     threshold decision needs: the global max, values below a provisional
-    cutoff, and the smallest value above it."""
+    cutoff, and the smallest value above it.
+
+    Since nothing else is kept, a dense batch need not be fed whole: the
+    engine eigensolves only the blocks whose Gershgorin discs can change one
+    of the three (_Engine._blocks_to_solve), and the collector ends in the
+    state the whole batch would leave.
+    """
 
     def __init__(self, prov: float):
         self.prov = prov
@@ -665,26 +675,94 @@ class _Engine:
         singular values of A_q and A_{q-1}, plus zeros; and DD^* is the direct
         sum of the odd Delta_q.  Each Gram is taken on the smaller side.
         With binomial form dimensions, m_q + m_{q-1} >= dim C_q, so the union
-        never falls short; any surplus, m_q + m_{q-1} - dim C_q values (n >= 3),
-        is exact zeros for a complex and the smallest values are dropped.
+        never falls short.  At n <= 2 it is exact, so the Gram of A_k feeds
+        Delta_k, Delta_{k+1} and DD^* as it is, and only the blocks that
+        _blocks_to_solve picks are eigensolved.  At n >= 3 the surplus,
+        m_q + m_{q-1} - dim C_q values, is exact zeros for a complex and the
+        smallest values of each block's union are dropped, which needs every
+        value of every block.
         """
         n = self.n
         mu = []
-        for A in At:
+        for k, A in enumerate(At):
             AH = A.conj().swapaxes(-1, -2)
             gram = np.matmul(A, AH) if A.shape[-2] < A.shape[-1] else np.matmul(AH, A)
-            mu.append(np.linalg.eigvalsh(gram))
+            if n <= 2:
+                self._eigensolve(gram, [k, k + 1], True, modes_for_q0)
+            else:
+                mu.append(np.linalg.eigvalsh(gram))
+        if n <= 2:
+            return
         for q in range(n + 1):
             vals = np.concatenate([mu[k] for k in (q - 1, q) if 0 <= k < n], axis=-1)
             surplus = vals.shape[-1] - self.fdims[q] * cr
             if surplus > 0:
                 vals = np.sort(vals, axis=-1)[:, surplus:]
-            if self.lap is not None:
+            self._feed(vals, [q], q % 2 == 1, modes_for_q0)
+
+    def _blocks_to_solve(self, M: np.ndarray, degrees: list[int], index: bool) -> np.ndarray:
+        """Indices of the blocks of the Hermitian batch M whose values can change a collector.
+
+        M feeds lap[q] for q in degrees and, if index, dsv, whose singular
+        values are squared here (rounded outward).  The collectors are read as
+        they stand before M's values are fed, and combined conservatively: the
+        largest prov and above, the smallest vmax.
+
+        By Gershgorin's theorem every eigenvalue of block b lies in
+        [lo_b, hi_b], lo_b = min_i (2 M_ii - sum_j |M_ij|), hi_b = max_i
+        sum_j |M_ij|, and its smallest (largest) eigenvalue is at most (at
+        least) its smallest (largest) diagonal entry.  Each bound is moved
+        outward by _DISC_SLACK m eps hi_b, which covers the rounding of the
+        sums and the backward error of eigvalsh.  Let U be the smallest
+        diagonal entry of the blocks with lo_b > prov and V the largest of the
+        batch.  A block is skipped when lo_b > max(prov, min(above, U)) and
+        hi_b < max(vmax, V).  It has no value at or below prov; its values
+        exceed min(above, U), and the block holding U, solved whenever U <
+        above, puts above at or below U; and they cannot raise vmax past the
+        solved block holding V.  So every collector ends as a solve of the whole batch
+        would leave it, and, since batched eigvalsh solves each block on its
+        own, with the same values.
+        """
+        feeds = [(self.lap[q], False) for q in degrees] if self.lap is not None else []
+        if index and self.dsv is not None:
+            feeds.append((self.dsv, True))
+
+        def units(x, squared, up):
+            return x * x * (1.0 + 4 * _EPS if up else 1.0 - 4 * _EPS) if squared else x
+
+        prov = max(units(c.prov, sq, True) for c, sq in feeds)
+        above = max(units(c.above, sq, True) for c, sq in feeds)
+        vmax = min(units(c.vmax, sq, False) for c, sq in feeds)
+        m = M.shape[-1]
+        rows = np.abs(M).sum(axis=-1)
+        diag = M.diagonal(axis1=-2, axis2=-1).real
+        radius = rows.max(axis=-1)
+        slack = _DISC_SLACK * m * _EPS * radius
+        lo = np.min(2.0 * diag - rows, axis=-1) - slack
+        hi = radius + slack
+        clear = lo > prov
+        U = np.min(diag[clear].min(axis=-1) + slack[clear], initial=math.inf)
+        V = np.max(diag.max(axis=-1) - slack)
+        return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V)))[0]
+
+    def _eigensolve(self, M: np.ndarray, degrees: list[int], index: bool,
+                    modes_for_q0: np.ndarray | None):
+        """Eigensolve the blocks of M that _blocks_to_solve picks and feed their values."""
+        idx = self._blocks_to_solve(M, degrees, index)
+        if idx.size:
+            self._feed(np.linalg.eigvalsh(M[idx]), degrees, index,
+                       None if modes_for_q0 is None else modes_for_q0[idx])
+
+    def _feed(self, vals: np.ndarray, degrees: list[int], index: bool,
+              modes_for_q0: np.ndarray | None):
+        """Feed block eigenvalues to lap[q] for q in degrees, and to dsv if index."""
+        if self.lap is not None:
+            for q in degrees:
                 self.lap[q].add(np.abs(vals))
                 if q == 0:
                     self._record_q0(vals, modes_for_q0, mult=1)
-            if self.dsv is not None and q % 2 == 1:
-                self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
+        if index and self.dsv is not None:
+            self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
 
     def _laplacians(self, At: list, adjoint, bmat) -> dict:
         """The matrices whose spectra the collectors need, keyed q or "odd".
@@ -718,16 +796,14 @@ class _Engine:
         return mats
 
     def _laplacian_spectra(self, At: list[np.ndarray], modes_for_q0: np.ndarray | None):
-        """Dense spectra of the Delta_q and of DD^* on the odd forms; valid without dbar^2 = 0."""
+        """Dense spectra of the Delta_q and of DD^* on the odd forms; valid without dbar^2 = 0.
+
+        Each matrix is eigensolved only on the blocks _blocks_to_solve picks.
+        """
         mats = self._laplacians(At, lambda A: A.conj().swapaxes(-1, -2), _dense_bmat)
-        spectra = {key: np.linalg.eigvalsh(M) for key, M in mats.items()}
-        if self.lap is not None:
-            for q in range(self.n + 1):
-                self.lap[q].add(np.abs(spectra[q]))
-            self._record_q0(spectra[0], modes_for_q0, mult=1)
-        if self.dsv is not None:
-            ev = spectra["odd" if len(self.odds) > 1 else 1]
-            self.dsv.add(np.sqrt(np.clip(ev, 0.0, None)))
+        index_key = "odd" if len(self.odds) > 1 else 1
+        for key, M in mats.items():
+            self._eigensolve(M, [] if key == "odd" else [key], key == index_key, modes_for_q0)
 
     def _sparse_component(self, member: np.ndarray, pattern: np.ndarray):
         """Iterative spectra for one component too large for dense blocks."""

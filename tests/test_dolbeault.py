@@ -261,6 +261,12 @@ def record_collector_values(monkeypatch):
     return added
 
 
+def solve_every_block(monkeypatch):
+    """Make every dense eigensolve take its whole batch, so collectors see whole spectra."""
+    monkeypatch.setattr(dlb._Engine, "_blocks_to_solve",
+                        lambda self, M, degrees, index: np.arange(len(M)))
+
+
 def spy_paths(monkeypatch):
     """Count the batches that take the Hodge-rank and the Laplacian path."""
     calls = {"hodge": 0, "laplacian": 0}
@@ -344,6 +350,7 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
 
     monkeypatch.setattr(dlb._Engine, "_forms_complex", spy)
     added = record_collector_values(monkeypatch)
+    solve_every_block(monkeypatch)
     engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, False)
     run = engine.run()
     assert any(g >= 2 and c >= 2 for g, c in batches)
@@ -572,8 +579,12 @@ def setup3():
 
 
 def index_values(monkeypatch, cs, frame, conn, N, want_dims):
-    """A box run with the index wanted, and every value its collector is fed, sorted."""
+    """A box run with the index wanted, and every value its collector is fed, sorted.
+
+    Every dense block is eigensolved, so the values are whole spectra.
+    """
     added = record_collector_values(monkeypatch)
+    solve_every_block(monkeypatch)
     engine = dlb._Engine(cs, frame, conn, N, 1e-8, want_dims, True)
     run = engine.run()
     return run, np.sort(np.concatenate(added[id(engine.dsv)]))
@@ -638,15 +649,33 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def record_results(monkeypatch, owner, name):
+    """Wrap owner.name, keeping what each call returns."""
+    orig = getattr(owner, name)
+    results = []
+
+    def wrapped(*args, **kwargs):
+        results.append(orig(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return results
+
+
 def test_laplacian_batches_solve_each_degree_once(setup2, monkeypatch):
     # both halves wanted at n = 2: the index reads the Delta_1 eigenvalues
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 2, 1e-8, True, True)
     paths = spy_paths(monkeypatch)
+    picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run()
     assert paths["laplacian"] > 0 and paths["hodge"] == 0
-    assert len(eigs) == (engine.n + 1) * paths["laplacian"]
+    # one pick per degree and batch, and at most one eigensolve per pick
+    assert len(picks) == (engine.n + 1) * paths["laplacian"]
+    solved = [idx for idx in picks if idx.size]
+    assert len(eigs) == len(solved)
+    assert [M.shape[0] for (M,) in eigs] == [idx.size for idx in solved]
 
 
 def test_sparse_component_solves_each_degree_once(setup2, monkeypatch):
@@ -663,12 +692,18 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 2, 1e-8, False, True)
     batches = count_calls(monkeypatch, dlb._Engine, "_laplacian_spectra")
+    picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run()
-    assert batches and len(eigs) == len(batches)
-    for (_, (A0, A1), _), (M,) in zip(batches, eigs):
-        delta1 = A0 @ A0.conj().swapaxes(-1, -2) + A1.conj().swapaxes(-1, -2) @ A1
-        assert np.allclose(M, delta1, rtol=0.0, atol=1e-12 * np.abs(delta1).max())
+    # one pick per batch, and each eigensolve takes the rows it picked of Delta_1
+    assert batches and len(picks) == len(batches)
+    assert len(eigs) == sum(idx.size > 0 for idx in picks)
+    solves = iter(eigs)
+    for (_, (A0, A1), _), idx in zip(batches, picks):
+        if idx.size:
+            (M,) = next(solves)
+            delta1 = A0 @ A0.conj().swapaxes(-1, -2) + A1.conj().swapaxes(-1, -2) @ A1
+            assert np.allclose(M, delta1[idx], rtol=0.0, atol=1e-12 * np.abs(delta1).max())
     # one component spanning the box, in the oracle's basis order
     conn = four_direction_connection(theta)
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
@@ -678,6 +713,127 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     delta1 = (A0 @ A0.conj().T + A1.conj().T @ A1).toarray()
     assert len(solves) == 1
     assert np.allclose(solves[0][0].toarray(), delta1, rtol=0.0, atol=1e-12 * np.abs(delta1).max())
+
+
+# -- which dense blocks are eigensolved -------------------------------------
+
+
+def collector_state(col):
+    return col.vmax, col.above, col.incomplete, sorted(zip(col.vals, col.mults))
+
+
+def lattice_fiber_connection(theta, frame, m0):
+    """r = 2, constant fibers diag(c_j, d_j): c puts one kernel vector at mode m0, d none."""
+    c = lattice_shift(frame, m0)
+    return dlb.FreeConnection(2, [MatrixElement.from_scalars(theta, np.diag([c[j], d]))
+                                  for j, d in enumerate((0.3 + 0.1j, 0.25))])
+
+
+@pytest.mark.parametrize("case, N, want_dims", [
+    ("e1 chain", 4, True),        # Hodge-rank path at n = 2
+    ("two directions", 2, True),  # Laplacian path, both halves
+    ("two directions", 2, False),  # Laplacian path, index only
+    ("setup3", 1, True),          # n = 3: every Delta_q and the odd block matrix
+    ("rank-2 fiber", 1, True),    # single-mode blocks, kernel_modes_q0
+])
+def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup3, monkeypatch,
+                                                                   case, N, want_dims):
+    theta, cs, frame = setup2
+    m0 = (1, 0, -1, 1)
+    cs, frame, conn = {
+        "e1 chain": (cs, frame, gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)),
+        "two directions": (cs, frame, two_direction_connection(theta)),
+        "setup3": setup3,
+        "rank-2 fiber": (cs, frame, lattice_fiber_connection(theta, frame, m0)),
+    }[case]
+
+    def run():
+        engine = dlb._Engine(cs, frame, conn, N, 1e-8, want_dims, True)
+        engine.run()
+        cols = (engine.lap or []) + [engine.dsv]
+        return ([collector_state(col) for col in cols], engine.q0_candidates,
+                engine.q0_attributable, engine._finalize())
+
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    picked = run()
+    solved = sum(len(M) for (M,) in eigs)
+    eigs.clear()
+    solve_every_block(monkeypatch)
+    full = run()
+    assert picked == full
+    assert solved < sum(len(M) for (M,) in eigs)
+    if case == "rank-2 fiber":
+        assert full[1] and full[3].kernel_modes_q0 == ((m0, 1),)
+
+
+def stand_in_engine(prov, sv_prov=None):
+    """The collectors _blocks_to_solve reads: lap[0] and, given sv_prov, dsv."""
+    return SimpleNamespace(lap=[dlb._Collector(prov)],
+                           dsv=None if sv_prov is None else dlb._Collector(sv_prov))
+
+
+def pick(engine, blocks, degrees=(0,), index=False):
+    M = np.array(blocks, dtype=complex)
+    return M, dlb._Engine._blocks_to_solve(engine, M, list(degrees), index)
+
+
+def test_first_batch_solves_the_kernel_block_and_two_witnesses():
+    engine = stand_in_engine(1e-3)
+    kernel = [[1.0, 1.0], [1.0, 1.0]]  # eigenvalues 0 and 2
+    _, idx = pick(engine, [kernel])
+    assert list(idx) == [0]
+    # with above = inf and vmax = 0 the batch is solved only where it can set
+    # them: the kernel block, the block with the smallest diagonal entry among
+    # those clear of prov (it sets above) and the block with the largest
+    # diagonal entry (it sets vmax)
+    blocks = [np.diag([5.0, 6.0]), kernel, np.diag([3.0, 4.0]), np.diag([4.5, 9.0]),
+              [[7.0, 0.5], [0.5, 7.0]]]
+    M, idx = pick(engine, blocks)
+    assert list(idx) == [1, 2, 3]
+    full, picked = dlb._Collector(1e-3), dlb._Collector(1e-3)
+    full.add(np.abs(np.linalg.eigvalsh(M)))
+    picked.add(np.abs(np.linalg.eigvalsh(M[idx])))
+    assert collector_state(picked) == collector_state(full)
+
+
+def test_blocks_one_ulp_from_prov_are_solved():
+    prov = 0.25
+    up = np.nextafter(prov, 1.0)
+    engine = stand_in_engine(prov)
+    engine.lap[0].add(np.array([up, 8.0]))  # above one ulp over prov, vmax 8
+    # values at prov, one and two ulps over it, and one far over it: the discs of
+    # the middle two clear prov (and the second clears above) by less than the
+    # slack that covers eigvalsh's rounding, so they are solved
+    blocks = [np.diag([prov, 1.0]), np.diag([up, 1.0]), np.diag([np.nextafter(up, 1.0), 1.0]),
+              np.diag([0.5, 1.0])]
+    M, idx = pick(engine, blocks)
+    assert list(idx) == [0, 1, 2]
+    # the index collector keeps singular values: sqrt(prov^2 + one ulp) rounds
+    # to its prov, so that block holds a kernel candidate and is solved
+    engine = stand_in_engine(1e-12, sv_prov=0.5)
+    sv_blocks = [np.diag([0.25, 1.0]), np.diag([up, 1.0]), np.diag([0.5, 1.0]),
+                 np.diag([0.75, 0.9])]
+    M, idx = pick(engine, sv_blocks, degrees=(), index=True)
+    assert np.sqrt(up) == 0.5
+    assert list(idx) == [0, 1, 2]
+    full, picked = dlb._Collector(0.5), dlb._Collector(0.5)
+    full.add(np.sqrt(np.linalg.eigvalsh(M)))
+    picked.add(np.sqrt(np.linalg.eigvalsh(M[idx])))
+    assert collector_state(picked) == collector_state(full)
+
+
+def test_few_gram_blocks_reach_the_eigensolver(setup2, monkeypatch):
+    # one N = 4 box run of the e1 chain of test_gradient_chain_cohomology: its
+    # 729 chains of 9 modes make one batch, one Gram per degree operator
+    theta, cs, frame = setup2
+    conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
+    picks = count_calls(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    run = dlb._box_run(cs, frame, conn, 4, 1e-8, True, True)
+    assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
+    blocks = sum(len(M) for (_, M, _, _) in picks)
+    assert blocks == 1458
+    assert sum(len(M) for (M,) in eigs) < 0.05 * blocks
 
 
 def test_constant_fiber_matrices_match_dense(setup2):
