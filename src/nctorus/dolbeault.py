@@ -18,14 +18,16 @@ Key structural facts the implementation leans on:
   constant terms, translation chains for single-direction supports);
   one method writes the entries of the degree operators of every block,
   for dense batches and sparse components alike, and blocks of one size
-  and coupling pattern are processed densely and in batches, which keeps
-  everything deterministic and exact to working precision;
+  and coupling pattern are processed in batches that share one sparsity
+  pattern, which keeps everything deterministic and exact to working
+  precision;
 * with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
   complex, whose spectra are written down in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -391,12 +393,114 @@ def _pattern_groups(patterns: np.ndarray):
         rest = rest[~same]
 
 
-def _dense_bmat(blocks) -> np.ndarray:
-    """np.block over batches (g, rows, cols); None is a zero block, the diagonal is square."""
-    g = blocks[0][0].shape[0]
-    size = [row[i].shape[-1] for i, row in enumerate(blocks)]
-    return np.block([[np.zeros((g, size[i], size[k]), dtype=complex) if B is None else B
-                      for k, B in enumerate(row)] for i, row in enumerate(blocks)])
+# -- batches of matrices that share one sparsity pattern -------------------
+
+
+def _group(keys: np.ndarray):
+    """Stable sort of nonnegative keys: (order, start of each run of one key, the distinct keys)."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return order, starts, keys[starts]
+
+
+def _pairs(xcols: np.ndarray, yrows: np.ndarray):
+    """Entry pairs (i, j) with xcols[i] == yrows[j], ordered by i, then by j."""
+    order = np.argsort(yrows, kind="stable")
+    ysorted = yrows[order]
+    lo = np.searchsorted(ysorted, xcols, "left")
+    counts = np.searchsorted(ysorted, xcols, "right") - lo
+    i = np.repeat(np.arange(xcols.size), counts)
+    j = order[np.arange(i.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    return i, j
+
+
+class _Sparse:
+    """g matrices of one shape that share their nonzero positions.
+
+    Entry k sits at (rows[k], cols[k]) in every matrix, no two entries at
+    one position, and values[:, k] holds its g values.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape, values: np.ndarray):
+        self.rows, self.cols, self.shape, self.values = rows, cols, tuple(shape), values
+
+    @classmethod
+    def from_entries(cls, rows, cols, values: np.ndarray, shape) -> "_Sparse":
+        """Entries (rows[k], cols[k]) with values[:, k]; those at one position are summed in order."""
+        order, starts, keys = _group(rows * shape[1] + cols)
+        return cls(*np.divmod(keys, shape[1]), shape,
+                   np.add.reduceat(values[:, order], starts, axis=1))
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    @functools.cached_property
+    def H(self) -> "_Sparse":
+        """The adjoints: the index arrays swapped and the (g, nnz) values conjugated."""
+        return _Sparse(self.cols, self.rows, self.shape[::-1], self.values.conj())
+
+    def dense(self, idx=slice(None)) -> np.ndarray:
+        """The matrices idx as one dense (len(idx), rows, cols) array."""
+        values = self.values[idx]
+        out = np.zeros((values.shape[0],) + self.shape, dtype=values.dtype)
+        out[:, self.rows, self.cols] = values
+        return out
+
+
+class _Product:
+    """Sums of products X_t Y_t of _Sparse batches, each term placed at an offset.
+
+    Gustavson's row-wise sparse product, split in its two halves.  The
+    symbolic half, built here from index arrays alone, pairs each entry
+    (i, k) of X_t with each entry (k, j) of Y_t and sorts the pairs by their
+    output position (r0 + i, c0 + j).  The numeric half, a call, multiplies
+    the paired values of a whole batch and sums each run of pairs at one
+    position.  Batches whose operands have the patterns of terms share one
+    symbolic half.
+    """
+
+    def __init__(self, terms):
+        self.shape = (max(r0 + X.shape[0] for X, _, r0, _ in terms),
+                      max(c0 + Y.shape[1] for _, Y, _, c0 in terms))
+        keys, left, right = [], [], []
+        xoff = yoff = 0
+        for X, Y, r0, c0 in terms:
+            i, j = _pairs(X.cols, Y.rows)
+            keys.append((X.rows[i] + r0) * self.shape[1] + Y.cols[j] + c0)
+            left.append(i + xoff)
+            right.append(j + yoff)
+            xoff += X.rows.size
+            yoff += Y.rows.size
+        order, self.starts, keys = _group(np.concatenate(keys))
+        self.left = np.concatenate(left)[order]
+        self.right = np.concatenate(right)[order]
+        self.rows, self.cols = np.divmod(keys, self.shape[1])
+
+    def __call__(self, terms) -> _Sparse:
+        """The sums for the values of terms, laid out as the terms this half was built from."""
+        pairs = np.concatenate([X.values for X, _, _, _ in terms], axis=1)[:, self.left]
+        pairs *= np.concatenate([Y.values for _, Y, _, _ in terms], axis=1)[:, self.right]
+        return _Sparse(self.rows, self.cols, self.shape,
+                       np.add.reduceat(pairs, self.starts, axis=1))
+
+
+class _Batch:
+    """The degree operators A_q of g blocks that share one coupling pattern.
+
+    plans holds the symbolic halves of the products taken of them, by name,
+    and is shared by every batch of the pattern.
+    """
+
+    def __init__(self, ops: list[_Sparse], plans: dict):
+        self.ops, self.plans = ops, plans
+
+    def product(self, name, terms) -> _Sparse:
+        """sum_t X_t Y_t at offsets (X_t, Y_t, r0, c0), as _Product."""
+        plan = self.plans.get(name)
+        if plan is None:
+            plan = self.plans[name] = _Product(terms)
+        return plan(terms)
 
 
 # -- the engine ----------------------------------------------------------
@@ -589,61 +693,70 @@ class _Engine:
                 ph = _phases(self.theta, step, modes).reshape(g, c)
                 yield j, tgt[src] * r + i2, src * r + i1, coeff * ph[:, src]
 
-    def _degree_terms(self, mvec: np.ndarray, pattern: np.ndarray):
-        """Entries of the degree operators A_q = sum_j S~[j][q] (x) T_j on blocks.
+    def _degree_operators(self, mvec: np.ndarray, pattern: np.ndarray) -> list[_Sparse]:
+        """The degree operators A_q = sum_j S~[j][q] (x) T_j of g blocks, as _Sparse.
 
         Arguments as in _direction_terms.  A_q maps C_q to C_{q+1} and
         indexes (form, position, fiber) with the fiber fastest, so form b of
-        a block of cr = c*r rows starts at row b*cr.  Yields (q, rows, cols,
-        values) with values of shape (g, len(rows)): each direction term
-        once for every nonzero wedge weight S~[j][q][b, a], in the order of
-        _direction_terms.
+        a block of cr = c*r rows starts at row b*cr.  Each direction term
+        enters once for every nonzero wedge weight S~[j][q][b, a]; entries at
+        one position (w and a constant diagonal entry) are summed in the
+        order of _direction_terms.  The index arrays depend on pattern
+        alone, so every batch of one pattern gets the same ones.
         """
         cr = mvec.shape[1] * self.r
+        parts = [([], [], []) for _ in range(self.n)]
         for j, rows, cols, values in self._direction_terms(mvec, pattern):
             for q in range(self.n):
                 S = self.Stil[j][q]
                 for b, a in zip(*np.nonzero(S)):
-                    yield q, b * cr + rows, a * cr + cols, S[b, a] * values
+                    parts[q][0].append(b * cr + rows)
+                    parts[q][1].append(a * cr + cols)
+                    parts[q][2].append(S[b, a] * values)
+        return [_Sparse.from_entries(np.concatenate(ri), np.concatenate(ci),
+                                     np.concatenate(vals, axis=1),
+                                     (self.fdims[q + 1] * cr, self.fdims[q] * cr))
+                for q, (ri, ci, vals) in enumerate(parts)]
 
     def _run_blocks(self, members: np.ndarray, pattern: np.ndarray):
         """Dense spectra of blocks that share one coupling pattern, in batches.
 
         members (G, c) holds the flat mode indices of G blocks; pattern is
         as in _direction_terms.  Batches that form a complex take the
-        Hodge-rank path, the others the Laplacians.  Blocks of one mode keep
-        their coordinates for kernel_modes_q0.
+        Hodge-rank path, the others the Laplacians; the batches share the
+        symbolic halves of their products.  Blocks of one mode keep their
+        coordinates for kernel_modes_q0.
         """
         G, c = members.shape
         cr = c * self.r
         big = max(self.fdims) * cr
         chunk = max(1, int(8_000_000 / max(big * big, 1)))
+        plans: dict = {}
         for start in range(0, G, chunk):
             sub = members[start:start + chunk]
             g = sub.shape[0]
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
-            At = [np.zeros((g, self.fdims[q + 1] * cr, self.fdims[q] * cr), dtype=complex)
-                  for q in range(self.n)]
-            for q, rows, cols, values in self._degree_terms(mvec, pattern):
-                At[q][:, rows, cols] += values
+            batch = _Batch(self._degree_operators(mvec, pattern), plans)
             modes_for_q0 = mvec[:, 0] if c == 1 else None
-            if self._forms_complex(At):
-                self._hodge_rank_spectra(At, cr, modes_for_q0)
+            if self._forms_complex(batch):
+                self._hodge_rank_spectra(batch, cr, modes_for_q0)
             else:
-                self._laplacian_spectra(At, modes_for_q0)
+                self._laplacian_spectra(batch, modes_for_q0)
 
-    def _forms_complex(self, At: list[np.ndarray]) -> bool:
+    def _forms_complex(self, batch: _Batch) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
 
         eps = max over the batch and q of ||A_{q+1} A_q||_F bounds the defect
-        in operator norm.  With B = [A_q; A_{q-1}^*] we have Delta_q = B^* B
+        in operator norm; it is read off the values of the sparse product.
+        With B = [A_q; A_{q-1}^*] we have Delta_q = B^* B
         and B B^* = diag(A_q A_q^*, A_{q-1}^* A_{q-1}) + [[0, E], [E^*, 0]],
         E = A_q A_{q-1}, so by Weyl each sorted eigenvalue of Delta_q lies
         within eps of the Hodge-rank union.  DD^* on the odd forms differs
         from the direct sum of the odd Delta_q by the blocks A_{q+1} A_q and
         their adjoints, at most 2 eps more.  Every collector this batch
         feeds sees an eigenvalue of at least s, the smallest over q of
-        max |A_q|^2 (an entry bounds ||A_q||), so its threshold is at least
+        max |A_q|^2 (an entry bounds ||A_q||; the entries are the values),
+        so its threshold is at least
         tol_rel * s, in eigenvalue units for the singular-value collector
         too.  The gate asks 3 eps <= tol_rel * s / _GAP_BAND**2, so no value
         moves by more than thresh / _GAP_BAND**2: a value at or below
@@ -652,45 +765,41 @@ class _Engine:
         times it stays above, and the kernel counts of a conclusive run
         cannot change.
         """
-        s = min(float(np.max(np.abs(A))) for A in At) ** 2
+        ops = batch.ops
+        s = min(float(np.max(np.abs(A.values))) for A in ops) ** 2
         gate = self.tol_rel * s / (3.0 * _GAP_BAND ** 2)
-        eps = 0.0
-        for q in range(len(At) - 1):
-            # ||E x|| <= ||E|| ||x||: a batch whose defect on the all-ones
-            # vector already exceeds the gate fails without forming E
-            x = np.ones(At[q].shape[-1])
-            Ex = np.matmul(At[q + 1], np.matmul(At[q], x)[..., None])
-            if float(np.max(np.linalg.norm(Ex, axis=(1, 2)))) > gate * math.sqrt(x.size):
+        for q in range(len(ops) - 1):
+            E = batch.product(("defect", q), [(ops[q + 1], ops[q], 0, 0)])
+            if float(np.max(np.linalg.norm(E.values, axis=1))) > gate:
                 return False
-            E = np.matmul(At[q + 1], At[q])
-            eps = max(eps, float(np.max(np.linalg.norm(E, axis=(1, 2)))))
-        return eps <= gate
+        return True
 
-    def _hodge_rank_spectra(self, At: list[np.ndarray], cr: int,
-                            modes_for_q0: np.ndarray | None):
+    def _hodge_rank_spectra(self, batch: _Batch, cr: int, modes_for_q0: np.ndarray | None):
         """Laplacian and DD^* spectra from per-degree Gram eigenvalues.
 
         For a complex, Delta_q = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal
         summands, so its spectrum is the union of the nonzero squared
         singular values of A_q and A_{q-1}, plus zeros; and DD^* is the direct
-        sum of the odd Delta_q.  Each Gram is taken on the smaller side.
-        With binomial form dimensions, m_q + m_{q-1} >= dim C_q, so the union
-        never falls short.  At n <= 2 it is exact, so the Gram of A_k feeds
-        Delta_k, Delta_{k+1} and DD^* as it is, and only the blocks that
-        _blocks_to_solve picks are eigensolved.  At n >= 3 the surplus,
+        sum of the odd Delta_q.  Each Gram is a sparse product on the smaller
+        side, the adjoint being A_q's index arrays swapped and its values
+        conjugated.  With binomial form dimensions, m_q + m_{q-1} >= dim C_q,
+        so the union never falls short.  At n <= 2 it is exact, so the Gram
+        of A_k feeds Delta_k, Delta_{k+1} and DD^* as it is, and only the
+        blocks that _blocks_to_solve picks are made dense and eigensolved.
+        At n >= 3 the surplus,
         m_q + m_{q-1} - dim C_q values, is exact zeros for a complex and the
         smallest values of each block's union are dropped, which needs every
         value of every block.
         """
         n = self.n
         mu = []
-        for k, A in enumerate(At):
-            AH = A.conj().swapaxes(-1, -2)
-            gram = np.matmul(A, AH) if A.shape[-2] < A.shape[-1] else np.matmul(AH, A)
+        for k, A in enumerate(batch.ops):
+            pair = (A, A.H) if A.shape[0] < A.shape[1] else (A.H, A)
+            gram = batch.product(("gram", k), [pair + (0, 0)])
             if n <= 2:
                 self._eigensolve(gram, [k, k + 1], True, modes_for_q0)
             else:
-                mu.append(np.linalg.eigvalsh(gram))
+                mu.append(np.linalg.eigvalsh(gram.dense()))
         if n <= 2:
             return
         for q in range(n + 1):
@@ -700,7 +809,7 @@ class _Engine:
                 vals = np.sort(vals, axis=-1)[:, surplus:]
             self._feed(vals, [q], q % 2 == 1, modes_for_q0)
 
-    def _blocks_to_solve(self, M: np.ndarray, degrees: list[int], index: bool) -> np.ndarray:
+    def _blocks_to_solve(self, M: _Sparse, degrees: list[int], index: bool) -> np.ndarray:
         """Indices of the blocks of the Hermitian batch M whose values can change a collector.
 
         M feeds lap[q] for q in degrees and, if index, dsv, whose singular
@@ -721,7 +830,8 @@ class _Engine:
         above, puts above at or below U; and they cannot raise vmax past the
         solved block holding V.  So every collector ends as a solve of the whole batch
         would leave it, and, since batched eigvalsh solves each block on its
-        own, with the same values.
+        own, with the same values.  The sums run over M's values, which are
+        the entries of the dense blocks _eigensolve builds from them.
         """
         feeds = [(self.lap[q], False) for q in degrees] if self.lap is not None else []
         if index and self.dsv is not None:
@@ -734,8 +844,12 @@ class _Engine:
         above = max(units(c.above, sq, True) for c, sq in feeds)
         vmax = min(units(c.vmax, sq, False) for c, sq in feeds)
         m = M.shape[-1]
-        rows = np.abs(M).sum(axis=-1)
-        diag = M.diagonal(axis1=-2, axis2=-1).real
+        order, starts, present = _group(M.rows)
+        rows = np.zeros((len(M), m))
+        rows[:, present] = np.add.reduceat(np.abs(M.values)[:, order], starts, axis=1)
+        on = M.rows == M.cols
+        diag = np.zeros((len(M), m))
+        diag[:, M.rows[on]] = M.values[:, on].real
         radius = rows.max(axis=-1)
         slack = _DISC_SLACK * m * _EPS * radius
         lo = np.min(2.0 * diag - rows, axis=-1) - slack
@@ -745,12 +859,12 @@ class _Engine:
         V = np.max(diag.max(axis=-1) - slack)
         return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V)))[0]
 
-    def _eigensolve(self, M: np.ndarray, degrees: list[int], index: bool,
+    def _eigensolve(self, M: _Sparse, degrees: list[int], index: bool,
                     modes_for_q0: np.ndarray | None):
-        """Eigensolve the blocks of M that _blocks_to_solve picks and feed their values."""
+        """Make dense and eigensolve the blocks of M that _blocks_to_solve picks; feed their values."""
         idx = self._blocks_to_solve(M, degrees, index)
         if idx.size:
-            self._feed(np.linalg.eigvalsh(M[idx]), degrees, index,
+            self._feed(np.linalg.eigvalsh(M.dense(idx)), degrees, index,
                        None if modes_for_q0 is None else modes_for_q0[idx])
 
     def _feed(self, vals: np.ndarray, degrees: list[int], index: bool,
@@ -764,61 +878,62 @@ class _Engine:
         if index and self.dsv is not None:
             self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
 
-    def _laplacians(self, At: list, adjoint, bmat) -> dict:
-        """The matrices whose spectra the collectors need, keyed q or "odd".
+    def _laplacians(self, batch: _Batch) -> dict:
+        """The matrices whose spectra the collectors need, as _Sparse, keyed q or "odd".
 
-        At holds dense batches or one component's sparse matrices, and
-        adjoint and bmat act on that kind.  Key q is Delta_q = A_q^* A_q +
-        A_{q-1} A_{q-1}^*, every degree when the dims are wanted.  The index
-        reads DD^* on the odd forms, which has the spectrum of D^*D since
-        D = dbar + dbar^* (even forms -> odd forms) is square: the odd
-        Delta_q on the diagonal, the defect blocks A_{q+1} A_q (C_q -> C_{q+2})
-        below it and their adjoints above.  At n <= 2 the only odd degree is 1
-        and DD^* is Delta_1, key 1; above, it is key "odd".
+        Each is one sparse product of the batch's degree operators.  Key q
+        is Delta_q = A_q^* A_q + A_{q-1} A_{q-1}^*, every degree when the
+        dims are wanted.  The index reads DD^* on the odd forms, which has
+        the spectrum of D^*D since D = dbar + dbar^* (even forms -> odd
+        forms) is square: the odd Delta_q on the diagonal, the defect blocks
+        A_{q+1} A_q (C_q -> C_{q+2}) below it and their adjoints
+        A_q^* A_{q+1}^* above.  At n <= 2 the only odd degree is 1 and DD^*
+        is Delta_1, key 1; above, it is key "odd", whose product places each
+        term at the offset of its block.
         """
-        n = self.n
-        laps = {}
-        for q in range(n + 1) if self.lap is not None else self.odds:
-            terms = ([adjoint(At[q]) @ At[q]] if q < n else []) + \
-                    ([At[q - 1] @ adjoint(At[q - 1])] if q > 0 else [])
-            laps[q] = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-        if self.dsv is None or len(self.odds) == 1:
-            return laps
-        size = len(self.odds)
-        blocks = [[None] * size for _ in range(size)]
+        n, ops = self.n, batch.ops
+
+        def delta(q, at=0):
+            return ([(ops[q].H, ops[q], at, at)] if q < n else []) + \
+                   ([(ops[q - 1], ops[q - 1].H, at, at)] if q > 0 else [])
+
+        odd = self.dsv is not None and len(self.odds) > 1
+        degrees = range(n + 1) if self.lap is not None else [] if odd else self.odds
+        mats = {q: batch.product(("delta", q), delta(q)) for q in degrees}
+        if not odd:
+            return mats
+        cr = ops[0].shape[1]
+        at = list(itertools.accumulate((self.fdims[q] * cr for q in self.odds), initial=0))
+        terms = []
         for i, q in enumerate(self.odds):
-            blocks[i][i] = laps[q]
+            terms += delta(q, at[i])
             if q + 2 <= n:
-                E = At[q + 1] @ At[q]
-                blocks[i + 1][i], blocks[i][i + 1] = E, adjoint(E)
-        mats = laps if self.lap is not None else {}
-        mats["odd"] = bmat(blocks)
+                terms += [(ops[q + 1], ops[q], at[i + 1], at[i]),
+                          (ops[q].H, ops[q + 1].H, at[i], at[i + 1])]
+        mats["odd"] = batch.product("odd", terms)
         return mats
 
-    def _laplacian_spectra(self, At: list[np.ndarray], modes_for_q0: np.ndarray | None):
+    def _laplacian_spectra(self, batch: _Batch, modes_for_q0: np.ndarray | None):
         """Dense spectra of the Delta_q and of DD^* on the odd forms; valid without dbar^2 = 0.
 
-        Each matrix is eigensolved only on the blocks _blocks_to_solve picks.
+        Each matrix is made dense and eigensolved only on the blocks
+        _blocks_to_solve picks.
         """
-        mats = self._laplacians(At, lambda A: A.conj().swapaxes(-1, -2), _dense_bmat)
         index_key = "odd" if len(self.odds) > 1 else 1
-        for key, M in mats.items():
+        for key, M in self._laplacians(batch).items():
             self._eigensolve(M, [] if key == "odd" else [key], key == index_key, modes_for_q0)
 
     def _sparse_component(self, member: np.ndarray, pattern: np.ndarray):
-        """Iterative spectra for one component too large for dense blocks."""
-        n, r = self.n, self.r
-        cr = member.size * r
+        """Iterative spectra for one component too large for dense blocks.
+
+        The degree operators and their products are those of a dense batch
+        with g = 1; only the final matrices become CSR, for the solver.
+        """
+        n = self.n
         mvec = _decode_modes(member, self.d, self.N)[None]
-        parts = [([], [], []) for _ in range(n)]
-        for q, rows, cols, values in self._degree_terms(mvec, pattern):
-            parts[q][0].append(values[0])
-            parts[q][1].append(rows)
-            parts[q][2].append(cols)
-        At = [sp.csr_matrix((np.concatenate(v), (np.concatenate(ri), np.concatenate(ci))),
-                            shape=(self.fdims[q + 1] * cr, self.fdims[q] * cr))
-              for q, (v, ri, ci) in enumerate(parts)]
-        mats = self._laplacians(At, lambda A: A.conj().T, sp.bmat)
+        batch = _Batch(self._degree_operators(mvec, pattern), {})
+        mats = {key: sp.csr_matrix((M.values[0], (M.rows, M.cols)), shape=M.shape)
+                for key, M in self._laplacians(batch).items()}
         rng = np.random.default_rng(20240711)
         # 2 r values per form index, plus 6
         spectra = {key: _iterative_small_eigs(M, 2 * M.shape[0] // member.size + 6, rng)

@@ -327,7 +327,7 @@ def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
     # the Hodge-rank union would put a value inside the gap band here
-    monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, At: True)
+    monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, batch: True)
     assert not dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
 
 
@@ -343,10 +343,11 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
     batches = []
     orig = dlb._Engine._forms_complex
 
-    def spy(self, At):
-        # A_0 of a batch of g blocks of c modes has shape (g, n c r, c r), r = 1
-        batches.append((At[0].shape[0], At[0].shape[-1]))
-        return orig(self, At)
+    def spy(self, batch):
+        # A_0 of a batch of g blocks of c modes holds g matrices of shape (n c r, c r), r = 1
+        A0 = batch.ops[0]
+        batches.append((len(A0), A0.shape[-1]))
+        return orig(self, batch)
 
     monkeypatch.setattr(dlb._Engine, "_forms_complex", spy)
     added = record_collector_values(monkeypatch)
@@ -404,22 +405,24 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     batches = count_calls(monkeypatch, dlb._Engine, "_forms_complex")
     engine.run()
     assert len(members) == len(batches) == 1
-    ((_, blocks, _),), ((_, At),) = members, batches
+    ((_, blocks, _),), ((_, batch),) = members, batches
     assert blocks.shape == (243, 3)
     for q in range(3):
+        A = batch.ops[q].dense()
         for i, member in enumerate(blocks):
             want = oracle_block(ref, member, r, q, K)
-            assert np.allclose(At[q][i], want, rtol=0.0, atol=1e-12 * scale)
-    # the sparse path: one CSR matrix per degree and component
+            assert np.allclose(A[i], want, rtol=0.0, atol=1e-12 * scale)
+    # the sparse path: the same operators with one block per component
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
     components = count_calls(monkeypatch, dlb._Engine, "_sparse_component")
     operators = count_calls(monkeypatch, dlb._Engine, "_laplacians")
     dlb._Engine(cs, frame, conn, N, 1e-8, True, False).run()
     assert len(components) == len(operators) == 243
-    for (_, member, _), (_, At, _, _) in zip(components, operators):
+    for (_, member, _), (_, batch) in zip(components, operators):
         for q in range(3):
             want = oracle_block(ref, member, r, q, K)
-            assert np.allclose(At[q].toarray(), want, rtol=0.0, atol=1e-12 * scale)
+            (A,) = batch.ops[q].dense()
+            assert np.allclose(A, want, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_gradient_chain_cohomology(setup2):
@@ -467,12 +470,98 @@ def test_sparse_fallback_matches_dense(setup2, monkeypatch):
     assert sparse.ker_even == ref.ker_even
 
 
+def sparse_batch(blocks):
+    """Dense (g, rows, cols) blocks as _Sparse, every position an entry."""
+    M = np.array(blocks, dtype=complex)
+    rows, cols = np.indices(M.shape[1:]).reshape(2, -1)
+    return dlb._Sparse.from_entries(rows, cols, M.reshape(len(M), -1), M.shape[1:])
+
+
 def test_defect_gate_does_not_stop_at_the_probe():
-    # A_0 kills the all-ones probe vector, yet A_1 A_0 != 0
+    # A_0 kills the all-ones vector, yet A_1 A_0 != 0: the gate reads the
+    # defect off the values of the product itself, with no probe first
     engine = SimpleNamespace(tol_rel=1e-8)
-    A0 = np.array([[[1.0, -1.0], [1.0, -1.0]]], dtype=complex)
-    assert not dlb._Engine._forms_complex(engine, [A0, np.array([[[1.0, 0.0]]], dtype=complex)])
-    assert dlb._Engine._forms_complex(engine, [A0, np.array([[[1.0, -1.0]]], dtype=complex)])
+    A0 = sparse_batch([[[1.0, -1.0], [1.0, -1.0]]])
+    batch = dlb._Batch([A0, sparse_batch([[[1.0, 0.0]]])], {})
+    assert not dlb._Engine._forms_complex(engine, batch)
+    batch = dlb._Batch([A0, sparse_batch([[[1.0, -1.0]]])], {})
+    assert dlb._Engine._forms_complex(engine, batch)
+
+
+# -- the batched sparse product ------------------------------------------------
+
+
+def random_sparse(rng, g, shape, nnz, rows=None, cols=None):
+    """_Sparse from nnz random entries at positions drawn with repeats, and its dense oracle.
+
+    rows and cols, if given, are the indices the positions are drawn from.
+    """
+    rows = rng.choice(np.arange(shape[0]) if rows is None else rows, nnz)
+    cols = rng.choice(np.arange(shape[1]) if cols is None else cols, nnz)
+    values = rng.standard_normal((g, nnz)) + 1j * rng.standard_normal((g, nnz))
+    dense = np.zeros((g,) + shape, dtype=complex)
+    for k in range(nnz):
+        dense[:, rows[k], cols[k]] += values[:, k]
+    return dlb._Sparse.from_entries(rows, cols, values, shape), dense
+
+
+def assert_dense_close(X, want):
+    assert X.dense().shape == want.shape
+    assert np.abs(X.dense() - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("g", [1, 4])
+def test_sparse_product_matches_matmul(g):
+    rng = np.random.default_rng(20 + g)
+    X, Xd = random_sparse(rng, g, (6, 9), 30)
+    Y, Yd = random_sparse(rng, g, (9, 4), 20)
+    # positions drawn with repeats: some entries are summed before any product
+    assert X.rows.size < 30 and Y.rows.size < 20
+    assert_dense_close(X, Xd)
+    plans = {}
+    assert_dense_close(dlb._Batch([X, Y], plans).product("xy", [(X, Y, 0, 0)]), Xd @ Yd)
+    # the adjoint swaps the index arrays and conjugates the values
+    XdH = Xd.conj().swapaxes(-1, -2)
+    assert_dense_close(X.H, XdH)
+    assert_dense_close(dlb._Product([(X.H, X, 0, 0), (Y, Y.H, 0, 0)])(
+        [(X.H, X, 0, 0), (Y, Y.H, 0, 0)]), XdH @ Xd + Yd @ Yd.conj().swapaxes(-1, -2))
+    # a second batch of the same patterns reuses the symbolic half
+    X2 = dlb._Sparse(X.rows, X.cols, X.shape, rng.standard_normal(X.values.shape) + 0j)
+    product = dlb._Batch([X2, Y], plans).product("xy", [(X2, Y, 0, 0)])
+    assert len(plans) == 1
+    assert_dense_close(product, X2.dense() @ Yd)
+    # no column of Z meets a row of W: an empty product
+    Z, Zd = random_sparse(rng, g, (5, 8), 12, cols=np.arange(4))
+    W, Wd = random_sparse(rng, g, (8, 3), 10, rows=np.arange(4, 8))
+    empty = dlb._Product([(Z, W, 0, 0)])([(Z, W, 0, 0)])
+    assert empty.values.shape == (g, 0)
+    assert_dense_close(empty, Zd @ Wd)
+    # terms placed at offsets, as in the odd block matrix: B^* B for B = [X | V]
+    V, Vd = random_sparse(rng, g, (6, 5), 15)
+    terms = [(X.H, X, 0, 0), (X.H, V, 0, 9), (V.H, X, 9, 0), (V.H, V, 9, 9)]
+    B = np.concatenate([Xd, Vd], axis=-1)
+    assert_dense_close(dlb._Product(terms)(terms), B.conj().swapaxes(-1, -2) @ B)
+
+
+def test_laplacians_match_dense_products(setup3, monkeypatch):
+    # n = 3 with the index wanted: every Delta_q and the odd block matrix
+    # [[Delta_1, (A_2 A_1)^*], [A_2 A_1, Delta_3]] of one batch
+    cs, frame, conn = setup3
+    batches = count_calls(monkeypatch, dlb._Engine, "_laplacian_spectra")
+    engine = dlb._Engine(cs, frame, conn, 1, 1e-8, True, True)
+    engine.run()
+    (_, batch, _) = batches[0]
+    A = [op.dense() for op in batch.ops]
+    AH = [a.conj().swapaxes(-1, -2) for a in A]
+    delta = [sum(t) for t in ([AH[0] @ A[0]], [AH[1] @ A[1], A[0] @ AH[0]],
+                              [AH[2] @ A[2], A[1] @ AH[1]], [A[2] @ AH[2]])]
+    mats = engine._laplacians(batch)
+    assert sorted(mats, key=str) == [0, 1, 2, 3, "odd"]
+    for q in range(4):
+        assert_dense_close(mats[q], delta[q])
+    E = A[2] @ A[1]
+    assert_dense_close(mats["odd"], np.block([[delta[1], E.conj().swapaxes(-1, -2)],
+                                              [E, delta[3]]]))
 
 
 def four_direction_connection(theta):
@@ -699,9 +788,10 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     assert batches and len(picks) == len(batches)
     assert len(eigs) == sum(idx.size > 0 for idx in picks)
     solves = iter(eigs)
-    for (_, (A0, A1), _), idx in zip(batches, picks):
+    for (_, batch, _), idx in zip(batches, picks):
         if idx.size:
             (M,) = next(solves)
+            A0, A1 = (A.dense() for A in batch.ops)
             delta1 = A0 @ A0.conj().swapaxes(-1, -2) + A1.conj().swapaxes(-1, -2) @ A1
             assert np.allclose(M, delta1[idx], rtol=0.0, atol=1e-12 * np.abs(delta1).max())
     # one component spanning the box, in the oracle's basis order
@@ -774,7 +864,7 @@ def stand_in_engine(prov, sv_prov=None):
 
 def pick(engine, blocks, degrees=(0,), index=False):
     M = np.array(blocks, dtype=complex)
-    return M, dlb._Engine._blocks_to_solve(engine, M, list(degrees), index)
+    return M, dlb._Engine._blocks_to_solve(engine, sparse_batch(M), list(degrees), index)
 
 
 def test_first_batch_solves_the_kernel_block_and_two_witnesses():
@@ -834,6 +924,26 @@ def test_few_gram_blocks_reach_the_eigensolver(setup2, monkeypatch):
     blocks = sum(len(M) for (_, M, _, _) in picks)
     assert blocks == 1458
     assert sum(len(M) for (M,) in eigs) < 0.05 * blocks
+
+
+@pytest.mark.parametrize("case, N", [("e1 chain", 4), ("two directions", 2)])
+def test_only_picked_blocks_are_made_dense(setup2, monkeypatch, case, N):
+    # n <= 2: the Hodge-rank Grams of the e1 chain and the Delta_q of the
+    # Laplacian path; every dense block eigvalsh reads is a block
+    # _blocks_to_solve picked, so no batch is made dense whole
+    theta, cs, frame = setup2
+    conn = {"e1 chain": gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j),
+            "two directions": two_direction_connection(theta)}[case]
+    batches = count_calls(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    dense = record_results(monkeypatch, dlb._Sparse, "dense")
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
+    picked = sum(idx.size for idx in picks)
+    assert 0 < picked < sum(len(M) for (_, M, _, _) in batches)
+    # invariant_metric checks its metric with a 2-D eigvalsh of its own
+    batched = [M for (M,) in eigs if M.ndim == 3]
+    assert sum(len(M) for M in dense) == sum(len(M) for M in batched) == picked
 
 
 def test_constant_fiber_matrices_match_dense(setup2):
