@@ -642,6 +642,9 @@ def main(argv=None) -> int:
         status = EXIT_INCONCLUSIVE
     except (ValueError, OSError) as exc:
         report, status = {"version": REPORT_VERSION, "error": str(exc)}, EXIT_INPUT
+    except MemoryError as exc:  # a box outgrew memory; a smaller N is the remedy
+        error = f"out of memory ({type(exc).__name__}: {exc}); try a smaller truncation N"
+        report, status = {"version": REPORT_VERSION, "error": error}, EXIT_INPUT
     try:
         with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as out:
             out.write(canonical_json(report))

@@ -16,11 +16,14 @@ Key structural facts the implementation leans on:
   phase given by the product cocycle, so the coupling graph on modes
   decomposes the operator into independent blocks (single modes for
   constant terms, translation chains for single-direction supports);
-  one method writes the entries of the degree operators of every block,
-  for dense batches and sparse components alike, and blocks of one size
-  and coupling pattern are processed in batches that share one sparsity
-  pattern, which keeps everything deterministic and exact to working
-  precision;
+* the connection is one table of fiber matrices, one per step s_k and
+  direction j (s_0 = 0 the constant part), so the direction operators
+  T_j of a block share one layout in which each entry appears once, and
+  every degree operator A_q = sum_j S~[j][q] (x) T_j is one contraction
+  over j with unique positions, nothing sorted or merged; blocks of one
+  size and coupling pattern are processed in batches that share one
+  sparsity pattern, for dense batches and sparse components alike, which
+  keeps everything deterministic and exact to working precision;
 * with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
   complex, whose spectra are written down in closed form.
 """
@@ -255,21 +258,21 @@ def _tilde_signs(S, Ls, Linvs, n):
 
 
 def _connection_data(conn: FreeConnection):
-    """Split terms into constant fiber matrices and mode couplings."""
+    """The steps s_0 = 0, s_1 < s_2 < ... of the terms and their coefficient table.
+
+    a_j = sum_k coef[k, j] U^{s_k}: coef (steps, n, r, r) holds in coef[k, j]
+    the fiber matrix that a_j carries along step s_k, s_0 the constant part.
+    """
     n, r, d = conn.n, conn.rank, conn.theta.d
+    entries = [(j, i2, i1, m, c) for j in range(n) for i2 in range(r) for i1 in range(r)
+               for m, c in conn.terms[j].entries[i2][i1].coeffs.items()]
     zero = (0,) * d
-    const = [np.zeros((r, r), dtype=complex) for _ in range(n)]
-    couplings = []  # (j, i2, i1, step tuple, coeff)
-    for j in range(n):
-        for i2 in range(r):
-            for i1 in range(r):
-                for m, c in conn.terms[j].entries[i2][i1].coeffs.items():
-                    if m == zero:
-                        const[j][i2, i1] += c
-                    else:
-                        couplings.append((j, i2, i1, m, complex(c)))
-    steps = sorted({cp[3] for cp in couplings})
-    return const, couplings, steps
+    steps = [zero] + sorted({m for _, _, _, m, _ in entries} - {zero})
+    at = {s: k for k, s in enumerate(steps)}
+    coef = np.zeros((len(steps), n, r, r), dtype=complex)
+    for j, i2, i1, m, c in entries:
+        coef[at[m], j, i2, i1] = c
+    return steps, coef
 
 
 # -- spectral collectors -------------------------------------------------
@@ -327,10 +330,17 @@ class _Collector:
                 cut = max(cut, v)
             else:
                 kept = min(kept, v)
-        conclusive = (cut <= thresh / _GAP_BAND) and (kept >= thresh * _GAP_BAND)
-        if self.incomplete:
-            conclusive = False
-        return kernel, cut, kept, conclusive
+        return kernel, cut, kept, gap_resolved(cut, kept, thresh) and not self.incomplete
+
+
+def gap_resolved(cut: float, kept: float, thresh: float) -> bool:
+    """Whether a kernel count read off a threshold is conclusive.
+
+    cut is the largest value below thresh and kept the smallest at or above
+    it (inf when there is none); both must sit a factor _GAP_BAND clear of
+    thresh.
+    """
+    return cut <= thresh / _GAP_BAND and kept >= thresh * _GAP_BAND
 
 
 @dataclass
@@ -381,14 +391,15 @@ def _smallest_below(values: np.ndarray, prov: float) -> np.ndarray:
 
 
 def _pattern_groups(patterns: np.ndarray):
-    """Row sets of equal coupling pattern, in order of first appearance.
+    """Sets of components of equal coupling pattern, in order of first appearance.
 
-    Takes the first remaining row, gathers every row equal to it and
-    repeats, so a size class with one pattern costs one comparison.
+    patterns[:, g] is the pattern of component g.  Takes the first remaining
+    component, gathers every component equal to it and repeats, so a size
+    class with one pattern costs one comparison.
     """
-    rest = np.arange(patterns.shape[0])
+    rest = np.arange(patterns.shape[1])
     while rest.size:
-        same = np.all(patterns[rest] == patterns[rest[0]], axis=(1, 2))
+        same = np.all(patterns[:, rest] == patterns[:, rest[:1]], axis=(0, 2))
         yield rest[same]
         rest = rest[~same]
 
@@ -424,13 +435,6 @@ class _Sparse:
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape, values: np.ndarray):
         self.rows, self.cols, self.shape, self.values = rows, cols, tuple(shape), values
-
-    @classmethod
-    def from_entries(cls, rows, cols, values: np.ndarray, shape) -> "_Sparse":
-        """Entries (rows[k], cols[k]) with values[:, k]; those at one position are summed in order."""
-        order, starts, keys = _group(rows * shape[1] + cols)
-        return cls(*np.divmod(keys, shape[1]), shape,
-                   np.add.reduceat(values[:, order], starts, axis=1))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -528,14 +532,12 @@ class _Engine:
         self.Stil = _tilde_signs(signs, Ls, Linvs, n)
         self.L1 = Ls[1]
 
-        self.const, self.couplings, self.steps = _connection_data(conn)
-        # const[j] == c_j I_r for every j (the trivial connection included):
+        self.steps, self.coef = _connection_data(conn)
+        # every constant fiber matrix is c_j I_r (the trivial connection included):
         # then v~(m) = (w(m) + c) L1-bar = v0 + sum_k m_k U[k] on each mode,
         # kept as real and imaginary parts side by side (2n real columns)
-        shift = np.array([cj[0, 0] for cj in self.const])
-        self.scalar_const = all(
-            np.array_equal(cj, sj * np.eye(self.r)) for cj, sj in zip(self.const, shift)
-        )
+        shift = self.coef[0, :, 0, 0]
+        self.scalar_const = np.array_equal(self.coef[0], shift[:, None, None] * np.eye(self.r))
         U = (2j * math.pi) * (frame.W.T @ self.L1.conj())
         v0 = shift @ self.L1.conj()
         self.U = np.hstack([U.real, U.imag])
@@ -544,11 +546,8 @@ class _Engine:
         # operator norm bounds used for provisional cutoffs
         W = frame.W
         wmax = TWO_PI * N * np.sum(np.abs(W), axis=1)
-        coupn = np.zeros(n)
-        for j in range(n):
-            coupn[j] = np.linalg.norm(self.const[j], 2) + sum(
-                abs(c) for (jj, _, _, _, c) in self.couplings if jj == j
-            )
+        coupn = (np.linalg.norm(self.coef[0], 2, axis=(1, 2))
+                 + np.abs(self.coef[1:]).sum(axis=(0, 2, 3)))
         self.opbound = np.zeros(n + 1)
         for q in range(n):
             self.opbound[q] = sum(
@@ -665,58 +664,69 @@ class _Engine:
     # -- block paths ------------------------------------------------------
 
     def _direction_terms(self, mvec: np.ndarray, pattern: np.ndarray):
-        """Entries of the direction operators T_j = dbar_j + a_j on blocks.
+        """The direction operators T_j = dbar_j + a_j of g blocks, on one layout.
 
         mvec (g, c, d) holds the coordinates of g blocks of c modes each;
-        pattern[k] is the position within the block that coupling k sends
-        each member to (-1: out of the box), one row shared by the g blocks.
-        T_j indexes (position, fiber) with the fiber fastest.  Yields
-        (j, rows, cols, values) with values of shape (g, len(rows)): for each
-        T_j the diagonal w and then the constant fiber entries, then the
-        couplings in self.couplings order.  No two entries of one yield
-        share a position, so a yield can be scattered with one fancy-indexed
-        add; two yields may (w and a constant diagonal entry).
+        pattern[k] is the position within the block that step s_k sends each
+        member to (-1: out of the box), one row shared by the g blocks, and
+        pattern[0] = arange(c).  T_j indexes (position, fiber) with the fiber
+        fastest.  Returns (rows, cols, reach, values): entry e sits at
+        (rows[e], cols[e]), belongs to T_j where reach[j, e], and values[j, :, e]
+        holds its g values in T_j (zero where it does not belong).  The entries
+        are those of step s_k from member i to pattern[k, i] and fiber i1 to i2
+        where some coef[k, j, i2, i1] is nonzero, plus the diagonal, where
+        every T_j has its frequency w_j.  Distinct steps send a member to
+        distinct positions, so no two entries share a position.
         """
         r = self.r
         g, c, _ = mvec.shape
         modes = mvec.reshape(-1, self.d)
-        w = self._frequencies(modes).reshape(g, c, self.n)
-        ar = np.arange(c)
-        for j in range(self.n):
-            for i in range(r):
-                yield j, ar * r + i, ar * r + i, w[:, :, j]
-            for i2, i1 in zip(*np.nonzero(self.const[j])):
-                yield j, ar * r + i2, ar * r + i1, np.broadcast_to(self.const[j][i2, i1], (g, c))
-        for (j, i2, i1, step, coeff), tgt in zip(self.couplings, pattern):
+        rows, cols, reach, values = [], [], [], []
+        for k, (step, tgt) in enumerate(zip(self.steps, pattern)):
+            on = self.coef[k] != 0
+            if k == 0:
+                on |= np.eye(r, dtype=bool)  # the diagonal, where T_j holds w_j
+            i2, i1 = np.nonzero(on.any(axis=0))
             src = np.nonzero(tgt >= 0)[0]
-            if src.size:
-                ph = _phases(self.theta, step, modes).reshape(g, c)
-                yield j, tgt[src] * r + i2, src * r + i1, coeff * ph[:, src]
+            if not src.size:
+                continue
+            rows.append((i2[:, None] + r * tgt[src]).reshape(-1))
+            cols.append((i1[:, None] + r * src).reshape(-1))
+            reach.append(np.repeat(on[:, i2, i1], src.size, axis=1))
+            ph = _phases(self.theta, step, modes).reshape(g, c)[:, src] if k else np.ones((g, c))
+            v = self.coef[k][:, i2, i1][:, None, :, None] * ph[:, None, :]  # (n, g, fiber, member)
+            if k == 0:
+                w = self._frequencies(modes).reshape(g, c, self.n)
+                v[:, :, i2 == i1] += w.transpose(2, 0, 1)[:, :, None]
+            values.append(v.reshape(self.n, g, -1))
+        return (np.concatenate(rows), np.concatenate(cols), np.concatenate(reach, axis=1),
+                np.concatenate(values, axis=2))
 
     def _degree_operators(self, mvec: np.ndarray, pattern: np.ndarray) -> list[_Sparse]:
         """The degree operators A_q = sum_j S~[j][q] (x) T_j of g blocks, as _Sparse.
 
         Arguments as in _direction_terms.  A_q maps C_q to C_{q+1} and
         indexes (form, position, fiber) with the fiber fastest, so form b of
-        a block of cr = c*r rows starts at row b*cr.  Each direction term
-        enters once for every nonzero wedge weight S~[j][q][b, a]; entries at
-        one position (w and a constant diagonal entry) are summed in the
-        order of _direction_terms.  The index arrays depend on pattern
-        alone, so every batch of one pattern gets the same ones.
+        a block of cr = c*r rows starts at row b*cr.  Block (b, a) of A_q
+        holds the entries of the T_j with S~[j][q][b, a] != 0, each once, and
+        its values are one contraction over j.  The index arrays depend on
+        pattern alone, so every batch of one pattern gets the same ones.
         """
-        cr = mvec.shape[1] * self.r
-        parts = [([], [], []) for _ in range(self.n)]
-        for j, rows, cols, values in self._direction_terms(mvec, pattern):
-            for q in range(self.n):
-                S = self.Stil[j][q]
-                for b, a in zip(*np.nonzero(S)):
-                    parts[q][0].append(b * cr + rows)
-                    parts[q][1].append(a * cr + cols)
-                    parts[q][2].append(S[b, a] * values)
-        return [_Sparse.from_entries(np.concatenate(ri), np.concatenate(ci),
-                                     np.concatenate(vals, axis=1),
-                                     (self.fdims[q + 1] * cr, self.fdims[q] * cr))
-                for q, (ri, ci, vals) in enumerate(parts)]
+        g, c, _ = mvec.shape
+        cr = c * self.r
+        rows, cols, reach, values = self._direction_terms(mvec, pattern)
+        ops = []
+        for q in range(self.n):
+            S = np.array([Sj[q] for Sj in self.Stil])
+            b, a = np.nonzero(np.any(S != 0, axis=0))
+            weights = S[:, b, a]
+            # keep[e, p]: entry e lies in block (b[p], a[p])
+            keep = np.any(reach[:, :, None] & (weights != 0)[:, None, :], axis=0)
+            e, p = np.nonzero(keep)
+            vals = np.tensordot(values, weights, (0, 0)).reshape(g, -1)[:, keep.reshape(-1)]
+            ops.append(_Sparse(b[p] * cr + rows[e], a[p] * cr + cols[e],
+                               (self.fdims[q + 1] * cr, self.fdims[q] * cr), vals))
+        return ops
 
     def _run_blocks(self, members: np.ndarray, pattern: np.ndarray):
         """Dense spectra of blocks that share one coupling pattern, in batches.
@@ -957,39 +967,41 @@ class _Engine:
     def run(self) -> _BoxRun:
         d, N = self.d, self.N
         K = mode_count(d, N)
-        if not self.steps:
+        if len(self.steps) == 1:
             if self.scalar_const:
                 self._run_koszul_modes(None)
             else:
                 self._run_blocks(np.arange(K, dtype=np.int64)[:, None],
-                                 np.empty((0, 1), dtype=np.int64))
+                                 np.zeros((1, 1), dtype=np.int64))
             return self._finalize()
         if K * d * 8 > 2e9:
             raise ValueError("mode box too large for a coupled connection")
+        # targets[k, m]: the flat index of mode m + s_k, -1 when it leaves the box
         flat_all = np.arange(K, dtype=np.int64)
         modes_all = _decode_modes(flat_all, d, N)
         radix = _radix(d, N)
-        rows, cols = [], []
-        for s in self.steps:
-            svec = np.array(s, dtype=np.int64)
-            shifted = modes_all + svec
-            ok = np.all(np.abs(shifted) <= N, axis=1)
-            rows.append(flat_all[ok])
-            cols.append((shifted[ok] + N) @ radix)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        targets = np.full((len(self.steps), K), -1, dtype=np.int64)
+        for k, s in enumerate(np.array(self.steps, dtype=np.int64)):
+            ok = np.all(np.abs(modes_all + s) <= N, axis=1)
+            targets[k, ok] = flat_all[ok] + s @ radix
+        del modes_all
+        ok = targets[1:] >= 0
+        rows = np.broadcast_to(flat_all, ok.shape)[ok]
         adj = sp.csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(K, K)
+            (np.ones(rows.size, dtype=np.int8), (rows, targets[1:][ok])), shape=(K, K)
         )
         _, labels = connected_components(adj, directed=False)
         sizes = np.bincount(labels)
         # modes sorted by component, then flat index; csize[i] is the size of
-        # the component of grouped[i], pos_of its position there
+        # the component of grouped[i], pos_of its position there, and
+        # pos_of[-1] = -1 keeps a target outside the box at -1
         grouped = np.lexsort((flat_all, labels))
         glabels = labels[grouped]
         starts = np.r_[0, np.nonzero(np.diff(glabels))[0] + 1]
         csize = sizes[glabels]
-        pos_of = np.empty(K, dtype=np.int64)
+        pos_of = np.empty(K + 1, dtype=np.int64)
         pos_of[grouped] = np.arange(K) - np.repeat(starts, csize[starts])
+        pos_of[-1] = -1
         for c in np.unique(csize):
             c = int(c)
             # components of one size, in label order, as rows
@@ -997,34 +1009,17 @@ class _Engine:
             if c == 1 and self.scalar_const:
                 self._run_koszul_modes(members[:, 0])
                 continue
-            patterns = self._patterns(members, modes_all, pos_of, radix)
+            # patterns[k, g, i]: the position that step s_k sends member i of
+            # component g to, -1 outside the box
+            patterns = pos_of[targets[:, members]]
             for group in _pattern_groups(patterns):
-                pattern = patterns[group[0]]
+                pattern = patterns[:, group[0]]
                 if c * self.r * max(self.fdims) > DENSE_BLOCK_LIMIT:
                     for member in members[group]:
                         self._sparse_component(member, pattern)
                 else:
                     self._run_blocks(members[group], pattern)
         return self._finalize()
-
-    def _patterns(self, members: np.ndarray, modes_all: np.ndarray,
-                  pos_of: np.ndarray, radix: np.ndarray) -> np.ndarray:
-        """Within-component target positions, shape (components, couplings, c).
-
-        Entry [g, k, i] is the position that coupling k sends member i of
-        component g to, -1 when the target leaves the box.
-        """
-        N = self.N
-        G, c = members.shape
-        src = modes_all[members.reshape(-1)]
-        out = np.full((G, len(self.couplings), c), -1, dtype=np.int64)
-        for k, (_, _, _, step, _) in enumerate(self.couplings):
-            shifted = src + np.array(step, dtype=np.int64)
-            ok = np.all(np.abs(shifted) <= N, axis=1)
-            tgt = np.full(G * c, -1, dtype=np.int64)
-            tgt[ok] = pos_of[(shifted[ok] + N) @ radix]
-            out[:, k] = tgt.reshape(G, c)
-        return out
 
     def _finalize(self) -> _BoxRun:
         dims = None
@@ -1221,7 +1216,7 @@ def assemble_operator(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConne
         raise ValueError(f"degree must be in 0..{n - 1}")
     forms = _form_indices(n)
     signs = _wedge_signs(n, forms)
-    const, couplings, _ = _connection_data(conn)
+    steps, coef = _connection_data(conn)
     K = mode_count(d, N)
     flat_all = np.arange(K, dtype=np.int64)
     modes = _decode_modes(flat_all, d, N)
@@ -1229,30 +1224,21 @@ def assemble_operator(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConne
     w = (2j * math.pi) * (modes @ frame.W.T)
     T = []
     for j in range(n):
-        ri, ci, data = [], [], []
-        for i in range(r):
-            ri.append(flat_all * r + i)
-            ci.append(flat_all * r + i)
-            data.append(w[:, j])
-        for i2 in range(r):
-            for i1 in range(r):
-                val = const[j][i2, i1]
-                if val != 0:
-                    ri.append(flat_all * r + i2)
-                    ci.append(flat_all * r + i1)
-                    data.append(np.full(K, val, dtype=complex))
-        for (jj, i2, i1, step, coeff) in couplings:
-            if jj != j:
+        ri = [flat_all * r + i for i in range(r)]
+        ci = list(ri)
+        data = [w[:, j]] * r
+        for step, fiber in zip(steps, coef[:, j]):
+            if not fiber.any():
                 continue
-            svec = np.array(step, dtype=np.int64)
-            shifted = modes + svec
+            shifted = modes + np.array(step, dtype=np.int64)
             ok = np.all(np.abs(shifted) <= N, axis=1)
             src = flat_all[ok]
             dst = (shifted[ok] + N) @ radix
             ph = _phases(conn.theta, step, modes[ok])
-            ri.append(dst * r + i2)
-            ci.append(src * r + i1)
-            data.append(coeff * ph)
+            for i2, i1 in zip(*np.nonzero(fiber)):
+                ri.append(dst * r + i2)
+                ci.append(src * r + i1)
+                data.append(fiber[i2, i1] * ph)
         T.append(sp.csr_matrix(
             (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
             shape=(K * r, K * r),

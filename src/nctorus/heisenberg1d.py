@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dolbeault import SpectralReport
-
-_GAP_BAND = 10.0
+from .dolbeault import SpectralReport, gap_resolved
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,7 @@ def _kernel_count(alpha: complex, beta: complex, M: int, copies: int,
     small = sv[sv < thresh]
     kept = float(sv[sv >= thresh].min()) if np.any(sv >= thresh) else math.inf
     cut = float(small.max()) if small.size else 0.0
-    conclusive = cut <= thresh / _GAP_BAND and (math.isinf(kept) or kept >= thresh * _GAP_BAND)
-    return int(small.size) * copies, cut, kept, conclusive
+    return int(small.size) * copies, cut, kept, gap_resolved(cut, kept, thresh)
 
 
 def standard_module_cohomology(sm: StandardModule1D,

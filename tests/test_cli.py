@@ -343,6 +343,22 @@ def test_internal_check_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert set(body) == {"version", "error"} and "internal check failed" in body["error"]
 
 
+def test_memory_error_exits_1(tmp_path, capsys, monkeypatch):
+    # a box that outgrows memory is an input too large for this machine
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 40.0 GiB")
+
+    monkeypatch.setattr(dolbeault, "_box_run", fail)
+    problem = dict(PRODUCT_PROBLEM)
+    problem["connection"] = {"rank": 1, "terms": [
+        [[[{"m": [0, 0, 0, 0], "re": 0.3, "im": 0.1}]]], [[[]]]]}
+    for command in ("hodge", "index"):
+        code, body = _main_stdout(tmp_path, capsys, problem, command)
+        assert code == 1
+        assert set(body) == {"version", "error"}
+        assert "out of memory" in body["error"] and "truncation" in body["error"]
+
+
 README_EXAMPLE = re.search(r"```json\n(.*?)```",
                            (Path(__file__).resolve().parents[1] / "README.md").read_text(),
                            re.S).group(1)

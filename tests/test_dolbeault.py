@@ -425,6 +425,78 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
             assert np.allclose(A, want, rtol=0.0, atol=1e-12 * scale)
 
 
+def test_connection_data_places_every_coefficient():
+    # rank 2, n = 2: a constant part and two steps, every coefficient distinct
+    # and the fiber entries off the diagonal one-sided, so a transposed or
+    # misplaced coefficient shows
+    theta = generic_theta4()
+    zero, e1, e3 = (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, -1)
+    coeffs = {(0, 0, 0, zero): 0.3 + 0.1j, (0, 0, 1, zero): -0.2j, (0, 1, 0, e1): 0.7,
+              (0, 1, 1, e3): 0.4 - 0.5j, (1, 0, 0, e3): 1.1j, (1, 1, 0, zero): -0.6,
+              (1, 0, 1, e1): 0.25 + 0.8j, (1, 1, 1, e1): -0.9 + 0.1j}
+    terms = [MatrixElement(theta, [[FourierElement(theta, {m: c for (jj, a, b, m), c
+                                                         in coeffs.items()
+                                                         if (jj, a, b) == (j, i2, i1)})
+                                    for i1 in range(2)] for i2 in range(2)])
+             for j in range(2)]
+    steps, coef = dlb._connection_data(dlb.FreeConnection(2, terms))
+    assert steps[0] == zero
+    assert steps[1:] == sorted(steps[1:]) == [e3, e1]
+    want = np.zeros((3, 2, 2, 2), dtype=complex)
+    for (j, i2, i1, m), c in coeffs.items():
+        want[steps.index(m), j, i2, i1] = c
+    assert np.array_equal(coef, want)
+
+
+def test_degree_operators_write_each_direction_where_its_weight_is_nonzero(monkeypatch):
+    # index-grid shape: a product J, so S~[j][q] is as sparse as the wedge
+    # signs, and the two directions coupled along different steps, so T_0 and
+    # T_1 differ in their positions
+    theta = generic_theta4()
+    J = np.zeros((4, 4))
+    J[:2, :2] = j_from_tau(0.2 + 1.1j).J
+    J[2:, 2:] = j_from_tau(-0.4 + 0.8j).J
+    cs = ComplexStructure(2, J)
+    frame = antihol_frame(cs)
+    conn = dlb.FreeConnection(1, [
+        MatrixElement(theta, [[FourierElement.monomial(theta, (1, 0, 0, 0), 1.1)]]),
+        MatrixElement(theta, [[FourierElement.monomial(theta, (0, 1, 0, 0), 0.9j)]]),
+    ])
+    N = 2
+    engine = dlb._Engine(cs, frame, conn, N, 1e-8, False, True)
+    signs = dlb._wedge_signs(2, engine.forms)
+    for St, sg in zip(engine.Stil, signs):
+        assert all(np.array_equal(a != 0, b != 0) for a, b in zip(St, sg))
+    calls = []
+    orig = dlb._Engine._degree_operators
+
+    def spy(self, mvec, pattern):
+        calls.append((mvec, orig(self, mvec, pattern)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dlb._Engine, "_degree_operators", spy)
+    engine.run()
+    assert calls
+    # at n = 2 row block j of the oracle's A_0 is T_j; every T_j also holds
+    # its frequency on the diagonal, which vanishes at mode 0
+    K = dlb.mode_count(4, N)
+    oracle = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), 0).tocsr()
+    for mvec, ops in calls:
+        for block in mvec:
+            member = (block + N) @ dlb._radix(4, N)
+            c = member.size
+            T = [np.nonzero(np.eye(c, dtype=bool)
+                            | (oracle[j * K + member][:, member].toarray() != 0))
+                 for j in range(2)]
+            for q, A in enumerate(ops):
+                keys = A.rows * A.shape[1] + A.cols
+                assert np.unique(keys).size == keys.size
+                want = {(b * c + i, a * c + k)
+                        for j in range(2) for b, a in zip(*np.nonzero(engine.Stil[j][q]))
+                        for i, k in zip(*T[j])}
+                assert set(zip(A.rows.tolist(), A.cols.tolist())) == want
+
+
 def test_gradient_chain_cohomology(setup2):
     theta, cs, frame = setup2
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
@@ -474,7 +546,7 @@ def sparse_batch(blocks):
     """Dense (g, rows, cols) blocks as _Sparse, every position an entry."""
     M = np.array(blocks, dtype=complex)
     rows, cols = np.indices(M.shape[1:]).reshape(2, -1)
-    return dlb._Sparse.from_entries(rows, cols, M.reshape(len(M), -1), M.shape[1:])
+    return dlb._Sparse(rows, cols, M.shape[1:], M.reshape(len(M), -1))
 
 
 def test_defect_gate_does_not_stop_at_the_probe():
@@ -492,9 +564,11 @@ def test_defect_gate_does_not_stop_at_the_probe():
 
 
 def random_sparse(rng, g, shape, nnz, rows=None, cols=None):
-    """_Sparse from nnz random entries at positions drawn with repeats, and its dense oracle.
+    """_Sparse at nnz random positions drawn with repeats, and its dense oracle.
 
-    rows and cols, if given, are the indices the positions are drawn from.
+    The values drawn at one position are summed in the oracle, and the
+    _Sparse holds each position once with the oracle's value.  rows and
+    cols, if given, are the indices the positions are drawn from.
     """
     rows = rng.choice(np.arange(shape[0]) if rows is None else rows, nnz)
     cols = rng.choice(np.arange(shape[1]) if cols is None else cols, nnz)
@@ -502,7 +576,8 @@ def random_sparse(rng, g, shape, nnz, rows=None, cols=None):
     dense = np.zeros((g,) + shape, dtype=complex)
     for k in range(nnz):
         dense[:, rows[k], cols[k]] += values[:, k]
-    return dlb._Sparse.from_entries(rows, cols, values, shape), dense
+    rows, cols = np.unique(np.stack([rows, cols]), axis=1)
+    return dlb._Sparse(rows, cols, shape, dense[:, rows, cols]), dense
 
 
 def assert_dense_close(X, want):
@@ -515,7 +590,7 @@ def test_sparse_product_matches_matmul(g):
     rng = np.random.default_rng(20 + g)
     X, Xd = random_sparse(rng, g, (6, 9), 30)
     Y, Yd = random_sparse(rng, g, (9, 4), 20)
-    # positions drawn with repeats: some entries are summed before any product
+    # positions drawn with repeats: some values are summed before any product
     assert X.rows.size < 30 and Y.rows.size < 20
     assert_dense_close(X, Xd)
     plans = {}
