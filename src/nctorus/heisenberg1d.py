@@ -100,19 +100,19 @@ def _kernel_count(alpha: complex, beta: complex, M: int, copies: int,
     The operator maps span(h_0..h_{M-1}) into span(h_0..h_M); using the
     (M+1) x M rectangle loses nothing of the restriction, so small
     singular values certify honest kernel vectors instead of cut-edge
-    artifacts.  Its normal matrix is pentadiagonal, so all singular
-    values come from a banded eigensolve; the copies are identical and
-    only multiply the counts.
+    artifacts.  Its normal matrix couples k only with k +- 2, so it splits
+    exactly into tridiagonal matrices on the even and the odd indices,
+    made real by a diagonal phase similarity; both go to LAPACK's sterf,
+    the root-free QR a banded eigensolve would end in.  The copies are
+    identical and only multiply the counts.
     """
-    import scipy.linalg
+    from scipy.linalg import eigvalsh_tridiagonal
 
     k = np.arange(M, dtype=float)
-    band = np.zeros((3, M), dtype=complex)
-    band[0] = abs(alpha) ** 2 * k + abs(beta) ** 2 * (k + 1)
-    if M > 2:
-        kk = k[: M - 2]
-        band[2, : M - 2] = np.conj(alpha) * beta * np.sqrt((kk + 1.0) * (kk + 2.0))
-    ev = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
+    diag = abs(alpha) ** 2 * k + abs(beta) ** 2 * (k + 1)
+    off = np.abs(np.conj(alpha) * beta * np.sqrt((k[: M - 2] + 1.0) * (k[: M - 2] + 2.0)))
+    halves = [eigvalsh_tridiagonal(diag[p::2], off[p::2], lapack_driver="sterf") for p in (0, 1)]
+    ev = np.sort(np.concatenate(halves))
     sv = np.sqrt(np.clip(ev, 0.0, None))
     smax = float(sv[-1])
     thresh = tol_rel * smax

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .algebra import ThetaMatrix
-from .complexstruct import AntiholFrame, ComplexStructure
+from .complexstruct import AntiholFrame, ComplexStructure, antihol_frame
 
 
 @dataclass(frozen=True)
@@ -135,6 +134,17 @@ class NonAlgCertificate:
         }
 
 
+def _near_pairs(points: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i < j) whose projections on (1, sqrt 2, pi) lie within the lower one's radius."""
+    keys = points @ np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi ** 2)
+    order = np.argsort(keys)
+    ends = np.searchsorted(keys[order], (keys + radius)[order], "right")
+    count = ends - np.arange(1, keys.size + 1)
+    first = np.repeat(np.arange(keys.size), count)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+    return np.minimum(order[first], order[second]), np.maximum(order[first], order[second])
+
+
 @functools.lru_cache(maxsize=8)
 def _primitive_lex_positive(B: int, dim: int = 4) -> np.ndarray:
     """All primitive integer vectors with sup norm <= B, first nonzero > 0.
@@ -170,13 +180,15 @@ def nonalg_certificate(cs: ComplexStructure, theta: ThetaMatrix, bound: int = 5,
     the bound and a nonzero top value.  The verdict is relative to the
     stated bound; nothing is claimed beyond it.
 
-    The pair scan maps each covector to the projective point of its
-    frame pairing; a vanishing pair is a near collision of projective
-    points, found with a KD-tree on the sphere rather than by testing
-    all pairs.
+    Covectors u above the tiny cutoff map to Hopf points h(u) on the unit
+    sphere, |h(u) - h(v)| = 2|u x v| / (|u||v|) <= 2|u x v| / (|u| m) with m
+    the least such norm: a vanishing pair's points, and their projections on
+    any unit direction, lie within r(u) = 2 tol / (|u| m) of each other.  The
+    pairs whose projections on one fixed irrational direction (distinct
+    rational Hopf points get distinct ones) lie within r of the lower one,
+    widened for rounding, come from one sort: a superset of the vanishing
+    pairs, each decided by its cross product, lower index first.
     """
-    from .complexstruct import antihol_frame
-
     if cs.n != 2 or theta.d != 4:
         raise ValueError("certificates are defined at complex dimension 2")
     frame = antihol_frame(cs)
@@ -194,8 +206,7 @@ def nonalg_certificate(cs: ComplexStructure, theta: ThetaMatrix, bound: int = 5,
         return np.abs(U[i, 0] * U[:, 1] - U[i, 1] * U[:, 0])
 
     def record(i: int, j: int, value: float) -> None:
-        a, b = vecs[i], vecs[j]
-        pa, pb = tuple(int(x) for x in a), tuple(int(x) for x in b)
+        pa, pb = tuple(int(x) for x in vecs[i]), tuple(int(x) for x in vecs[j])
         if pa == pb:
             return
         if pb < pa:
@@ -212,26 +223,15 @@ def nonalg_certificate(cs: ComplexStructure, theta: ThetaMatrix, bound: int = 5,
             record(int(i), int(j), float(vals[j]))
 
     if normal.size >= 2:
-        Un = U[normal]
-        nn = norms[normal]
-        x, y = Un[:, 0], Un[:, 1]
-        hopf = np.stack(
-            [
-                2.0 * (x.conj() * y).real,
-                2.0 * (x.conj() * y).imag,
-                np.abs(x) ** 2 - np.abs(y) ** 2,
-            ],
-            axis=1,
-        ) / (nn[:, None] ** 2)
-        radius = 2.0 * tol / (tiny_cut * tiny_cut) * 1.01
-        tree = cKDTree(hopf, balanced_tree=False)
-        pairs = tree.query_pairs(r=radius, output_type="ndarray")
-        i, j = normal[pairs[:, 0]], normal[pairs[:, 1]]
+        x, y, nn2 = U[normal, 0], U[normal, 1], norms[normal] ** 2
+        hopf = np.stack([2.0 * (x.conj() * y).real, 2.0 * (x.conj() * y).imag,
+                         np.abs(x) ** 2 - np.abs(y) ** 2], axis=1) / nn2[:, None]
+        radius = 2.0 * tol / np.sqrt(nn2 * nn2.min()) * 1.01 + 1e-12
+        i, j = (normal[p] for p in _near_pairs(hopf, radius))
         vals = np.abs(U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0])
         for p in np.nonzero(vals < tol)[0]:
             record(int(i[p]), int(j[p]), float(vals[p]))
 
     top = curvature_functional(frame, theta, "top")
     certified = not vanishing and abs(top) > tol
-    ordered = tuple(sorted(vanishing))
-    return NonAlgCertificate(bound, float(tol), ordered, complex(top), certified)
+    return NonAlgCertificate(bound, float(tol), tuple(sorted(vanishing)), complex(top), certified)

@@ -512,15 +512,30 @@ def test_fuzzed_problem_files_exit_0_1_or_2_with_one_json_object(tmp_path, capsy
     assert boxes and max(boxes) <= 3  # N = 1 and its N + 2 check box
 
 
+def _env_with_src() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # the certificate's pair search needs no spatial index; importing one
+    # costs start-up time and memory on every command
+    probe = "import sys, nctorus.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=_env_with_src(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_module_entry_point_runs(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({
         "n": 1, "theta": [[0.0, 0.3], [-0.3, 0.0]], "J": {"tau": [0.0, 1.0]},
         "connection": {"rank": 1, "terms": [[[[]]]]},
     }))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _env_with_src()
 
     def run_cli(*extra):
         return subprocess.run([sys.executable, "-m", "nctorus.cli", "--input", str(path),

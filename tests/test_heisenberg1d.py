@@ -104,3 +104,30 @@ def test_rank_parameter_only_reports():
     a = standard_module_cohomology(StandardModule1D(q=2, p=1, tau=1j, M=96))
     b = standard_module_cohomology(StandardModule1D(q=2, p=5, tau=1j, M=96))
     assert a.dims == b.dims and a.index == b.index
+
+
+@pytest.mark.parametrize("M", [24, 25, 60, 61])
+@pytest.mark.parametrize("q, tau, expect", [
+    (2, 0.3 + 0.9j, [2, 0]),
+    (-3, -0.4 + 1.3j, [0, 3]),
+    (1, 1.5 + 0.35j, [0, 0]),  # kernel decays too slowly for these M
+])
+def test_kernel_count_matches_dense_svd(q, tau, expect, M):
+    # the even/odd tridiagonal split against singular values of the full
+    # (M+1) x M rectangle, for the operator and for its adjoint ladder
+    from nctorus.heisenberg1d import _kernel_count, _single_copy
+
+    alpha, beta = ladder_coefficients(StandardModule1D(q=q, tau=tau, M=M))
+    tol_rel, copies, counts = 1e-8, abs(q), []
+    for a, b in ((alpha, beta), (np.conj(beta), np.conj(alpha))):
+        count, cut, kept, resolved = _kernel_count(a, b, M, copies, tol_rel)
+        sv = np.linalg.svd(_single_copy(a, b, M + 1, M), compute_uv=False)
+        thresh = tol_rel * sv[0]
+        assert count == copies * np.count_nonzero(sv < thresh)
+        # eigenvalues of the normal matrix are exact to a few ulps of its norm
+        slack = 64 * np.finfo(float).eps * sv[0] ** 2
+        assert abs(kept ** 2 - sv[sv >= thresh].min() ** 2) <= slack
+        assert abs(cut ** 2 - max(sv[sv < thresh], default=0.0) ** 2) <= slack
+        assert resolved
+        counts.append(count)
+    assert counts == expect

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from nctorus import ktheory
 from nctorus.algebra import ThetaMatrix
 from nctorus.complexstruct import (
     ComplexStructure,
     antihol_frame,
     j_from_tau,
     random_complex_structure,
+    standard_j,
 )
 from nctorus.ktheory import (
     Decomposable2Form,
     K0Class,
+    _near_pairs,
     _primitive_lex_positive,
     chern_top,
     curvature_functional,
@@ -176,8 +179,8 @@ def all_pairs_certificate(cs, theta, bound, tol):
     vals = np.abs(U[:, 0][:, None] * U[:, 1][None, :] - U[:, 1][:, None] * U[:, 0][None, :])
     pairs = {}
     for i, j in zip(*np.nonzero(vals < tol)):
-        if i != j:
-            pairs[tuple(sorted((vecs[i], vecs[j])))] = float(vals[i, j])
+        if i < j:  # rows are in lex order: the lex-smaller covector first
+            pairs[(vecs[i], vecs[j])] = float(vals[i, j])
     top = curvature_functional(frame, theta, "top")
     return pairs, top, not pairs and abs(top) > tol
 
@@ -189,18 +192,105 @@ def thin_product_cs():
     return ComplexStructure(2, J, tol=1e-9)
 
 
+def square_lattice_cs():
+    """The product of two square curves: many exactly vanishing pairs, and
+    rational Hopf points with exact ties."""
+    return ComplexStructure(2, block_diag(j_from_tau(1j).J, j_from_tau(1j).J))
+
+
 @pytest.mark.parametrize("cs, theta", [
     (random_complex_structure(2, np.random.default_rng(seed)), generic_theta(seed))
     for seed in (3, 8, 41, 42)
-] + [(product_cs(), generic_theta(4)), (thin_product_cs(), generic_theta(4))])
-def test_certificate_matches_all_pairs(cs, theta):
-    cert = nonalg_certificate(cs, theta, bound=3)
+] + [
+    (product_cs(), generic_theta(4)),
+    (thin_product_cs(), generic_theta(4)),
+    (ComplexStructure(2, standard_j(2)), generic_theta(4)),
+    (square_lattice_cs(), generic_theta(4)),
+])
+def test_certificate_matches_all_pairs(cs, theta, tol=None):
+    cert = nonalg_certificate(cs, theta, bound=3, tol=tol)
     pairs, top, certified = all_pairs_certificate(cs, theta, 3, cert.tol)
     assert {(a, b) for a, b, _ in cert.vanishing_pairs} == set(pairs)
     for a, b, val in cert.vanishing_pairs:
         assert val == pytest.approx(pairs[(a, b)], rel=1e-12, abs=1e-300)
     assert cert.top_value == top
     assert cert.certified == certified
+
+
+def test_certificate_matches_all_pairs_at_a_loose_tol():
+    # the one vanishing pair's projections lie 0.75 of its sweep radius
+    # apart, and candidates fall on both sides of tol
+    cs = random_complex_structure(2, np.random.default_rng(13))
+    test_certificate_matches_all_pairs(cs, generic_theta(13), tol=2e-2)
+
+
+def test_certificate_values_take_the_lex_smaller_covector_first():
+    # the listed value is the cross product in one fixed order, so it does
+    # not depend on where the pair search met the two covectors
+    cs, bound = product_cs(), 5
+    cert = nonalg_certificate(cs, generic_theta(4), bound=bound)
+    vecs = _primitive_lex_positive(bound)
+    U = vecs @ antihol_frame(cs).W.T
+    row = {tuple(int(x) for x in v): k for k, v in enumerate(vecs)}
+    assert len(cert.vanishing_pairs) > 100
+    assert all(a < b for a, b, _ in cert.vanishing_pairs)
+    i = np.array([row[a] for a, _, _ in cert.vanishing_pairs])
+    j = np.array([row[b] for _, b, _ in cert.vanishing_pairs])
+    # elementwise over arrays, as the certificate computes it: numpy's scalar
+    # complex product may round differently
+    expect = np.abs(U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0])
+    assert [v for _, _, v in cert.vanishing_pairs] == expect.tolist()
+
+
+def test_near_pairs_match_all_pairs():
+    rng = np.random.default_rng(5)
+    points = rng.integers(-3, 4, size=(300, 3)) / 3.0  # many exact ties
+    points[:100] += rng.normal(scale=1e-3, size=(100, 3))
+    keys = points @ np.array([1.0, np.sqrt(2.0), np.pi]) / np.sqrt(3.0 + np.pi ** 2)
+    gap = np.abs(keys[:, None] - keys[None, :])
+    lower = np.where(keys[:, None] <= keys[None, :], np.arange(300)[:, None], np.arange(300))
+    for radius in (np.full(300, 1e-12), np.full(300, 2e-3), rng.uniform(0.0, 0.1, 300)):
+        i, j = _near_pairs(points, radius)
+        assert np.all(i < j)
+        near = np.triu(gap <= radius[lower], 1)
+        assert set(zip(i.tolist(), j.tolist())) == set(zip(*np.nonzero(near)))
+        assert i.size == np.count_nonzero(near)
+        # a superset of the pairs within the lower radius in space
+        close = np.linalg.norm(points[:, None] - points[None, :], axis=2) <= radius[lower]
+        assert set(zip(*np.nonzero(np.triu(close, 1)))) <= set(zip(i.tolist(), j.tolist()))
+
+
+def sweep_candidates(monkeypatch):
+    """A list that receives the candidate count of every sweep."""
+    counts = []
+
+    def spy(points, radius):
+        out = _near_pairs(points, radius)
+        counts.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(ktheory, "_near_pairs", spy)
+    return counts
+
+
+def test_sweep_direction_separates_rational_hopf_points(monkeypatch):
+    # on a rational structure the candidates are exactly the vanishing pairs:
+    # distinct rational Hopf points never share a projection
+    candidates = sweep_candidates(monkeypatch)
+    for cs in (ComplexStructure(2, standard_j(2)), square_lattice_cs()):
+        cert = nonalg_certificate(cs, generic_theta(4), bound=3)
+        assert len(cert.vanishing_pairs) > 1000
+        assert candidates.pop() == len(cert.vanishing_pairs)
+
+
+def test_sweep_radius_follows_each_norm(monkeypatch):
+    # a nearly degenerate factor gives a few covectors of norm 0.002; one
+    # radius 2 tol / m^2 for every point would make 102,219 candidates here
+    candidates = sweep_candidates(monkeypatch)
+    cs = ComplexStructure(2, block_diag(j_from_tau(0.5 + 1e-3j).J, j_from_tau(0.3 + 1.1j).J))
+    cert = nonalg_certificate(cs, generic_theta(4), bound=5)
+    assert len(cert.vanishing_pairs) > 1000
+    assert candidates.pop() < 1.1 * len(cert.vanishing_pairs)
 
 
 def test_certificate_vectors_are_shared_read_only():
