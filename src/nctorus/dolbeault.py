@@ -24,6 +24,10 @@ Key structural facts the implementation leans on:
   size and coupling pattern are processed in batches that share one
   sparsity pattern, for dense batches and sparse components alike, which
   keeps everything deterministic and exact to working precision;
+* a batch's spectra are those of the Laplacians Delta_q and of DD^* on
+  the odd forms, eigensolved only on the blocks whose Gershgorin discs can
+  change a kernel decision; at n <= 2 a batch that forms a complex reads
+  them off the Grams of the A_q instead (the Hodge-rank path);
 * with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
   complex, whose spectra are written down in closed form.
 """
@@ -459,7 +463,7 @@ class _Product:
     symbolic half, built here from index arrays alone, pairs each entry
     (i, k) of X_t with each entry (k, j) of Y_t and sorts the pairs by their
     output position (r0 + i, c0 + j).  The numeric half, a call, multiplies
-    the paired values of a whole batch and sums each run of pairs at one
+    the paired values of a batch and sums each run of pairs at one
     position.  Batches whose operands have the patterns of terms share one
     symbolic half.
     """
@@ -482,11 +486,20 @@ class _Product:
         self.rows, self.cols = np.divmod(keys, self.shape[1])
 
     def __call__(self, terms) -> _Sparse:
-        """The sums for the values of terms, laid out as the terms this half was built from."""
-        pairs = np.concatenate([X.values for X, _, _, _ in terms], axis=1)[:, self.left]
-        pairs *= np.concatenate([Y.values for _, Y, _, _ in terms], axis=1)[:, self.right]
+        """The sums for the values of terms, laid out as the terms this half was built from.
+
+        The blocks go in slices of at most 2M paired values, which bounds the
+        temporaries; each block's sums do not depend on the slicing.
+        """
+        step = max(1, 2_000_000 // max(self.left.size, 1))
+        sums = []
+        for start in range(0, len(terms[0][0]), step):
+            rows = slice(start, start + step)
+            pairs = np.concatenate([X.values[rows] for X, _, _, _ in terms], axis=1)[:, self.left]
+            pairs *= np.concatenate([Y.values[rows] for _, Y, _, _ in terms], axis=1)[:, self.right]
+            sums.append(np.add.reduceat(pairs, self.starts, axis=1))
         return _Sparse(self.rows, self.cols, self.shape,
-                       np.add.reduceat(pairs, self.starts, axis=1))
+                       sums[0] if len(sums) == 1 else np.concatenate(sums))
 
 
 class _Batch:
@@ -732,14 +745,16 @@ class _Engine:
         """Dense spectra of blocks that share one coupling pattern, in batches.
 
         members (G, c) holds the flat mode indices of G blocks; pattern is
-        as in _direction_terms.  Batches that form a complex take the
-        Hodge-rank path, the others the Laplacians; the batches share the
-        symbolic halves of their products.  Blocks of one mode keep their
-        coordinates for kernel_modes_q0.
+        as in _direction_terms.  At n <= 2 batches that form a complex take
+        the Hodge-rank path; every other batch, and every batch at n >= 3,
+        takes the Laplacians.  The batches share the symbolic halves of their
+        products.  Blocks of one mode keep their coordinates for
+        kernel_modes_q0.  The widest matrix a batch forms has
+        2^(n-1) * c * r rows: a Gram or Delta_q at n <= 2, DD^* on the odd
+        forms above.
         """
         G, c = members.shape
-        cr = c * self.r
-        big = max(self.fdims) * cr
+        big = 2 ** (self.n - 1) * c * self.r
         chunk = max(1, int(8_000_000 / max(big * big, 1)))
         plans: dict = {}
         for start in range(0, G, chunk):
@@ -748,32 +763,30 @@ class _Engine:
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
             batch = _Batch(self._degree_operators(mvec, pattern), plans)
             modes_for_q0 = mvec[:, 0] if c == 1 else None
-            if self._forms_complex(batch):
-                self._hodge_rank_spectra(batch, cr, modes_for_q0)
+            if self.n <= 2 and self._forms_complex(batch):
+                self._hodge_rank_spectra(batch, modes_for_q0)
             else:
                 self._laplacian_spectra(batch, modes_for_q0)
 
     def _forms_complex(self, batch: _Batch) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
 
-        eps = max over the batch and q of ||A_{q+1} A_q||_F bounds the defect
-        in operator norm; it is read off the values of the sparse product.
-        With B = [A_q; A_{q-1}^*] we have Delta_q = B^* B
-        and B B^* = diag(A_q A_q^*, A_{q-1}^* A_{q-1}) + [[0, E], [E^*, 0]],
-        E = A_q A_{q-1}, so by Weyl each sorted eigenvalue of Delta_q lies
-        within eps of the Hodge-rank union.  DD^* on the odd forms differs
-        from the direct sum of the odd Delta_q by the blocks A_{q+1} A_q and
-        their adjoints, at most 2 eps more.  Every collector this batch
-        feeds sees an eigenvalue of at least s, the smallest over q of
-        max |A_q|^2 (an entry bounds ||A_q||; the entries are the values),
-        so its threshold is at least
-        tol_rel * s, in eigenvalue units for the singular-value collector
-        too.  The gate asks 3 eps <= tol_rel * s / _GAP_BAND**2, so no value
-        moves by more than thresh / _GAP_BAND**2: a value at or below
-        thresh / _GAP_BAND (a singular value at or below its threshold /
-        _GAP_BAND) stays below the threshold, one at or above _GAP_BAND
-        times it stays above, and the kernel counts of a conclusive run
-        cannot change.
+        Asked at n <= 2 only.  eps = max over the batch and q of
+        ||A_{q+1} A_q||_F bounds the defect in operator norm; it is read off
+        the values of the sparse product.  With B = [A_q; A_{q-1}^*] we have
+        Delta_q = B^* B and B B^* = diag(A_q A_q^*, A_{q-1}^* A_{q-1})
+        + [[0, E], [E^*, 0]], E = A_q A_{q-1}, so by Weyl each sorted
+        eigenvalue of Delta_q lies within eps of the Hodge-rank union; DD^*
+        on the odd forms is Delta_1.  Every collector this batch feeds sees
+        an eigenvalue of at least s, the smallest over q of max |A_q|^2 (an
+        entry bounds ||A_q||; the entries are the values), so its threshold
+        is at least tol_rel * s, in eigenvalue units for the singular-value
+        collector too.  The gate asks 3 eps <= tol_rel * s / _GAP_BAND**2,
+        with a factor 3 to spare, so no value moves by more than
+        thresh / _GAP_BAND**2: a value at or below thresh / _GAP_BAND (a
+        singular value at or below its threshold / _GAP_BAND) stays below
+        the threshold, one at or above _GAP_BAND times it stays above, and
+        the kernel counts of a conclusive run cannot change.
         """
         ops = batch.ops
         s = min(float(np.max(np.abs(A.values))) for A in ops) ** 2
@@ -784,40 +797,24 @@ class _Engine:
                 return False
         return True
 
-    def _hodge_rank_spectra(self, batch: _Batch, cr: int, modes_for_q0: np.ndarray | None):
-        """Laplacian and DD^* spectra from per-degree Gram eigenvalues.
+    def _hodge_rank_spectra(self, batch: _Batch, modes_for_q0: np.ndarray | None):
+        """Laplacian and DD^* spectra from per-degree Gram eigenvalues, at n <= 2.
 
         For a complex, Delta_q = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal
         summands, so its spectrum is the union of the nonzero squared
-        singular values of A_q and A_{q-1}, plus zeros; and DD^* is the direct
-        sum of the odd Delta_q.  Each Gram is a sparse product on the smaller
-        side, the adjoint being A_q's index arrays swapped and its values
-        conjugated.  With binomial form dimensions, m_q + m_{q-1} >= dim C_q,
-        so the union never falls short.  At n <= 2 it is exact, so the Gram
-        of A_k feeds Delta_k, Delta_{k+1} and DD^* as it is, and only the
-        blocks that _blocks_to_solve picks are made dense and eigensolved.
-        At n >= 3 the surplus,
-        m_q + m_{q-1} - dim C_q values, is exact zeros for a complex and the
-        smallest values of each block's union are dropped, which needs every
-        value of every block.
+        singular values of A_q and A_{q-1}, plus zeros; and DD^* is Delta_1.
+        Each Gram is a sparse product on the smaller side, the adjoint being
+        A_q's index arrays swapped and its values conjugated.  At n <= 2 the
+        smaller sides of A_q and A_{q-1} add up to dim C_q, so the union is
+        exactly the spectrum: the Gram of A_k feeds Delta_k, Delta_{k+1} and
+        DD^* as it is, and only the blocks that _blocks_to_solve picks are
+        made dense and eigensolved.  (At n >= 3 they add up to more, and
+        dropping the surplus zeros would need every block solved.)
         """
-        n = self.n
-        mu = []
         for k, A in enumerate(batch.ops):
             pair = (A, A.H) if A.shape[0] < A.shape[1] else (A.H, A)
-            gram = batch.product(("gram", k), [pair + (0, 0)])
-            if n <= 2:
-                self._eigensolve(gram, [k, k + 1], True, modes_for_q0)
-            else:
-                mu.append(np.linalg.eigvalsh(gram.dense()))
-        if n <= 2:
-            return
-        for q in range(n + 1):
-            vals = np.concatenate([mu[k] for k in (q - 1, q) if 0 <= k < n], axis=-1)
-            surplus = vals.shape[-1] - self.fdims[q] * cr
-            if surplus > 0:
-                vals = np.sort(vals, axis=-1)[:, surplus:]
-            self._feed(vals, [q], q % 2 == 1, modes_for_q0)
+            self._eigensolve(batch.product(("gram", k), [pair + (0, 0)]), [k, k + 1], True,
+                             modes_for_q0)
 
     def _blocks_to_solve(self, M: _Sparse, degrees: list[int], index: bool) -> np.ndarray:
         """Indices of the blocks of the Hermitian batch M whose values can change a collector.
@@ -871,20 +868,19 @@ class _Engine:
 
     def _eigensolve(self, M: _Sparse, degrees: list[int], index: bool,
                     modes_for_q0: np.ndarray | None):
-        """Make dense and eigensolve the blocks of M that _blocks_to_solve picks; feed their values."""
-        idx = self._blocks_to_solve(M, degrees, index)
-        if idx.size:
-            self._feed(np.linalg.eigvalsh(M.dense(idx)), degrees, index,
-                       None if modes_for_q0 is None else modes_for_q0[idx])
+        """Make dense and eigensolve the blocks of M that _blocks_to_solve picks.
 
-    def _feed(self, vals: np.ndarray, degrees: list[int], index: bool,
-              modes_for_q0: np.ndarray | None):
-        """Feed block eigenvalues to lap[q] for q in degrees, and to dsv if index."""
+        Their values go to lap[q] for q in degrees, and to dsv if index.
+        """
+        idx = self._blocks_to_solve(M, degrees, index)
+        if not idx.size:
+            return
+        vals = np.linalg.eigvalsh(M.dense(idx))
         if self.lap is not None:
             for q in degrees:
                 self.lap[q].add(np.abs(vals))
-                if q == 0:
-                    self._record_q0(vals, modes_for_q0, mult=1)
+            if 0 in degrees:
+                self._record_q0(vals, None if modes_for_q0 is None else modes_for_q0[idx], mult=1)
         if index and self.dsv is not None:
             self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
 

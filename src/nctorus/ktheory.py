@@ -214,12 +214,14 @@ def nonalg_certificate(cs: ComplexStructure, theta: ThetaMatrix, bound: int = 5,
         vanishing.add((pa, pb, float(value)))
 
     tiny_cut = max(1e-3, 20.0 * math.sqrt(tol))
-    tiny = np.nonzero(norms <= tiny_cut)[0]
-    normal = np.nonzero(norms > tiny_cut)[0]
+    is_tiny = norms <= tiny_cut
+    tiny = np.nonzero(is_tiny)[0]
+    normal = np.nonzero(~is_tiny)[0]
     for i in tiny:
         vals = cross_all(i)
         hits = np.nonzero(vals < tol)[0]
-        for j in hits:
+        # a pair of two tiny covectors is recorded once, from its lower index
+        for j in hits[~is_tiny[hits] | (hits > i)]:
             record(int(i), int(j), float(vals[j]))
 
     if normal.size >= 2:

@@ -218,10 +218,14 @@ def dense_laplacian_spectra(cs, frame, conn, N):
     return spectra
 
 
+def kernel_dims(spectra, tol_rel=1e-8):
+    """Per degree, the eigenvalues below tol_rel times the largest."""
+    return tuple(int((ev < tol_rel * ev.max()).sum()) for ev in spectra)
+
+
 def dense_laplacian_dims(cs, frame, conn, N, tol_rel=1e-8):
     """Kernel dimensions of the full-box Laplacians built from assemble_operator."""
-    return tuple(int((ev < tol_rel * ev.max()).sum())
-                 for ev in dense_laplacian_spectra(cs, frame, conn, N))
+    return kernel_dims(dense_laplacian_spectra(cs, frame, conn, N), tol_rel)
 
 
 def dense_index_spectra(cs, frame, conn, N):
@@ -291,18 +295,51 @@ def test_chain_engine_matches_dense(setup2, monkeypatch):
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 2, 1)
 
 
-def test_n3_chain_drops_surplus_zeros(monkeypatch):
-    # at n = 3 the Gram unions for q = 1, 2 hold more values than dim C_q
+def n3_chain(step):
+    """The flat n = 3 gradient chain along step, with its complex structure and frame."""
     theta = ThetaMatrix.product([0.31, 0.47, 0.23])
     cs = random_complex_structure(3, np.random.default_rng(33))
     frame = antihol_frame(cs)
-    conn = gradient_connection(theta, frame, (1, 0, 0, 0, 0, 0), 0.6 + 0.2j)
+    return cs, frame, gradient_connection(theta, frame, step, 0.6 + 0.2j)
+
+
+@pytest.mark.parametrize("step", [(1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)])
+def test_n3_chains_take_the_laplacian_path(monkeypatch, step):
+    # at n = 3 the Gram unions for q = 1, 2 would hold more values than
+    # dim C_q, so no batch asks for the defect and every one takes the
+    # Laplacians; the diagonal step also makes chains of 1, 2 and 3 modes
+    cs, frame, conn = n3_chain(step)
     N = 1
     calls = spy_paths(monkeypatch)
+    defects = count_calls(monkeypatch, dlb._Engine, "_forms_complex")
     run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
-    assert calls["hodge"] > 0 and calls["laplacian"] == 0
+    assert calls["laplacian"] > 0 and calls["hodge"] == 0 and not defects
     assert run.conclusive
-    assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 3, 3, 1)
+    ref = dense_laplacian_spectra(cs, frame, conn, N)
+    assert kernel_dims(ref) == run.dims == (1, 3, 3, 1)
+    # the whole spectrum of every degree
+    added = record_collector_values(monkeypatch)
+    solve_every_block(monkeypatch)
+    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, True)
+    engine.run()
+    for col, want in zip(engine.lap, ref):
+        got = np.sort(np.concatenate(added[id(col)]))
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10 * want[-1])
+
+
+def test_few_n3_blocks_reach_the_eigensolver(monkeypatch):
+    # one N = 2 box run of the n = 3 e1 chain with both halves: 3125 chains
+    # of 5 modes in one batch, four Delta_q and the odd block matrix each
+    cs, frame, conn = n3_chain((1, 0, 0, 0, 0, 0))
+    picks = count_calls(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    run = dlb._box_run(cs, frame, conn, 2, 1e-8, True, True)
+    assert run.dims == (1, 3, 3, 1) and run.conclusive
+    blocks = sum(len(M) for (_, M, _, _) in picks)
+    assert blocks == 5 * 3125
+    # invariant_metric checks its metric with a 2-D eigvalsh of its own
+    assert sum(len(M) for (M,) in eigs if M.ndim == 3) < 0.05 * blocks
 
 
 def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
@@ -402,7 +439,7 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
         sum(np.count_nonzero(S) for row in signs for S in row)
     # the dense path: one batch of all 243 chains of three modes
     members = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
-    batches = count_calls(monkeypatch, dlb._Engine, "_forms_complex")
+    batches = count_calls(monkeypatch, dlb._Engine, "_laplacians")
     engine.run()
     assert len(members) == len(batches) == 1
     ((_, blocks, _),), ((_, batch),) = members, batches
@@ -616,6 +653,15 @@ def test_sparse_product_matches_matmul(g):
     terms = [(X.H, X, 0, 0), (X.H, V, 0, 9), (V.H, X, 9, 0), (V.H, V, 9, 9)]
     B = np.concatenate([Xd, Vd], axis=-1)
     assert_dense_close(dlb._Product(terms)(terms), B.conj().swapaxes(-1, -2) @ B)
+    # more blocks than one slice of 2M paired values holds, and a count that
+    # leaves a partial last slice
+    shape = (10 * g + 37, 40, 40)
+    Fd, Hd = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    F, H = sparse_batch(Fd), sparse_batch(Hd)
+    plan = dlb._Product([(F, H, 0, 0)])
+    step = 2_000_000 // plan.left.size
+    assert len(F) * plan.left.size > 2_000_000 and len(F) % step
+    assert_dense_close(plan([(F, H, 0, 0)]), Fd @ Hd)
 
 
 def test_laplacians_match_dense_products(setup3, monkeypatch):

@@ -226,20 +226,27 @@ def test_certificate_matches_all_pairs_at_a_loose_tol():
 
 def test_certificate_values_take_the_lex_smaller_covector_first():
     # the listed value is the cross product in one fixed order, so it does
-    # not depend on where the pair search met the two covectors
-    cs, bound = product_cs(), 5
-    cert = nonalg_certificate(cs, generic_theta(4), bound=bound)
-    vecs = _primitive_lex_positive(bound)
-    U = vecs @ antihol_frame(cs).W.T
-    row = {tuple(int(x) for x in v): k for k, v in enumerate(vecs)}
-    assert len(cert.vanishing_pairs) > 100
-    assert all(a < b for a, b, _ in cert.vanishing_pairs)
-    i = np.array([row[a] for a, _, _ in cert.vanishing_pairs])
-    j = np.array([row[b] for _, b, _ in cert.vanishing_pairs])
-    # elementwise over arrays, as the certificate computes it: numpy's scalar
-    # complex product may round differently
-    expect = np.abs(U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0])
-    assert [v for _, _, v in cert.vanishing_pairs] == expect.tolist()
+    # not depend on where the pair search met the two covectors.  At tol 2e-2
+    # the tiny cutoff is 20 sqrt(tol) = 2.8, and the seed-1 sample has three
+    # covectors under it that vanish with each other: each such pair is
+    # listed once, not once from each end
+    cases = [(product_cs(), generic_theta(4), 5, None, 100),
+             (random_complex_structure(2, np.random.default_rng(1)), generic_theta(1), 3, 2e-2, 6)]
+    for cs, theta, bound, tol, least in cases:
+        cert = nonalg_certificate(cs, theta, bound=bound, tol=tol)
+        vecs = _primitive_lex_positive(bound)
+        U = vecs @ antihol_frame(cs).W.T
+        row = {tuple(int(x) for x in v): k for k, v in enumerate(vecs)}
+        assert len(cert.vanishing_pairs) > least
+        assert all(a < b for a, b, _ in cert.vanishing_pairs)
+        pairs = [(a, b) for a, b, _ in cert.vanishing_pairs]
+        assert len(set(pairs)) == len(pairs)
+        i = np.array([row[a] for a, _ in pairs])
+        j = np.array([row[b] for _, b in pairs])
+        # elementwise over arrays, as the certificate computes it: numpy's scalar
+        # complex product may round differently
+        expect = np.abs(U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0])
+        assert [v for _, _, v in cert.vanishing_pairs] == expect.tolist()
 
 
 def test_near_pairs_match_all_pairs():
