@@ -230,12 +230,9 @@ def _form(spec, where: str, pf) -> riemann.IntegerSkewForm:
 
 
 def _box_size(value, where: str, pf) -> int:
-    """N >= 1 whose N + 2 box (2N + 5)^(2n) holds at most 10^8 modes."""
+    """N >= 1 whose boxes the engine runs for the connection (dolbeault.check_box)."""
     N = _natural(value, where)
-    d = 2 * pf.cs.n if pf.cs is not None else 2
-    if (2 * N + 5) ** d > 10 ** 8:
-        raise ProblemFileError(
-            f"{where}: the N + 2 box at N = {N} has {2 * N + 5}^{d} modes, more than 10^8")
+    dolbeault.check_box(2 * pf.cs.n if pf.cs is not None else 2, N, pf.connection)
     return N
 
 

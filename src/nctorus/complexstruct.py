@@ -3,7 +3,9 @@
 A complex structure is a real 2n x 2n matrix J with J^2 = -1 acting on
 the span of the gauge derivations delta_1..delta_2n.  Its -i eigenspace
 is the antiholomorphic tangent space; frames for it, period matrices for
-the +i side, and J-invariant metrics are constructed here.
+the +i side, and J-invariant metrics are constructed here.  Eigenspaces
+are numerical null spaces taken from numpy's SVD (scipy.linalg.null_space's
+rule), so this module loads no scipy.
 
 Conventions used everywhere in this package:
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 RCOND_MIN = 1e-12
 
@@ -141,6 +142,17 @@ def _pivot_normalize(W0: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return W, tuple(pivots)
 
 
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical null space of A.
+
+    The rule of scipy.linalg.null_space with rcond 1e-9: the right singular
+    vectors past the count of singular values above 1e-9 times the largest.
+    """
+    _, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > 1e-9 * np.max(s, initial=0.0)))
+    return vh[rank:].conj().T
+
+
 def antihol_frame(cs: ComplexStructure) -> AntiholFrame:
     """Pivot-normalized frame of the -i eigenspace of J.
 
@@ -148,7 +160,7 @@ def antihol_frame(cs: ComplexStructure) -> AntiholFrame:
     of J acting on the tangent space.
     """
     n = cs.n
-    basis = scipy.linalg.null_space(cs.J + 1j * np.eye(2 * n), rcond=1e-9)
+    basis = _null_space(cs.J + 1j * np.eye(2 * n))
     if basis.shape[1] != n:
         raise ConditioningError(
             f"-i eigenspace has numerical dimension {basis.shape[1]}, expected {n}"
@@ -184,7 +196,7 @@ def block_adapted_frame(cs: ComplexStructure, block_size: int = 2) -> AntiholFra
 def period_from_j(cs: ComplexStructure) -> PeriodMatrix:
     """Pivot-normalized Q with Q J = i Q and full rank."""
     n = cs.n
-    basis = scipy.linalg.null_space(cs.J.T - 1j * np.eye(2 * n), rcond=1e-9)
+    basis = _null_space(cs.J.T - 1j * np.eye(2 * n))
     if basis.shape[1] != n:
         raise ConditioningError(
             f"+i eigenspace has numerical dimension {basis.shape[1]}, expected {n}"

@@ -30,6 +30,10 @@ Key structural facts the implementation leans on:
   them off the Grams of the A_q instead (the Hodge-rank path);
 * with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
   complex, whose spectra are written down in closed form.
+
+The coupling graph is labelled in numpy (_components); check_box is the one
+box-size rule, for the CLI and the public operations alike.  Only sparse
+components and the operator export import scipy.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .algebra import (
     ContextError,
@@ -364,6 +366,22 @@ def mode_count(d: int, N: int) -> int:
     return (2 * N + 1) ** d
 
 
+def check_box(d: int, N: int, conn: FreeConnection | None = None) -> None:
+    """Refuse, with a ValueError, a truncation N whose boxes the engine does not run.
+
+    The runs at N and N + 2 fit when the larger, N + 2, holds at most 10^8
+    modes and, for a coupled connection (a term off the constant step),
+    whose whole box is decoded to int64 coordinates, at most 2 * 10^9 bytes
+    of them (K * d * 8): 41.7M modes at n = 3.  d = 2n; None stands for the
+    trivial connection.
+    """
+    K = mode_count(d, N + 2)
+    coupled = conn is not None and len(_connection_data(conn)[0]) > 1
+    if K > 10 ** 8 or (coupled and K * d * 8 > 2 * 10 ** 9):
+        raise ValueError(f"the N + 2 box at N = {N} has {2 * N + 5}^{d} modes, more than "
+                         f"the engine runs for {'a coupled' if coupled else 'any'} connection")
+
+
 def _radix(d: int, N: int) -> np.ndarray:
     side = 2 * N + 1
     return side ** np.arange(d, dtype=np.int64)
@@ -392,6 +410,33 @@ def _smallest_below(values: np.ndarray, prov: float) -> np.ndarray:
     if idx.size > 256:
         idx = idx[np.argpartition(values[idx], 255)[:256]]
     return idx
+
+
+def _components(K: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component labels of the undirected graph on nodes 0..K-1 with edges src-dst.
+
+    Components are numbered by their least node, in increasing order, as
+    scipy.sparse.csgraph.connected_components numbers them.  Each round
+    hooks every root that an edge joins to a smaller root onto the least
+    such root, then jumps pointers until every node points at its root.
+    parent[x] <= x throughout, so each root ends as its component's least
+    node.  Edges inside one component are dropped as they appear.
+    """
+    parent = np.arange(K)
+    while True:
+        a, b = parent[src], parent[dst]
+        cross = a != b
+        if not cross.any():
+            break
+        src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    roots = parent == np.arange(K)
+    return (np.cumsum(roots) - 1)[parent]
 
 
 def _pattern_groups(patterns: np.ndarray):
@@ -935,6 +980,8 @@ class _Engine:
         The degree operators and their products are those of a dense batch
         with g = 1; only the final matrices become CSR, for the solver.
         """
+        import scipy.sparse as sp
+
         n = self.n
         mvec = _decode_modes(member, self.d, self.N)[None]
         batch = _Batch(self._degree_operators(mvec, pattern), {})
@@ -970,8 +1017,6 @@ class _Engine:
                 self._run_blocks(np.arange(K, dtype=np.int64)[:, None],
                                  np.zeros((1, 1), dtype=np.int64))
             return self._finalize()
-        if K * d * 8 > 2e9:
-            raise ValueError("mode box too large for a coupled connection")
         # targets[k, m]: the flat index of mode m + s_k, -1 when it leaves the box
         flat_all = np.arange(K, dtype=np.int64)
         modes_all = _decode_modes(flat_all, d, N)
@@ -982,11 +1027,7 @@ class _Engine:
             targets[k, ok] = flat_all[ok] + s @ radix
         del modes_all
         ok = targets[1:] >= 0
-        rows = np.broadcast_to(flat_all, ok.shape)[ok]
-        adj = sp.csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, targets[1:][ok])), shape=(K, K)
-        )
-        _, labels = connected_components(adj, directed=False)
+        labels = _components(K, np.broadcast_to(flat_all, ok.shape)[ok], targets[1:][ok])
         sizes = np.bincount(labels)
         # modes sorted by component, then flat index; csize[i] is the size of
         # the component of grouped[i], pos_of its position there, and
@@ -1053,6 +1094,7 @@ class _Engine:
 
 def _iterative_small_eigs(Lap, k: int, rng) -> tuple[np.ndarray, float, bool]:
     """Smallest eigenvalues of a sparse Hermitian PSD matrix, in order, plus its largest."""
+    import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh, lobpcg
 
     Lap = Lap.tocsr()
@@ -1097,6 +1139,7 @@ def cohomology_dims(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnect
             f"connection has curvature of size {curv.max_abs:.3e}; "
             "cohomology needs a flat connection"
         )
+    check_box(conn.theta.d, box.N, conn)
     runA = _box_run(cs, frame, conn, box.N, tol_rel, True, True)
     runB = _box_run(cs, frame, conn, box.N + 2, tol_rel, True, False)
     stable = runA.conclusive and runB.conclusive and runA.dims == runB.dims
@@ -1126,6 +1169,7 @@ def index(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
     DD^* on the odd forms, the direct sum of the odd Laplacians plus the
     defect blocks A_{q+1} A_q: Delta_1 itself at n <= 2.
     """
+    check_box(conn.theta.d, box.N, conn)
     runA = _box_run(cs, frame, conn, box.N, tol_rel, False, True)
     runB = _box_run(cs, frame, conn, box.N + 2, tol_rel, False, True)
     stable = runA.conclusive and runB.conclusive
@@ -1201,12 +1245,14 @@ def pushforward_connection(theta_small: ThetaMatrix, conn_small: FreeConnection,
 
 
 def assemble_operator(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
-                      box: TruncationBox, degree: int) -> sp.csr_matrix:
+                      box: TruncationBox, degree: int) -> "scipy.sparse.csr_matrix":
     """Sparse matrix of the degree -> degree+1 operator in the natural basis.
 
     Basis order: form index slowest, then mode (box lexicographic), then
     fiber.  No metric normalization is applied.
     """
+    import scipy.sparse as sp
+
     n, r, d, N = frame.n, conn.rank, 2 * frame.n, box.N
     if not 0 <= degree < n:
         raise ValueError(f"degree must be in 0..{n - 1}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nctorus import cli, dolbeault
+from nctorus import cli, complexstruct, dolbeault
 
 
 def run_text(command, problem):
@@ -440,6 +440,48 @@ def test_range_edges():
     assert not parses({"module1d": {"q": 1, "M": 10 ** 4 + 1}})
 
 
+def test_one_box_rule_for_the_cli_and_the_engine(tmp_path, capsys, monkeypatch):
+    """A coupled n = 3 connection at N = 7 exits 1 before any box run."""
+    runs = []
+    monkeypatch.setattr(dolbeault, "_box_run", lambda *args: runs.append(args))
+    three = {"n": 3, "theta": {"product_blocks": [0.31, 0.47, 0.23]},
+             "J": {"blocks": [[[0.0, -1.0], [1.0, 0.0]]] * 3}}
+    cs = cli.parse_problem_file(json.dumps(three)).cs
+    frame = complexstruct.antihol_frame(cs)
+    step = [1, 0, 0, 0, 0, 0]
+    # the flat gradient chain along e1
+    coupled = {**three, "connection": {"rank": 1, "terms": [
+        [[[{"m": step, "re": w.real, "im": w.imag}]]] for w in 0.5 * (frame.W @ step)]}}
+    uncoupled = {**three, "connection": {"rank": 1, "terms": [
+        [[[{"m": [0] * 6, "re": 0.5}]]], [[[]]], [[[]]]]}}
+    for command in ("hodge", "index"):
+        for N in (7, 8):
+            code, body = _main_stdout(tmp_path, capsys, {**coupled, "truncation": {"N": N}},
+                                      command)
+            assert code == 1 and set(body) == {"version", "error"}
+            assert "truncation.N" in body["error"]
+    assert not runs
+
+    def parses(problem, N):
+        try:
+            cli.parse_problem_file(json.dumps({**problem, "truncation": {"N": N}}))
+        except cli.ProblemFileError:
+            return False
+        return True
+
+    # coupled: 8 * d bytes of coordinates per mode, at most 2 * 10^9 for the
+    # N + 2 box (17^6 at N = 6, 19^6 at N = 7); uncoupled: (2N + 5)^6 <= 10^8
+    assert parses(coupled, 6) and not parses(coupled, 7)
+    assert parses(uncoupled, 8) and not parses(uncoupled, 9)
+    assert parses(three, 8) and not parses(three, 9)
+    # the library entry points apply the same rule before their first run
+    conn = cli.parse_problem_file(json.dumps(coupled)).connection
+    for op in (dolbeault.cohomology_dims, dolbeault.index):
+        with pytest.raises(ValueError, match="a coupled connection"):
+            op(cs, frame, conn, dolbeault.TruncationBox(7))
+    assert not runs
+
+
 # -- fuzzing ----------------------------------------------------------------------
 
 FUZZ_BASE = {
@@ -519,14 +561,67 @@ def _env_with_src() -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # the certificate's pair search needs no spatial index; importing one
-    # costs start-up time and memory on every command
-    probe = "import sys, nctorus.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=_env_with_src(), timeout=120)
+def chain_problem() -> dict:
+    """PRODUCT_PROBLEM at N = 2 with the flat gradient chain a_j = 0.5 (W e1)_j U^e1."""
+    cs = cli.parse_problem_file(json.dumps(PRODUCT_PROBLEM)).cs
+    step = [1, 0, 0, 0]
+    terms = [[[[{"m": step, "re": w.real, "im": w.imag}]]]
+             for w in 0.5 * (complexstruct.antihol_frame(cs).W @ step)]
+    return {**PRODUCT_PROBLEM, "connection": {"rank": 1, "terms": terms}, "truncation": {"N": 2}}
+
+
+# Imports the CLI, then runs each (label, argv) of argv[1] through cli.main in
+# the same interpreter; prints, per label, the exit code and the scipy modules
+# loaded by then ("import" for the bare import).
+START_UP_PROBE = """
+import json, sys
+import nctorus.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+seen = {"import": [0, scipy_modules()]}
+for label, argv in json.loads(sys.argv[1]):
+    seen[label] = [cli.main(argv), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_start_up_loads_no_scipy(tmp_path):
+    # scipy is loaded only where it is used: standard1d's tridiagonal solve,
+    # sparse components (eigsh/LOBPCG) and operator export; importing it
+    # costs start-up time and memory on every other command
+    den = 10 ** 7
+    rational = lambda p, q: {"re": {"num": p, "den": 1}, "im": {"num": q, "den": 1}}
+    split = [[rational(1, 0), rational(0, 1), rational(0, 0),
+              {"re": {"num": 5347859, "den": den}, "im": {"num": 2531177, "den": den}}],
+             [rational(0, 0), rational(0, 0), rational(1, 0), rational(0, 1)]]
+    grid = {**PRODUCT_PROBLEM, "truncation": {"N": 2}, "connection": {"rank": 1, "terms": [
+        [[[{"m": [1, 0, 0, 0], "re": 1.1}]]], [[[{"m": [0, 1, 0, 0], "im": 0.9}]]]]}}
+    runs = [
+        ("hodge", chain_problem(), "hodge", []),
+        ("index", chain_problem(), "index", []),
+        ("index-grid", grid, "index", []),
+        ("nonalg-scan", {"seed": 3, "samples": 2, "search": {"bound": 2}}, "nonalg-scan", []),
+        ("riemann-check", {"n": 1, "J": {"tau": [0.1, 1.2]}, "search": {"bound": 3}},
+         "riemann-check", []),
+        ("riemann-check-exact", {"n": 2, "J": {"period": split}, "search": {"bound": 2}},
+         "riemann-check", ["--exact"]),
+    ]
+    argvs = []
+    for label, problem, command, extra in runs:
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(problem))
+        argvs.append((label, ["--input", str(path), "--command", command,
+                              "--output", str(tmp_path / f"{label}.out.json"), *extra]))
+    out = subprocess.run([sys.executable, "-c", START_UP_PROBE, json.dumps(argvs)],
+                         capture_output=True, text=True, env=_env_with_src(), timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    seen = json.loads(out.stdout)
+    assert list(seen) == ["import"] + [label for label, *_ in runs]
+    assert all(loaded == [] and code == 0 for code, loaded in seen.values()), seen
+    exact = json.loads((tmp_path / "riemann-check-exact.out.json").read_text())
+    assert exact["results"]["exact"] is True
 
 
 def test_module_entry_point_runs(tmp_path):

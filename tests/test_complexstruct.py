@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nctorus.complexstruct import (
     AntiholFrame,
@@ -7,6 +8,7 @@ from nctorus.complexstruct import (
     ConditioningError,
     DegenerateLatticeError,
     PeriodMatrix,
+    _pivot_normalize,
     antihol_frame,
     block_adapted_frame,
     invariant_metric,
@@ -142,3 +144,30 @@ def test_invariant_metric():
     assert np.max(np.abs(invariant_metric(cs0).G - np.eye(4))) < 1e-14
     with pytest.raises(ValueError):
         invariant_metric(cs, -np.eye(4))
+
+
+def test_frames_match_a_scipy_null_space_reference():
+    # the frame and period matrix come from a numpy SVD; scipy.linalg.null_space
+    # with rcond 1e-9 followed by the same pivot normalization is the reference
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(100 + n)
+        eye = np.eye(2 * n)
+        for _ in range(200):
+            cs = random_complex_structure(n, rng)
+            W, pivots = _pivot_normalize(scipy.linalg.null_space(cs.J + 1j * eye, rcond=1e-9).T)
+            frame = antihol_frame(cs)
+            assert frame.pivots == pivots
+            assert np.max(np.abs(frame.W - W)) <= 1e-13
+            Q, _ = _pivot_normalize(scipy.linalg.null_space(cs.J.T - 1j * eye, rcond=1e-9).T)
+            assert np.max(np.abs(period_from_j(cs).Q - Q)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_eigenspace_of_the_wrong_dimension_is_refused(dim):
+    # J^2 = -1 only within a loose tol: the +-i eigenspaces have dimension dim, not n = 2
+    J = scipy.linalg.block_diag(*[standard_j(1)] * dim, np.zeros((4 - 2 * dim,) * 2))
+    cs = ComplexStructure(2, J, tol=2.0)
+    with pytest.raises(ConditioningError, match="numerical dimension"):
+        antihol_frame(cs)
+    with pytest.raises(ConditioningError, match="numerical dimension"):
+        period_from_j(cs)

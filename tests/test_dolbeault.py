@@ -402,6 +402,59 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
         assert np.allclose(got, ref, rtol=0.0, atol=1e-10 * ref[-1])
 
 
+class _GraphTaken(Exception):
+    """Stops a box run once its coupling graph is recorded."""
+
+
+def coupling_graph(monkeypatch, cs, frame, conn, N):
+    """The (K, src, dst) that a box run hands to _components."""
+    graphs = []
+
+    def record(K, src, dst):
+        graphs.append((K, np.array(src), np.array(dst)))
+        raise _GraphTaken
+
+    with monkeypatch.context() as patch, pytest.raises(_GraphTaken):
+        patch.setattr(dlb, "_components", record)
+        dlb._box_run(cs, frame, conn, N, 1e-8, False, True)
+    return graphs[0]
+
+
+def scipy_components(K, src, dst):
+    adj = sp.csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(K, K))
+    return connected_components(adj, directed=False)[1]
+
+
+def test_components_match_scipy_labels(setup2, monkeypatch):
+    theta, cs, frame = setup2
+    graphs = []
+    # the five hodge-chain steps at N = 4 and the two-direction index-grid
+    # connection at N = 2, each at N and N + 2
+    chains = [(gradient_connection(theta, frame, s, 0.5), 4) for s in
+              ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, -1))]
+    for conn, N in chains + [(two_direction_connection(theta), 2)]:
+        graphs += [coupling_graph(monkeypatch, cs, frame, conn, M) for M in (N, N + 2)]
+    # n = 3 with two steps, one of them diagonal
+    theta3 = ThetaMatrix.product([0.31, 0.47, 0.23])
+    cs3 = random_complex_structure(3, np.random.default_rng(33))
+    two_steps = dlb.FreeConnection(1, [
+        MatrixElement(theta3, [[FourierElement.monomial(theta3, (1, 0, 0, 0, 0, 0), 0.8)]]),
+        MatrixElement(theta3, [[FourierElement.monomial(theta3, (0, 1, 1, 0, 0, 0), 0.5j)]]),
+        MatrixElement.zeros(theta3, 1),
+    ])
+    graphs.append(coupling_graph(monkeypatch, cs3, antihol_frame(cs3), two_steps, 2))
+    # a path visited in shuffled order, which takes many hooking rounds
+    perm = np.random.default_rng(7).permutation(10 ** 4)
+    graphs.append((10 ** 4, perm[:-1], perm[1:]))
+    # isolated nodes and repeated edges, in both directions; no edges at all
+    graphs.append((12, np.array([3, 7, 3, 9, 9, 1]), np.array([7, 3, 7, 10, 10, 2])))
+    graphs.append((5, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+    assert len(graphs) == 2 * 6 + 4
+    for K, src, dst in graphs:
+        # equal labels, not equal up to renaming: batches keep their order
+        assert np.array_equal(dlb._components(K, src, dst), scipy_components(K, src, dst))
+
+
 def oracle_block(ref, member, r, q, K):
     """Rows and columns of the full-box A_q for one component, in the engine's order.
 
