@@ -184,17 +184,22 @@ def dbar_apply(frame: AntiholFrame, j: int, x: MatrixElement) -> MatrixElement:
 
 
 def flatness_curvature(conn: FreeConnection, frame: AntiholFrame) -> CurvatureResult:
-    """Curvature F_jk = dbar_j(a_k) - dbar_k(a_j) + [a_j, a_k], exactly."""
+    """Curvature F_jk = dbar_j(a_k) - dbar_k(a_j) + [a_j, a_k], exactly.
+
+    F is antisymmetric: each pair j < k is evaluated once, F_kj = -F_jk and
+    F_jj = 0.
+    """
     n = conn.n
     if frame.n != n:
         raise ValueError("frame and connection disagree on the complex dimension")
-    F = [[None] * n for _ in range(n)]
+    zero = MatrixElement.zeros(conn.theta, conn.rank)
+    F = [[zero] * n for _ in range(n)]
     max_abs = 0.0
     for j in range(n):
-        for k in range(n):
+        for k in range(j + 1, n):
             aj, ak = conn.terms[j], conn.terms[k]
             fjk = dbar_apply(frame, j, ak) - dbar_apply(frame, k, aj) + (aj @ ak) - (ak @ aj)
-            F[j][k] = fjk
+            F[j][k], F[k][j] = fjk, fjk.scale(-1)
             max_abs = max(max_abs, fjk.max_abs())
     return CurvatureResult(F, max_abs < FLATNESS_TOL, max_abs)
 
@@ -674,39 +679,34 @@ class _Engine:
     def _box_koszul_eigenvalues(self):
         """Yield (first flat index, |v~|^2) over the box, one slab at a time.
 
-        The k fastest axes (side^k <= 2M modes) form the inner block, whose
-        part of v~ is built once by broadcasting in flat order (axis 0
-        fastest); a slab is a run of values of the slower axes, at most 2M
-        modes, and only those slower coordinates are decoded.
+        In flat order (axis 0 fastest) the k = ceil(d/2) fastest axes, fewer
+        while side^k > 2M, give y, their part of v~, one per column; the
+        slower axes plus v~(0) give x, one per row.  A slab, a run of rows of
+        at most 2M modes, is one real product: |x + y|^2 = X' Y'^T with
+        X' = [2x, |x|^2, 1] and Y' = [y, 1, |y|^2], 2n + 2 columns each.  Its
+        absolute error is at most about (2n + 3) eps (|x| + |y|)^2 (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), far
+        below the gap band; cancellation can leave a kernel mode slightly
+        negative, so the slab is clipped at 0.  Only the slow coordinates of
+        a slab are decoded.
         """
         d, N = self.d, self.N
         side = 2 * N + 1
         cap = 2_000_000
-        k = d
+        k = (d + 1) // 2
         while k > 0 and side ** k > cap:
             k -= 1
-        coords = np.arange(-N, N + 1)
-        inner = []
-        for p in range(self.U.shape[1]):
-            col = np.zeros(1)
-            for a in range(k):
-                col = np.add.outer(coords * self.U[a, p], col).reshape(-1)
-            inner.append(col)
-        size = inner[0].size
-        rows = cap // size
+        y = _decode_modes(np.arange(side ** k), k, N) @ self.U[:k]
+        Y = np.column_stack([y, np.ones(len(y)), np.einsum("ij,ij->i", y, y)])
+        rows = cap // len(Y)
         outer = side ** (d - k)
         for o0 in range(0, outer, rows):
             o1 = min(o0 + rows, outer)
-            vout = _decode_modes(np.arange(o0, o1), d - k, N) @ self.U[k:] + self.v0
-            lam = np.empty((o1 - o0, size))
-            t = np.empty_like(lam)
-            for p, col in enumerate(inner):
-                part = lam if p == 0 else t
-                np.add(vout[:, p, None], col, out=part)
-                np.square(part, out=part)
-                if p:
-                    lam += t
-            yield o0 * size, lam.reshape(-1)
+            x = _decode_modes(np.arange(o0, o1), d - k, N) @ self.U[k:] + self.v0
+            X = np.column_stack([2 * x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
+            lam = X @ Y.T
+            np.maximum(lam, 0.0, out=lam)
+            yield o0 * len(Y), lam.reshape(-1)
 
     def _add_koszul(self, lam: np.ndarray, modes_at):
         """Feed closed-form eigenvalues; modes_at(idx) decodes q0 candidates."""

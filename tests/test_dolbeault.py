@@ -1217,6 +1217,65 @@ def test_n3_lattice_shift_kernel_in_a_later_slab(monkeypatch):
     assert run.kernel_modes_q0 == ((m0, 1),)
 
 
+@pytest.mark.parametrize("n, N", [(1, 12), (2, 4), (3, 2), (3, 6)])
+@pytest.mark.parametrize("shift", ["trivial", "generic", "lattice"])
+def test_box_koszul_values_match_direct_evaluation(n, N, shift):
+    # the slab product |x + y|^2 = [2x, |x|^2, 1] . [y, 1, |y|^2] against
+    # |decode(idx) @ U + v0|^2; 13^6 at n = 3 spans several slabs, checked
+    # at 10^4 seeded indices each
+    theta = ThetaMatrix.product([0.31, 0.47, 0.23][:n])
+    cs = random_complex_structure(n, np.random.default_rng(40 + n))
+    frame = antihol_frame(cs)
+    m0 = (1, -1, 0, 1, -1, 1)[:2 * n]
+    c = {"trivial": [0.0] * n,
+         "generic": [0.37 + 0.21j, -0.13 + 0.52j, 0.2 - 0.3j][:n],
+         "lattice": lattice_shift(frame, m0)}[shift]
+    conn = dlb.FreeConnection.scalar_shift(theta, c)
+    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, True)
+    d, K = 2 * n, dlb.mode_count(2 * n, N)
+    slabs = list(engine._box_koszul_eigenvalues())
+    rng = np.random.default_rng(7)
+    end = 0
+    for start, lam in slabs:
+        assert start == end and 0 < lam.size <= 2_000_000
+        end = start + lam.size
+        assert lam.min() >= 0.0
+    assert end == K
+    vmax = max(lam.max() for _, lam in slabs)
+    for start, lam in slabs:
+        idx = np.arange(lam.size) if K <= 2 * 10 ** 5 else rng.integers(0, lam.size, 10 ** 4)
+        vt = dlb._decode_modes(start + idx, d, N) @ engine.U + engine.v0
+        direct = np.einsum("ij,ij->i", vt, vt)
+        assert np.all(np.abs(lam[idx] - direct) <= 8 * (2 * n + 2) * np.finfo(float).eps * vmax)
+    if shift == "trivial":
+        origin = (K - 1) // 2  # every coordinate 0
+        (start, lam), = [(s, lam) for s, lam in slabs if s <= origin < s + lam.size]
+        assert lam[origin - start] == 0.0
+    if n == 3 and N == 6:
+        assert len(slabs) == 3
+
+
+@pytest.mark.parametrize("seed, m0", [(3, (2, -2, 0, 2)), (4, (-2, 1, -2, 0)),
+                                      (28, (-1, 2, 0, -1))])
+def test_clipped_kernel_value_keeps_the_lattice_shift_kernel(seed, m0):
+    # with OpenBLAS's dgemm the unclipped slab value at m0 is -2.8e-14,
+    # -1.4e-14 and -1.4e-14 (against a box maximum near 10^3): without the
+    # clip at 0 the index takes its square root, NaN (a warning, an error here)
+    theta = ThetaMatrix.product([0.31, 0.47])
+    cs = random_complex_structure(2, np.random.default_rng(seed))
+    frame = antihol_frame(cs)
+    conn = dlb.FreeConnection.scalar_shift(theta, lattice_shift(frame, m0))
+    box = dlb.TruncationBox(2)
+    rep = dlb.cohomology_dims(cs, frame, conn, box)
+    assert rep.dims == (1, 2, 1)
+    assert rep.kernel_modes_q0 == ((m0, 1),)
+    assert rep.stable and rep.conclusive
+    assert math.isfinite(rep.sigma_kept) and math.isfinite(rep.sigma_cut)
+    res = dlb.index(cs, frame, conn, box)
+    assert res.index == 0 and res.stable and res.conclusive
+    assert math.isfinite(res.sigma_kept) and math.isfinite(res.sigma_cut)
+
+
 def test_only_non_scalar_constant_fibers_assemble_blocks(setup2, monkeypatch):
     theta, cs, frame = setup2
 
