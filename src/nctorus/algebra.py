@@ -139,7 +139,8 @@ class FourierElement:
                 c = complex(c)
                 if c != 0:
                     data[key] = data.get(key, 0.0) + c
-            data = {m: c for m, c in data.items() if abs(c) > 0.0}
+            # exact cancellations drop out; a NaN stays, for its owner to refuse
+            data = {m: c for m, c in data.items() if c != 0}
         self._coeffs = data
 
     # -- constructors -------------------------------------------------

@@ -24,12 +24,17 @@ Key structural facts the implementation leans on:
   size and coupling pattern are processed in batches that share one
   sparsity pattern, for dense batches and sparse components alike, which
   keeps everything deterministic and exact to working precision;
-* a batch's spectra are those of the Laplacians Delta_q and of DD^* on
-  the odd forms, eigensolved only on the blocks whose Gershgorin discs can
-  change a kernel decision; at n <= 2 a batch that forms a complex reads
-  them off the Grams of the A_q instead (the Hodge-rank path);
+* a batch's spectra are those of one list of matrices (_Engine._spectra),
+  the Laplacians Delta_q and DD^* on the odd forms, or at n <= 2, for a
+  batch that forms a complex, the Grams of the A_q (the Hodge-rank path),
+  eigensolved only on the blocks whose Gershgorin discs can change a
+  kernel decision;
 * with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
-  complex, whose spectra are written down in closed form.
+  complex, whose spectra are written down in closed form;
+* the collectors keep the values at or below their provisional cutoffs,
+  and the degree-0 one the flat mode of each value from a single-mode
+  block, so kernel_modes_q0 is read off the kernel itself: it is set when
+  every degree-0 kernel value came from a single mode.
 
 The coupling graph is labelled in numpy (_components); check_box is the one
 box-size rule, for the CLI and the public operations alike.  Only sparse
@@ -38,6 +43,7 @@ components and the operator export import scipy.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -92,6 +98,9 @@ class FreeConnection:
                 raise ValueError("all terms must have the connection rank")
             if not theta.same_context(t.theta):
                 raise ContextError("connection terms live over different Theta matrices")
+            if not all(cmath.isfinite(c) for row in t.entries for fe in row
+                       for c in fe.coeffs.values()):
+                raise ValueError("connection coefficients must be finite")
 
     @property
     def theta(self) -> ThetaMatrix:
@@ -291,8 +300,13 @@ def _connection_data(conn: FreeConnection):
 
 class _Collector:
     """Streams eigenvalues (or singular values), keeping only what the
-    threshold decision needs: the global max, values below a provisional
-    cutoff, and the smallest value above it.
+    threshold decision needs: the global max, values at or below a
+    provisional cutoff, and the smallest value above it.
+
+    Each add keeps its values at or below the cutoff as one array, with
+    their multiplicity and, when modes_at is given, the flat mode index of
+    each: the evidence from which _Engine._finalize decodes the modes of
+    the degree-0 kernel.  A non-finite value marks the run incomplete.
 
     Since nothing else is kept, a dense batch need not be fed whole: the
     engine eigensolves only the blocks whose Gershgorin discs can change one
@@ -302,22 +316,29 @@ class _Collector:
 
     def __init__(self, prov: float):
         self.prov = prov
-        self.vals: list[float] = []
-        self.mults: list[int] = []
+        self.kept: list[tuple[np.ndarray, int, np.ndarray | None]] = []
         self.vmax = 0.0
         self.above = math.inf
         self.incomplete = False
 
-    def add(self, values: np.ndarray, mult: int = 1) -> None:
-        """Take nonnegative values: eigensolves fold their rounding negatives first."""
+    def add(self, values: np.ndarray, mult: int = 1, modes_at=None) -> None:
+        """Take nonnegative values: eigensolves fold their rounding negatives first.
+
+        modes_at, for values of single-mode blocks, maps positions in the
+        flattened values to their flat mode indices.  The largest value is
+        NaN or inf when any value is not finite.
+        """
         v = values.reshape(-1)
-        self.vmax = max(self.vmax, float(v.max()))
+        top = float(v.max())
+        if not math.isfinite(top):
+            self.incomplete = True
+            return
+        self.vmax = max(self.vmax, top)
         below = v <= self.prov
-        small = v[below]
-        if small.size:
-            self.vals.extend(float(x) for x in small)
-            self.mults.extend([mult] * small.size)
-        if small.size < v.size:
+        at = np.flatnonzero(below)
+        if at.size:
+            self.kept.append((v[at], mult, None if modes_at is None else modes_at(at)))
+        if at.size < v.size:
             above = np.logical_not(below, out=below)
             self.above = min(self.above, float(np.min(v, where=above, initial=math.inf)))
 
@@ -335,12 +356,11 @@ class _Collector:
         kernel = 0
         cut = 0.0
         kept = self.above
-        for v, m in zip(self.vals, self.mults):
-            if v < thresh:
-                kernel += m
-                cut = max(cut, v)
-            else:
-                kept = min(kept, v)
+        for vals, mult, _ in self.kept:
+            ker = vals < thresh
+            kernel += mult * int(np.count_nonzero(ker))
+            cut = max(cut, float(np.max(vals, where=ker, initial=0.0)))
+            kept = min(kept, float(np.min(vals, where=~ker, initial=math.inf)))
         return kernel, cut, kept, gap_resolved(cut, kept, thresh) and not self.incomplete
 
 
@@ -407,14 +427,6 @@ def _phases(theta: ThetaMatrix, step, modes: np.ndarray) -> np.ndarray:
     ls = theta.sigma_step_vector(step)
     sig = modes @ ls
     return np.exp(2j * math.pi * np.mod(sig, 1.0))
-
-
-def _smallest_below(values: np.ndarray, prov: float) -> np.ndarray:
-    """Indices of the 256 smallest of the 1-D values at or below prov (all, if fewer)."""
-    idx = np.nonzero(values <= prov)[0]
-    if idx.size > 256:
-        idx = idx[np.argpartition(values[idx], 255)[:256]]
-    return idx
 
 
 def _components(K: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -626,32 +638,11 @@ class _Engine:
         # ||D|| is at most the sum of the ||A_q||
         d_bound = max(self.opbound.sum(), 1e-300)
         self.dsv = _Collector(16.0 * math.sqrt(tol_rel) * d_bound) if want_index else None
-        self.odds = list(range(1, n + 1, 2))
-
-        self.q0_candidates: list[tuple[float, tuple | None, int]] = []
-        self.q0_attributable = True
 
     # -- helpers ----------------------------------------------------
 
     def _frequencies(self, modes: np.ndarray) -> np.ndarray:
         return (2j * math.pi) * (modes @ self.frame.W.T)
-
-    def _record_q0(self, values: np.ndarray, modes: np.ndarray | None, mult: int):
-        """Keep the smallest degree-0 eigenvalues as kernel candidates.
-
-        values holds one eigenvalue (1-D) or one row of them (2-D) per row
-        of modes; modes is None for blocks of several modes, whose
-        candidates cannot be attributed.  One candidate per eigenvalue, so
-        the final threshold keeps or drops each kernel vector individually.
-        Callers feed it only when the Laplacian spectra are wanted.
-        """
-        width = math.prod(values.shape[1:])
-        flat = values.reshape(-1)
-        for i in _smallest_below(flat, self.lap[0].prov):
-            mode = tuple(int(x) for x in modes[i // width]) if modes is not None else None
-            if mode is None:
-                self.q0_attributable = False
-            self.q0_candidates.append((float(flat[i]), mode, mult))
 
     # -- closed-form path ------------------------------------------------
 
@@ -667,55 +658,47 @@ class _Engine:
         d, N = self.d, self.N
         if flat_idx is None:
             for start, lam in self._box_koszul_eigenvalues():
-                self._add_koszul(lam, lambda idx: _decode_modes(start + idx, d, N))
+                self._add_koszul(lam, lambda at: start + at)
             return
         chunk = 2_000_000
         for start in range(0, flat_idx.size, chunk):
-            modes = _decode_modes(flat_idx[start:start + chunk], d, N)
-            vt = modes @ self.U + self.v0
-            lam = np.einsum("ij,ij->i", vt, vt)
-            self._add_koszul(lam, lambda idx: modes[idx])
+            idx = flat_idx[start:start + chunk]
+            vt = _decode_modes(idx, d, N) @ self.U + self.v0
+            self._add_koszul(np.einsum("ij,ij->i", vt, vt), idx.__getitem__)
 
     def _box_koszul_eigenvalues(self):
         """Yield (first flat index, |v~|^2) over the box, one slab at a time.
 
-        In flat order (axis 0 fastest) the k = ceil(d/2) fastest axes, fewer
-        while side^k > 2M, give y, their part of v~, one per column; the
-        slower axes plus v~(0) give x, one per row.  A slab, a run of rows of
-        at most 2M modes, is one real product: |x + y|^2 = X' Y'^T with
-        X' = [2x, |x|^2, 1] and Y' = [y, 1, |y|^2], 2n + 2 columns each.  Its
-        absolute error is at most about (2n + 3) eps (|x| + |y|)^2 (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), far
-        below the gap band; cancellation can leave a kernel mode slightly
-        negative, so the slab is clipped at 0.  Only the slow coordinates of
-        a slab are decoded.
+        In flat order (axis 0 fastest) the n fastest axes give y, their part
+        of v~, one per column; the n slower axes plus v~(0) give x, one per
+        row.  check_box caps the N + 2 box at 10^8 modes, so there are at most
+        side^n <= 10^4 columns.  A slab, a run of rows of at most 2M modes, is
+        one real product: |x + y|^2 = X' Y'^T with X' = [2x, |x|^2, 1] and
+        Y' = [y, 1, |y|^2], 2n + 2 columns each.  Its absolute error is at
+        most about (2n + 3) eps (|x| + |y|)^2 (Higham, Accuracy and Stability
+        of Numerical Algorithms, 2nd ed., 3.1), far below the gap band;
+        cancellation can leave a kernel mode slightly negative, so the slab
+        is clipped at 0.  Only the slow coordinates of a slab are decoded.
         """
-        d, N = self.d, self.N
+        n, N = self.n, self.N
         side = 2 * N + 1
-        cap = 2_000_000
-        k = (d + 1) // 2
-        while k > 0 and side ** k > cap:
-            k -= 1
-        y = _decode_modes(np.arange(side ** k), k, N) @ self.U[:k]
+        y = _decode_modes(np.arange(side ** n), n, N) @ self.U[:n]
         Y = np.column_stack([y, np.ones(len(y)), np.einsum("ij,ij->i", y, y)])
-        rows = cap // len(Y)
-        outer = side ** (d - k)
-        for o0 in range(0, outer, rows):
-            o1 = min(o0 + rows, outer)
-            x = _decode_modes(np.arange(o0, o1), d - k, N) @ self.U[k:] + self.v0
+        rows = 2_000_000 // len(Y)
+        for o0 in range(0, side ** n, rows):
+            o1 = min(o0 + rows, side ** n)
+            x = _decode_modes(np.arange(o0, o1), n, N) @ self.U[n:] + self.v0
             X = np.column_stack([2 * x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
             lam = X @ Y.T
             np.maximum(lam, 0.0, out=lam)
             yield o0 * len(Y), lam.reshape(-1)
 
     def _add_koszul(self, lam: np.ndarray, modes_at):
-        """Feed closed-form eigenvalues; modes_at(idx) decodes q0 candidates."""
+        """Feed closed-form eigenvalues; modes_at maps positions in lam to flat mode indices."""
         n, r = self.n, self.r
         if self.lap is not None:
             for q in range(n + 1):
-                self.lap[q].add(lam, mult=r * self.fdims[q])
-            idx = _smallest_below(lam, self.lap[0].prov)
-            self._record_q0(lam[idx], modes_at(idx), mult=r)
+                self.lap[q].add(lam, mult=r * self.fdims[q], modes_at=None if q else modes_at)
         if self.dsv is not None:
             self.dsv.add(np.sqrt(lam), mult=r * 2 ** (n - 1))
 
@@ -790,11 +773,11 @@ class _Engine:
         """Dense spectra of blocks that share one coupling pattern, in batches.
 
         members (G, c) holds the flat mode indices of G blocks; pattern is
-        as in _direction_terms.  At n <= 2 batches that form a complex take
-        the Hodge-rank path; every other batch, and every batch at n >= 3,
-        takes the Laplacians.  The batches share the symbolic halves of their
-        products.  Blocks of one mode keep their coordinates for
-        kernel_modes_q0.  The widest matrix a batch forms has
+        as in _direction_terms.  Each batch eigensolves the matrices of
+        _spectra: the Grams when it forms a complex at n <= 2, the
+        Laplacians otherwise.  The batches share the symbolic halves of
+        their products.  Blocks of one mode give their flat indices to
+        lap[0], for kernel_modes_q0.  The widest matrix a batch forms has
         2^(n-1) * c * r rows: a Gram or Delta_q at n <= 2, DD^* on the odd
         forms above.
         """
@@ -807,11 +790,10 @@ class _Engine:
             g = sub.shape[0]
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
             batch = _Batch(self._degree_operators(mvec, pattern), plans)
-            modes_for_q0 = mvec[:, 0] if c == 1 else None
-            if self.n <= 2 and self._forms_complex(batch):
-                self._hodge_rank_spectra(batch, modes_for_q0)
-            else:
-                self._laplacian_spectra(batch, modes_for_q0)
+            grams = self.n <= 2 and self._forms_complex(batch)
+            for name, terms, degrees, index in self._spectra(batch, grams):
+                self._eigensolve(batch.product(name, terms), degrees, index,
+                                 sub[:, 0] if c == 1 else None)
 
     def _forms_complex(self, batch: _Batch) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
@@ -842,25 +824,6 @@ class _Engine:
                 return False
         return True
 
-    def _hodge_rank_spectra(self, batch: _Batch, modes_for_q0: np.ndarray | None):
-        """Laplacian and DD^* spectra from per-degree Gram eigenvalues, at n <= 2.
-
-        For a complex, Delta_q = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal
-        summands, so its spectrum is the union of the nonzero squared
-        singular values of A_q and A_{q-1}, plus zeros; and DD^* is Delta_1.
-        Each Gram is a sparse product on the smaller side, the adjoint being
-        A_q's index arrays swapped and its values conjugated.  At n <= 2 the
-        smaller sides of A_q and A_{q-1} add up to dim C_q, so the union is
-        exactly the spectrum: the Gram of A_k feeds Delta_k, Delta_{k+1} and
-        DD^* as it is, and only the blocks that _blocks_to_solve picks are
-        made dense and eigensolved.  (At n >= 3 they add up to more, and
-        dropping the surplus zeros would need every block solved.)
-        """
-        for k, A in enumerate(batch.ops):
-            pair = (A, A.H) if A.shape[0] < A.shape[1] else (A.H, A)
-            self._eigensolve(batch.product(("gram", k), [pair + (0, 0)]), [k, k + 1], True,
-                             modes_for_q0)
-
     def _blocks_to_solve(self, M: _Sparse, degrees: list[int], index: bool) -> np.ndarray:
         """Indices of the blocks of the Hermitian batch M whose values can change a collector.
 
@@ -883,11 +846,11 @@ class _Engine:
         solved block holding V.  So every collector ends as a solve of the whole batch
         would leave it, and, since batched eigvalsh solves each block on its
         own, with the same values.  The sums run over M's values, which are
-        the entries of the dense blocks _eigensolve builds from them.
+        the entries of the dense blocks _eigensolve builds from them.  A block
+        whose bounds are not finite is always solved, so a NaN or inf reaches
+        a collector (or eigvalsh's own error) instead of being skipped.
         """
-        feeds = [(self.lap[q], False) for q in degrees] if self.lap is not None else []
-        if index and self.dsv is not None:
-            feeds.append((self.dsv, True))
+        feeds = [(self.lap[q], False) for q in degrees] + ([(self.dsv, True)] if index else [])
 
         def units(x, squared, up):
             return x * x * (1.0 + 4 * _EPS if up else 1.0 - 4 * _EPS) if squared else x
@@ -909,101 +872,103 @@ class _Engine:
         clear = lo > prov
         U = np.min(diag[clear].min(axis=-1) + slack[clear], initial=math.inf)
         V = np.max(diag.max(axis=-1) - slack)
-        return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V)))[0]
+        return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V))
+                          | ~(np.isfinite(lo) & np.isfinite(hi)))[0]
 
-    def _eigensolve(self, M: _Sparse, degrees: list[int], index: bool,
-                    modes_for_q0: np.ndarray | None):
+    def _eigensolve(self, M: _Sparse, degrees: list[int], index: bool, modes: np.ndarray | None):
         """Make dense and eigensolve the blocks of M that _blocks_to_solve picks.
 
-        Their values go to lap[q] for q in degrees, and to dsv if index.
+        Their values go to lap[q] for q in degrees, and to dsv if index;
+        modes, for single-mode blocks, holds the flat mode index of each block.
         """
         idx = self._blocks_to_solve(M, degrees, index)
         if not idx.size:
             return
         vals = np.linalg.eigvalsh(M.dense(idx))
-        if self.lap is not None:
-            for q in degrees:
-                self.lap[q].add(np.abs(vals))
-            if 0 in degrees:
-                self._record_q0(vals, None if modes_for_q0 is None else modes_for_q0[idx], mult=1)
-        if index and self.dsv is not None:
+        modes_at = None if modes is None else lambda at: modes[idx][at // vals.shape[1]]
+        for q in degrees:
+            self.lap[q].add(np.abs(vals), modes_at=None if q else modes_at)
+        if index:
             self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
 
-    def _laplacians(self, batch: _Batch) -> dict:
-        """The matrices whose spectra the collectors need, as _Sparse, keyed q or "odd".
+    def _spectra(self, batch: _Batch, grams: bool):
+        """(product name, terms, degrees, index) of each matrix whose spectrum a collector needs.
 
-        Each is one sparse product of the batch's degree operators.  Key q
-        is Delta_q = A_q^* A_q + A_{q-1} A_{q-1}^*, every degree when the
-        dims are wanted.  The index reads DD^* on the odd forms, which has
-        the spectrum of D^*D since D = dbar + dbar^* (even forms -> odd
-        forms) is square: the odd Delta_q on the diagonal, the defect blocks
-        A_{q+1} A_q (C_q -> C_{q+2}) below it and their adjoints
-        A_q^* A_{q+1}^* above.  At n <= 2 the only odd degree is 1 and DD^*
-        is Delta_1, key 1; above, it is key "odd", whose product places each
-        term at the offset of its block.
+        The values of the matrix sum_t X_t Y_t of terms (_Batch.product) feed
+        lap[q] for q in degrees and, if index, dsv; a matrix that would feed
+        no collector is not yielded.  Terms, not products, are yielded, so
+        the caller forms each matrix once the last is freed.
+
+        With grams (the Hodge-rank path, for a batch that forms a complex at
+        n <= 2) the matrices are the Grams of the A_k.  For a complex, Delta_q
+        = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal summands, so its
+        spectrum is the union of the nonzero squared singular values of A_q
+        and A_{q-1}, plus zeros; and DD^* is Delta_1.  Each Gram is taken on
+        the smaller side, the adjoint being A_k's index arrays swapped and
+        its values conjugated.  At n <= 2 the smaller sides of A_q and
+        A_{q-1} add up to dim C_q, so the union is exactly the spectrum: the
+        Gram of A_k feeds Delta_k, Delta_{k+1} and DD^* as it is.  (At n >= 3
+        they add up to more, and dropping the surplus zeros would need every
+        block solved.)
+
+        Otherwise the matrices hold without dbar^2 = 0: Delta_q = A_q^* A_q +
+        A_{q-1} A_{q-1}^*, every degree when the dims are wanted, and DD^* on
+        the odd forms, which has the spectrum of D^*D since D = dbar + dbar^*
+        (even forms -> odd forms) is square: the odd Delta_q on the diagonal,
+        the defect blocks A_{q+1} A_q (C_q -> C_{q+2}) below it and their
+        adjoints A_q^* A_{q+1}^* above.  At n <= 2 the only odd degree is 1
+        and DD^* is Delta_1; above, it is the product "odd", which places
+        each term at the offset of its block.
         """
         n, ops = self.n, batch.ops
+        dims, index = self.lap is not None, self.dsv is not None
+        if grams:
+            for k, A in enumerate(ops):
+                pair = (A, A.H) if A.shape[0] < A.shape[1] else (A.H, A)
+                yield ("gram", k), [pair + (0, 0)], [k, k + 1] if dims else [], index
+            return
 
         def delta(q, at=0):
             return ([(ops[q].H, ops[q], at, at)] if q < n else []) + \
                    ([(ops[q - 1], ops[q - 1].H, at, at)] if q > 0 else [])
 
-        odd = self.dsv is not None and len(self.odds) > 1
-        degrees = range(n + 1) if self.lap is not None else [] if odd else self.odds
-        mats = {q: batch.product(("delta", q), delta(q)) for q in degrees}
-        if not odd:
-            return mats
-        cr = ops[0].shape[1]
-        at = list(itertools.accumulate((self.fdims[q] * cr for q in self.odds), initial=0))
-        terms = []
-        for i, q in enumerate(self.odds):
-            terms += delta(q, at[i])
-            if q + 2 <= n:
-                terms += [(ops[q + 1], ops[q], at[i + 1], at[i]),
-                          (ops[q].H, ops[q + 1].H, at[i], at[i + 1])]
-        mats["odd"] = batch.product("odd", terms)
-        return mats
-
-    def _laplacian_spectra(self, batch: _Batch, modes_for_q0: np.ndarray | None):
-        """Dense spectra of the Delta_q and of DD^* on the odd forms; valid without dbar^2 = 0.
-
-        Each matrix is made dense and eigensolved only on the blocks
-        _blocks_to_solve picks.
-        """
-        index_key = "odd" if len(self.odds) > 1 else 1
-        for key, M in self._laplacians(batch).items():
-            self._eigensolve(M, [] if key == "odd" else [key], key == index_key, modes_for_q0)
+        for q in range(n + 1):
+            delta1 = index and n <= 2 and q == 1
+            if dims or delta1:
+                yield ("delta", q), delta(q), [q] if dims else [], delta1
+        if index and n > 2:
+            odds = range(1, n + 1, 2)
+            cr = ops[0].shape[1]
+            at = list(itertools.accumulate((self.fdims[q] * cr for q in odds), initial=0))
+            terms = []
+            for i, q in enumerate(odds):
+                terms += delta(q, at[i])
+                if q + 2 <= n:
+                    terms += [(ops[q + 1], ops[q], at[i + 1], at[i]),
+                              (ops[q].H, ops[q + 1].H, at[i], at[i + 1])]
+            yield "odd", terms, [], True
 
     def _sparse_component(self, member: np.ndarray, pattern: np.ndarray):
         """Iterative spectra for one component too large for dense blocks.
 
-        The degree operators and their products are those of a dense batch
-        with g = 1; only the final matrices become CSR, for the solver.
+        The degree operators and the matrices of _spectra are those of a
+        dense batch with g = 1; only the final matrices become CSR, for the
+        solver, which is asked for 2 r values per form index, plus 6.
         """
         import scipy.sparse as sp
 
-        n = self.n
         mvec = _decode_modes(member, self.d, self.N)[None]
         batch = _Batch(self._degree_operators(mvec, pattern), {})
-        mats = {key: sp.csr_matrix((M.values[0], (M.rows, M.cols)), shape=M.shape)
-                for key, M in self._laplacians(batch).items()}
         rng = np.random.default_rng(20240711)
-        # 2 r values per form index, plus 6
-        spectra = {key: _iterative_small_eigs(M, 2 * M.shape[0] // member.size + 6, rng)
-                   for key, M in mats.items()}
-        if self.lap is not None:
-            for q in range(n + 1):
-                vals, vmax, complete = spectra[q]
-                self.lap[q].add_iterative(np.abs(vals), vmax, complete, mats[q].shape[0])
-            vals = spectra[0][0]
-            if vals[0] <= self.lap[0].prov:
-                self.q0_attributable = False
-                self.q0_candidates.append((float(vals[0]), None, 1))
-        if self.dsv is not None:
-            key = "odd" if len(self.odds) > 1 else 1
-            vals, vmax, complete = spectra[key]
-            self.dsv.add_iterative(np.sqrt(np.clip(vals, 0.0, None)), math.sqrt(vmax),
-                                   complete, mats[key].shape[0])
+        for name, terms, degrees, index in self._spectra(batch, False):
+            M = batch.product(name, terms)
+            M = sp.csr_matrix((M.values[0], (M.rows, M.cols)), shape=M.shape)
+            vals, vmax, complete = _iterative_small_eigs(M, 2 * M.shape[0] // member.size + 6, rng)
+            for q in degrees:
+                self.lap[q].add_iterative(np.abs(vals), vmax, complete, M.shape[0])
+            if index:
+                self.dsv.add_iterative(np.sqrt(np.clip(vals, 0.0, None)), math.sqrt(vmax),
+                                       complete, M.shape[0])
 
     # -- main --------------------------------------------------------
 
@@ -1073,16 +1038,18 @@ class _Engine:
                 sigma_kept = min(sigma_kept, kept)
                 conclusive = conclusive and ok
             dims = tuple(dlist)
+            # lap[0] keeps the flat mode of each value from a single-mode block
             thresh0 = self.tol_rel * self.lap[0].vmax
-            if self.q0_attributable:
-                agg: dict[tuple, int] = {}
-                for val, mode, mult in self.q0_candidates:
-                    if val < thresh0 and mode is not None:
+            agg: dict | None = {}
+            for vals, mult, at in self.lap[0].kept:
+                ker = vals < thresh0
+                if at is not None:
+                    for mode in map(tuple, _decode_modes(at[ker], self.d, self.N).tolist()):
                         agg[mode] = agg.get(mode, 0) + mult
-                # _record_q0 keeps at most 256 candidates per chunk; a list
-                # that lost some would misattribute the kernel
-                if sum(agg.values()) == dims[0]:
-                    kernel_modes = tuple(sorted(agg.items()))
+                elif ker.any():
+                    agg = None
+                    break
+            kernel_modes = None if agg is None else tuple(sorted(agg.items()))
         ker_even = None
         if self.dsv is not None:
             ker_even, cut, kept, ok = self.dsv.finalize(math.sqrt(self.tol_rel))

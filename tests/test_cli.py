@@ -326,6 +326,83 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert set(body) == {"version", "error"} and "did not converge" in body["error"]
 
 
+def _term(m, c):
+    return [[[{"m": list(m), "re": complex(c).real, "im": complex(c).imag}]]]
+
+
+def _two_direction_problem():
+    """Non-flat: step e1 in term 1 and e2 in term 2, so no batch forms a complex."""
+    return {**PRODUCT_PROBLEM, "truncation": {"N": 2}, "connection": {"rank": 1, "terms": [
+        _term((1, 0, 0, 0), 1.1), _term((0, 1, 0, 0), 0.9j)]}}
+
+
+def _n3_fiber_problem():
+    """n = 3, r = 2, constant fibers diag(c_j, d_j): single-mode blocks, which
+    index-only runs send through the odd block matrix."""
+    cs = complexstruct.random_complex_structure(3, np.random.default_rng(33))
+    zero = [0] * 6
+    terms = [[_term(zero, c)[0] + [[]], [[]] + _term(zero, d)[0]]
+             for c, d in ((0.3 + 0.1j, 0.25), (-0.2j, 0.1), (0.4, 0.2 - 0.3j))]
+    return {"n": 3, "theta": {"product_blocks": [0.31, 0.47, 0.23]}, "J": cs.J.tolist(),
+            "connection": {"rank": 2, "terms": terms}, "truncation": {"N": 1}}
+
+
+def _shift_problem():
+    """A generic scalar shift: every mode takes the closed-form Koszul slabs."""
+    return {**PRODUCT_PROBLEM, "connection": {"rank": 1, "terms": [
+        _term((0, 0, 0, 0), 0.37 + 0.21j), _term((0, 0, 0, 0), -0.13 + 0.52j)]}}
+
+
+@pytest.mark.parametrize("case, command", [
+    ("hodge-rank", "hodge"), ("laplacian", "index"), ("odd", "index"), ("slab", "hodge")])
+def test_one_nan_in_one_block_makes_the_report_inconclusive(tmp_path, capsys, monkeypatch,
+                                                            case, command):
+    # one NaN among the values of the first batched eigensolve (or of the
+    # first closed-form slab) of a run; every comparison with it is False
+    poisoned, names = [], []
+    if case == "slab":
+        slabs = dolbeault._Engine._box_koszul_eigenvalues
+
+        def poison(self):
+            for start, lam in slabs(self):
+                if not poisoned:
+                    poisoned.append(start)
+                    lam[lam.size // 2] = np.nan
+                yield start, lam
+
+        monkeypatch.setattr(dolbeault._Engine, "_box_koszul_eigenvalues", poison)
+    else:
+        eigvalsh = np.linalg.eigvalsh
+
+        def poison(a, *args, **kwargs):
+            vals = eigvalsh(a, *args, **kwargs)
+            if vals.ndim == 2 and not poisoned:
+                poisoned.append(vals.shape)
+                vals[0, 0] = np.nan
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", poison)
+    spectra = dolbeault._Engine._spectra
+
+    def spy(self, batch, grams):
+        for item in spectra(self, batch, grams):
+            names.append((grams, item[0]))
+            yield item
+
+    monkeypatch.setattr(dolbeault._Engine, "_spectra", spy)
+    problem = {"hodge-rank": chain_problem, "laplacian": _two_direction_problem,
+               "odd": _n3_fiber_problem, "slab": _shift_problem}[case]()
+    code, body = _main_stdout(tmp_path, capsys, problem, command)
+    assert poisoned
+    assert {"hodge-rank": names and all(grams for grams, _ in names),
+            "laplacian": ((False, ("delta", 1)) in names
+                          and not any(grams for grams, _ in names)),
+            "odd": {name for _, name in names} == {"odd"},
+            "slab": not names}[case]
+    assert code == 2
+    assert body["results"]["conclusive"] is False and body["results"]["stable"] is False
+
+
 def test_internal_check_failure_exits_2(tmp_path, capsys, monkeypatch):
     from nctorus import riemann
 

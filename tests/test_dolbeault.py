@@ -73,6 +73,15 @@ def test_gradient_connection_is_flat(setup2):
     assert dlb.flatness_curvature(conn, frame).is_flat
 
 
+def test_connection_refuses_non_finite_coefficients(setup2):
+    theta, cs, frame = setup2
+    with pytest.raises(ValueError, match="finite"):
+        dlb.FreeConnection.scalar_shift(theta, [float("nan"), 0.3])
+    with pytest.raises(ValueError, match="finite"):
+        dlb.FreeConnection(1, [MatrixElement(theta, [[FourierElement.monomial(
+            theta, (1, 0, 0, 0), complex(0.2, math.inf))]]), MatrixElement.zeros(theta, 1)])
+
+
 def test_cohomology_rejects_nonflat(setup2):
     theta, cs, frame = setup2
     u3 = MatrixElement(theta, [[FourierElement.monomial(theta, (0, 0, 1, 0))]])
@@ -149,17 +158,18 @@ def test_trivial_dims_all_n():
             assert rep.kernel_modes_q0 == (((0,) * 2 * n, r),)
 
 
-def test_kernel_modes_q0_unset_when_candidates_were_capped():
-    # a loose tolerance puts hundreds of modes in the kernel, more than the
-    # 256 q0 candidates kept per chunk: the attribution would fall short
+def test_kernel_modes_q0_attribute_hundreds_of_kernel_modes():
+    # a loose tolerance puts hundreds of modes in the kernel; the collector
+    # keeps the mode of every value, so the counts add up to dims[0]
     theta = ThetaMatrix.product([0.31])
     cs = random_complex_structure(1, np.random.default_rng(17))
     frame = antihol_frame(cs)
     conn = dlb.FreeConnection.trivial(theta, 1, 1)
     run = dlb._box_run(cs, frame, conn, 12, 0.3, True, False)
-    assert run.dims[0] > 256 and run.kernel_modes_q0 is None
+    assert run.dims[0] > 256
+    assert sum(c for _, c in run.kernel_modes_q0) == run.dims[0]
     # at 0.02 more than 256 modes sit below the provisional cutoff but only
-    # 35 below the threshold: the 256 smallest candidates hold all of them
+    # 35 below the threshold, and only those are attributed
     for tol_rel in (0.01, 0.02):
         run = dlb._box_run(cs, frame, conn, 12, tol_rel, True, False)
         assert run.dims[0] > 1
@@ -257,9 +267,9 @@ def record_collector_values(monkeypatch):
     added = {}
     orig_add = dlb._Collector.add
 
-    def record(self, values, mult=1):
+    def record(self, values, mult=1, modes_at=None):
         added.setdefault(id(self), []).append(np.repeat(values.reshape(-1), mult))
-        return orig_add(self, values, mult)
+        return orig_add(self, values, mult, modes_at)
 
     monkeypatch.setattr(dlb._Collector, "add", record)
     return added
@@ -274,14 +284,13 @@ def solve_every_block(monkeypatch):
 def spy_paths(monkeypatch):
     """Count the batches that take the Hodge-rank and the Laplacian path."""
     calls = {"hodge": 0, "laplacian": 0}
-    for name, key in (("_hodge_rank_spectra", "hodge"), ("_laplacian_spectra", "laplacian")):
-        orig = getattr(dlb._Engine, name)
+    orig = dlb._Engine._spectra
 
-        def counted(self, *args, _orig=orig, _key=key):
-            calls[_key] += 1
-            return _orig(self, *args)
+    def counted(self, batch, grams):
+        calls["hodge" if grams else "laplacian"] += 1
+        return orig(self, batch, grams)
 
-        monkeypatch.setattr(dlb._Engine, name, counted)
+    monkeypatch.setattr(dlb._Engine, "_spectra", counted)
     return calls
 
 
@@ -492,10 +501,10 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
         sum(np.count_nonzero(S) for row in signs for S in row)
     # the dense path: one batch of all 243 chains of three modes
     members = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
-    batches = count_calls(monkeypatch, dlb._Engine, "_laplacians")
+    batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     engine.run()
     assert len(members) == len(batches) == 1
-    ((_, blocks, _),), ((_, batch),) = members, batches
+    ((_, blocks, _),), ((_, batch, _),) = members, batches
     assert blocks.shape == (243, 3)
     for q in range(3):
         A = batch.ops[q].dense()
@@ -505,10 +514,10 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     # the sparse path: the same operators with one block per component
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
     components = count_calls(monkeypatch, dlb._Engine, "_sparse_component")
-    operators = count_calls(monkeypatch, dlb._Engine, "_laplacians")
+    operators = count_calls(monkeypatch, dlb._Engine, "_spectra")
     dlb._Engine(cs, frame, conn, N, 1e-8, True, False).run()
     assert len(components) == len(operators) == 243
-    for (_, member, _), (_, batch) in zip(components, operators):
+    for (_, member, _), (_, batch, _) in zip(components, operators):
         for q in range(3):
             want = oracle_block(ref, member, r, q, K)
             (A,) = batch.ops[q].dense()
@@ -721,18 +730,19 @@ def test_laplacians_match_dense_products(setup3, monkeypatch):
     # n = 3 with the index wanted: every Delta_q and the odd block matrix
     # [[Delta_1, (A_2 A_1)^*], [A_2 A_1, Delta_3]] of one batch
     cs, frame, conn = setup3
-    batches = count_calls(monkeypatch, dlb._Engine, "_laplacian_spectra")
+    batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     engine = dlb._Engine(cs, frame, conn, 1, 1e-8, True, True)
     engine.run()
-    (_, batch, _) = batches[0]
+    (_, batch, grams) = batches[0]
+    assert not grams
     A = [op.dense() for op in batch.ops]
     AH = [a.conj().swapaxes(-1, -2) for a in A]
     delta = [sum(t) for t in ([AH[0] @ A[0]], [AH[1] @ A[1], A[0] @ AH[0]],
                               [AH[2] @ A[2], A[1] @ AH[1]], [A[2] @ AH[2]])]
-    mats = engine._laplacians(batch)
-    assert sorted(mats, key=str) == [0, 1, 2, 3, "odd"]
+    mats = {name: batch.product(name, terms) for name, terms, _, _ in engine._spectra(batch, False)}
+    assert list(mats) == [("delta", 0), ("delta", 1), ("delta", 2), ("delta", 3), "odd"]
     for q in range(4):
-        assert_dense_close(mats[q], delta[q])
+        assert_dense_close(mats["delta", q], delta[q])
     E = A[2] @ A[1]
     assert_dense_close(mats["odd"], np.block([[delta[1], E.conj().swapaxes(-1, -2)],
                                               [E, delta[3]]]))
@@ -788,6 +798,16 @@ def test_iterative_values_all_below_the_threshold_are_inconclusive():
     assert (kernel, cut, kept) == (2, 2e-5, math.inf)
     assert cut <= 0.01 / dlb._GAP_BAND
     assert not conclusive
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_values_make_the_collector_incomplete(bad):
+    # a NaN or inf batch maximum would otherwise be dropped by Python's max,
+    # and every comparison with a NaN is False
+    col = dlb._Collector(prov=1.0)
+    col.add(np.array([bad, 5.0, 0.5]))
+    col.add(np.array([2.0]))
+    assert col.incomplete and not col.finalize(1e-8)[3]
 
 
 def test_sparse_engine_matches_dense(setup2, monkeypatch):
@@ -954,11 +974,13 @@ def test_sparse_component_solves_each_degree_once(setup2, monkeypatch):
 def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 2, 1e-8, False, True)
-    batches = count_calls(monkeypatch, dlb._Engine, "_laplacian_spectra")
+    batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run()
-    # one pick per batch, and each eigensolve takes the rows it picked of Delta_1
+    # every batch takes the Laplacians: one pick per batch, and each
+    # eigensolve takes the rows it picked of Delta_1
+    assert not any(grams for (_, _, grams) in batches)
     assert batches and len(picks) == len(batches)
     assert len(eigs) == sum(idx.size > 0 for idx in picks)
     solves = iter(eigs)
@@ -983,7 +1005,10 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
 
 
 def collector_state(col):
-    return col.vmax, col.above, col.incomplete, sorted(zip(col.vals, col.mults))
+    """vmax, above, incomplete and every kept (value, mult, flat mode or None), sorted."""
+    kept = sorted((float(v), mult, None if at is None else int(at[i]))
+                  for vals, mult, at in col.kept for i, v in enumerate(vals))
+    return col.vmax, col.above, col.incomplete, kept
 
 
 def lattice_fiber_connection(theta, frame, m0):
@@ -1015,8 +1040,7 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
         engine = dlb._Engine(cs, frame, conn, N, 1e-8, want_dims, True)
         engine.run()
         cols = (engine.lap or []) + [engine.dsv]
-        return ([collector_state(col) for col in cols], engine.q0_candidates,
-                engine.q0_attributable, engine._finalize())
+        return [collector_state(col) for col in cols], engine._finalize()
 
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     picked = run()
@@ -1027,7 +1051,9 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
     assert picked == full
     assert solved < sum(len(M) for (M,) in eigs)
     if case == "rank-2 fiber":
-        assert full[1] and full[3].kernel_modes_q0 == ((m0, 1),)
+        # lap[0] kept values with their modes, the kernel's among them
+        assert any(mode is not None for _, _, mode in full[0][0][3])
+        assert full[1].kernel_modes_q0 == ((m0, 1),)
 
 
 def stand_in_engine(prov, sv_prov=None):
@@ -1058,6 +1084,16 @@ def test_first_batch_solves_the_kernel_block_and_two_witnesses():
     full.add(np.abs(np.linalg.eigvalsh(M)))
     picked.add(np.abs(np.linalg.eigvalsh(M[idx])))
     assert collector_state(picked) == collector_state(full)
+
+
+def test_blocks_with_non_finite_entries_are_solved():
+    # every comparison with a NaN disc is False, so the bounds alone would skip it
+    engine = stand_in_engine(1e-3)
+    engine.lap[0].add(np.array([1e-4, 1.0, 50.0]))
+    blocks = [np.diag([5.0, 6.0]), np.diag([math.nan, 6.0]), [[5.0, math.inf], [math.inf, 6.0]],
+              np.diag([5.5, 6.5])]
+    _, idx = pick(engine, blocks)
+    assert list(idx) == [1, 2]
 
 
 def test_blocks_one_ulp_from_prov_are_solved():
@@ -1118,6 +1154,30 @@ def test_only_picked_blocks_are_made_dense(setup2, monkeypatch, case, N):
     # invariant_metric checks its metric with a 2-D eigvalsh of its own
     batched = [M for (M,) in eigs if M.ndim == 3]
     assert sum(len(M) for M in dense) == sum(len(M) for M in batched) == picked
+
+
+def test_coupled_connection_with_a_non_scalar_fiber(setup2, monkeypatch):
+    # rank 2, constant fibers diag(c_j, d_j) plus the gradient step (1,1,0,0)
+    # on both fibers: flat, coupled and not scalar, so the corner singletons
+    # (m_1 = -m_2 = +-N) take _run_blocks with c = 1, where the step has no
+    # source inside the block; c puts the kernel at the corner m0
+    theta, cs, frame = setup2
+    s, m0, N = (1, 1, 0, 0), (1, -1, 0, 1), 1
+    zero, ws = FourierElement.zero(theta), frame.W @ np.array(s)
+    grads = [FourierElement.monomial(theta, s, (0.6 - 0.2j) * w) for w in ws]
+    conn = dlb.FreeConnection(2, [t + MatrixElement(theta, [[g, zero], [zero, g]]) for t, g
+                                  in zip(lattice_fiber_connection(theta, frame, m0).terms, grads)])
+    assert dlb.flatness_curvature(conn, frame).is_flat
+    blocks = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
+    layouts = count_calls(monkeypatch, dlb._Engine, "_direction_terms")
+    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    assert any(members.shape[1] == 1 for (_, members, _) in blocks)
+    assert any(np.all(pattern[1:] < 0) for (_, _, pattern) in layouts)
+    assert run.conclusive
+    assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 2, 1)
+    assert run.kernel_modes_q0 == ((m0, 1),)
+    run, got = index_values(monkeypatch, cs, frame, conn, N, True)
+    assert_matches_oracle(run, got, np.sort(np.concatenate(dense_index_spectra(cs, frame, conn, N))))
 
 
 def test_constant_fiber_matrices_match_dense(setup2):
