@@ -29,8 +29,10 @@ Key structural facts the implementation leans on:
   batch that forms a complex, the Grams of the A_q (the Hodge-rank path),
   eigensolved only on the blocks whose Gershgorin discs can change a
   kernel decision;
-* with scalar constant terms a_j = c_j 1 an uncoupled mode is a Koszul
-  complex, whose spectra are written down in closed form;
+* with scalar constant terms a_j = c_j 1 and no other terms every mode is
+  a Koszul complex, whose spectra are written down in closed form over the
+  whole box; the single-mode components of a coupled connection go through
+  the block path like any other size;
 * the collectors keep the values at or below their provisional cutoffs,
   and the degree-0 one the flat mode of each value from a single-mode
   block, so kernel_modes_q0 is read off the kernel itself: it is set when
@@ -518,68 +520,40 @@ class _Sparse:
         return out
 
 
-class _Product:
-    """Sums of products X_t Y_t of _Sparse batches, each term placed at an offset.
+def _product(terms) -> _Sparse:
+    """sum_t X_t Y_t of _Sparse batches, each term (X_t, Y_t, r0, c0) placed at an offset.
 
-    Gustavson's row-wise sparse product, split in its two halves.  The
-    symbolic half, built here from index arrays alone, pairs each entry
-    (i, k) of X_t with each entry (k, j) of Y_t and sorts the pairs by their
-    output position (r0 + i, c0 + j).  The numeric half, a call, multiplies
-    the paired values of a batch and sums each run of pairs at one
-    position.  Batches whose operands have the patterns of terms share one
-    symbolic half.
+    Gustavson's row-wise sparse product.  The symbolic half, from the index
+    arrays alone, pairs each entry (i, k) of X_t with each entry (k, j) of
+    Y_t and sorts the pairs by their output position (r0 + i, c0 + j).  The
+    numeric half multiplies the paired values of the batch and sums each run
+    of pairs at one position, over the blocks in slices of at most 2M paired
+    values, which bounds the temporaries; each block's sums do not depend on
+    the slicing.
     """
-
-    def __init__(self, terms):
-        self.shape = (max(r0 + X.shape[0] for X, _, r0, _ in terms),
-                      max(c0 + Y.shape[1] for _, Y, _, c0 in terms))
-        keys, left, right = [], [], []
-        xoff = yoff = 0
-        for X, Y, r0, c0 in terms:
-            i, j = _pairs(X.cols, Y.rows)
-            keys.append((X.rows[i] + r0) * self.shape[1] + Y.cols[j] + c0)
-            left.append(i + xoff)
-            right.append(j + yoff)
-            xoff += X.rows.size
-            yoff += Y.rows.size
-        order, self.starts, keys = _group(np.concatenate(keys))
-        self.left = np.concatenate(left)[order]
-        self.right = np.concatenate(right)[order]
-        self.rows, self.cols = np.divmod(keys, self.shape[1])
-
-    def __call__(self, terms) -> _Sparse:
-        """The sums for the values of terms, laid out as the terms this half was built from.
-
-        The blocks go in slices of at most 2M paired values, which bounds the
-        temporaries; each block's sums do not depend on the slicing.
-        """
-        step = max(1, 2_000_000 // max(self.left.size, 1))
-        sums = []
-        for start in range(0, len(terms[0][0]), step):
-            rows = slice(start, start + step)
-            pairs = np.concatenate([X.values[rows] for X, _, _, _ in terms], axis=1)[:, self.left]
-            pairs *= np.concatenate([Y.values[rows] for _, Y, _, _ in terms], axis=1)[:, self.right]
-            sums.append(np.add.reduceat(pairs, self.starts, axis=1))
-        return _Sparse(self.rows, self.cols, self.shape,
-                       sums[0] if len(sums) == 1 else np.concatenate(sums))
-
-
-class _Batch:
-    """The degree operators A_q of g blocks that share one coupling pattern.
-
-    plans holds the symbolic halves of the products taken of them, by name,
-    and is shared by every batch of the pattern.
-    """
-
-    def __init__(self, ops: list[_Sparse], plans: dict):
-        self.ops, self.plans = ops, plans
-
-    def product(self, name, terms) -> _Sparse:
-        """sum_t X_t Y_t at offsets (X_t, Y_t, r0, c0), as _Product."""
-        plan = self.plans.get(name)
-        if plan is None:
-            plan = self.plans[name] = _Product(terms)
-        return plan(terms)
+    shape = (max(r0 + X.shape[0] for X, _, r0, _ in terms),
+             max(c0 + Y.shape[1] for _, Y, _, c0 in terms))
+    keys, left, right = [], [], []
+    xoff = yoff = 0
+    for X, Y, r0, c0 in terms:
+        i, j = _pairs(X.cols, Y.rows)
+        keys.append((X.rows[i] + r0) * shape[1] + Y.cols[j] + c0)
+        left.append(i + xoff)
+        right.append(j + yoff)
+        xoff += X.rows.size
+        yoff += Y.rows.size
+    order, starts, keys = _group(np.concatenate(keys))
+    left = np.concatenate(left)[order]
+    right = np.concatenate(right)[order]
+    step = max(1, 2_000_000 // max(left.size, 1))
+    sums = []
+    for start in range(0, len(terms[0][0]), step):
+        blocks = slice(start, start + step)
+        pairs = np.concatenate([X.values[blocks] for X, _, _, _ in terms], axis=1)[:, left]
+        pairs *= np.concatenate([Y.values[blocks] for _, Y, _, _ in terms], axis=1)[:, right]
+        sums.append(np.add.reduceat(pairs, starts, axis=1))
+    rows, cols = np.divmod(keys, shape[1])
+    return _Sparse(rows, cols, shape, sums[0] if len(sums) == 1 else np.concatenate(sums))
 
 
 # -- the engine ----------------------------------------------------------
@@ -646,28 +620,13 @@ class _Engine:
 
     # -- closed-form path ------------------------------------------------
 
-    def _run_koszul_modes(self, flat_idx: np.ndarray | None):
-        """Closed-form spectra for uncoupled modes with scalar constant parts.
-
-        With a_j = c_j 1 the complex on one mode is the Koszul complex of
-        the covector v = w + c: wedge multiplication by v.  Every degree of
-        its Laplacian has the single eigenvalue |v~|^2, v~ = v L1-bar, with
-        full multiplicity.  The whole box goes slab by slab without mode
-        coordinates; a subset of the box is decoded mode by mode.
-        """
-        d, N = self.d, self.N
-        if flat_idx is None:
-            for start, lam in self._box_koszul_eigenvalues():
-                self._add_koszul(lam, lambda at: start + at)
-            return
-        chunk = 2_000_000
-        for start in range(0, flat_idx.size, chunk):
-            idx = flat_idx[start:start + chunk]
-            vt = _decode_modes(idx, d, N) @ self.U + self.v0
-            self._add_koszul(np.einsum("ij,ij->i", vt, vt), idx.__getitem__)
-
     def _box_koszul_eigenvalues(self):
         """Yield (first flat index, |v~|^2) over the box, one slab at a time.
+
+        With a_j = c_j 1 and no coupling the complex on one mode is the
+        Koszul complex of the covector v = w + c: wedge multiplication by v.
+        Every degree of its Laplacian has the single eigenvalue |v~|^2,
+        v~ = v L1-bar, with full multiplicity.
 
         In flat order (axis 0 fastest) the n fastest axes give y, their part
         of v~, one per column; the n slower axes plus v~(0) give x, one per
@@ -693,12 +652,13 @@ class _Engine:
             np.maximum(lam, 0.0, out=lam)
             yield o0 * len(Y), lam.reshape(-1)
 
-    def _add_koszul(self, lam: np.ndarray, modes_at):
-        """Feed closed-form eigenvalues; modes_at maps positions in lam to flat mode indices."""
+    def _add_koszul(self, start: int, lam: np.ndarray):
+        """Feed the closed-form eigenvalues of a slab whose first flat index is start."""
         n, r = self.n, self.r
         if self.lap is not None:
             for q in range(n + 1):
-                self.lap[q].add(lam, mult=r * self.fdims[q], modes_at=None if q else modes_at)
+                self.lap[q].add(lam, mult=r * self.fdims[q],
+                                modes_at=None if q else lambda at: start + at)
         if self.dsv is not None:
             self.dsv.add(np.sqrt(lam), mult=r * 2 ** (n - 1))
 
@@ -775,27 +735,24 @@ class _Engine:
         members (G, c) holds the flat mode indices of G blocks; pattern is
         as in _direction_terms.  Each batch eigensolves the matrices of
         _spectra: the Grams when it forms a complex at n <= 2, the
-        Laplacians otherwise.  The batches share the symbolic halves of
-        their products.  Blocks of one mode give their flat indices to
-        lap[0], for kernel_modes_q0.  The widest matrix a batch forms has
+        Laplacians otherwise.  Blocks of one mode give their flat indices
+        to lap[0], for kernel_modes_q0.  The widest matrix a batch forms has
         2^(n-1) * c * r rows: a Gram or Delta_q at n <= 2, DD^* on the odd
         forms above.
         """
         G, c = members.shape
         big = 2 ** (self.n - 1) * c * self.r
         chunk = max(1, int(8_000_000 / max(big * big, 1)))
-        plans: dict = {}
         for start in range(0, G, chunk):
             sub = members[start:start + chunk]
             g = sub.shape[0]
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
-            batch = _Batch(self._degree_operators(mvec, pattern), plans)
-            grams = self.n <= 2 and self._forms_complex(batch)
-            for name, terms, degrees, index in self._spectra(batch, grams):
-                self._eigensolve(batch.product(name, terms), degrees, index,
-                                 sub[:, 0] if c == 1 else None)
+            ops = self._degree_operators(mvec, pattern)
+            grams = self.n <= 2 and self._forms_complex(ops)
+            for terms, degrees, index in self._spectra(ops, grams):
+                self._eigensolve(_product(terms), degrees, index, sub[:, 0] if c == 1 else None)
 
-    def _forms_complex(self, batch: _Batch) -> bool:
+    def _forms_complex(self, ops: list[_Sparse]) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
 
         Asked at n <= 2 only.  eps = max over the batch and q of
@@ -815,11 +772,10 @@ class _Engine:
         the threshold, one at or above _GAP_BAND times it stays above, and
         the kernel counts of a conclusive run cannot change.
         """
-        ops = batch.ops
         s = min(float(np.max(np.abs(A.values))) for A in ops) ** 2
         gate = self.tol_rel * s / (3.0 * _GAP_BAND ** 2)
         for q in range(len(ops) - 1):
-            E = batch.product(("defect", q), [(ops[q + 1], ops[q], 0, 0)])
+            E = _product([(ops[q + 1], ops[q], 0, 0)])
             if float(np.max(np.linalg.norm(E.values, axis=1))) > gate:
                 return False
         return True
@@ -891,13 +847,14 @@ class _Engine:
         if index:
             self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
 
-    def _spectra(self, batch: _Batch, grams: bool):
-        """(product name, terms, degrees, index) of each matrix whose spectrum a collector needs.
+    def _spectra(self, ops: list[_Sparse], grams: bool):
+        """(terms, degrees, index) of each matrix whose spectrum a collector needs.
 
-        The values of the matrix sum_t X_t Y_t of terms (_Batch.product) feed
-        lap[q] for q in degrees and, if index, dsv; a matrix that would feed
-        no collector is not yielded.  Terms, not products, are yielded, so
-        the caller forms each matrix once the last is freed.
+        ops are the degree operators A_q of a batch.  The values of the matrix
+        sum_t X_t Y_t of terms (_product) feed lap[q] for q in degrees and, if
+        index, dsv; a matrix that would feed no collector is not yielded.
+        Terms, not products, are yielded, so the caller forms each matrix once
+        the last is freed.
 
         With grams (the Hodge-rank path, for a batch that forms a complex at
         n <= 2) the matrices are the Grams of the A_k.  For a complex, Delta_q
@@ -917,15 +874,15 @@ class _Engine:
         (even forms -> odd forms) is square: the odd Delta_q on the diagonal,
         the defect blocks A_{q+1} A_q (C_q -> C_{q+2}) below it and their
         adjoints A_q^* A_{q+1}^* above.  At n <= 2 the only odd degree is 1
-        and DD^* is Delta_1; above, it is the product "odd", which places
-        each term at the offset of its block.
+        and DD^* is Delta_1; above, it is one product that places each term
+        at the offset of its block.
         """
-        n, ops = self.n, batch.ops
+        n = self.n
         dims, index = self.lap is not None, self.dsv is not None
         if grams:
             for k, A in enumerate(ops):
                 pair = (A, A.H) if A.shape[0] < A.shape[1] else (A.H, A)
-                yield ("gram", k), [pair + (0, 0)], [k, k + 1] if dims else [], index
+                yield [pair + (0, 0)], [k, k + 1] if dims else [], index
             return
 
         def delta(q, at=0):
@@ -935,7 +892,7 @@ class _Engine:
         for q in range(n + 1):
             delta1 = index and n <= 2 and q == 1
             if dims or delta1:
-                yield ("delta", q), delta(q), [q] if dims else [], delta1
+                yield delta(q), [q] if dims else [], delta1
         if index and n > 2:
             odds = range(1, n + 1, 2)
             cr = ops[0].shape[1]
@@ -946,7 +903,7 @@ class _Engine:
                 if q + 2 <= n:
                     terms += [(ops[q + 1], ops[q], at[i + 1], at[i]),
                               (ops[q].H, ops[q + 1].H, at[i], at[i + 1])]
-            yield "odd", terms, [], True
+            yield terms, [], True
 
     def _sparse_component(self, member: np.ndarray, pattern: np.ndarray):
         """Iterative spectra for one component too large for dense blocks.
@@ -958,10 +915,9 @@ class _Engine:
         import scipy.sparse as sp
 
         mvec = _decode_modes(member, self.d, self.N)[None]
-        batch = _Batch(self._degree_operators(mvec, pattern), {})
         rng = np.random.default_rng(20240711)
-        for name, terms, degrees, index in self._spectra(batch, False):
-            M = batch.product(name, terms)
+        for terms, degrees, index in self._spectra(self._degree_operators(mvec, pattern), False):
+            M = _product(terms)
             M = sp.csr_matrix((M.values[0], (M.rows, M.cols)), shape=M.shape)
             vals, vmax, complete = _iterative_small_eigs(M, 2 * M.shape[0] // member.size + 6, rng)
             for q in degrees:
@@ -977,7 +933,8 @@ class _Engine:
         K = mode_count(d, N)
         if len(self.steps) == 1:
             if self.scalar_const:
-                self._run_koszul_modes(None)
+                for start, lam in self._box_koszul_eigenvalues():
+                    self._add_koszul(start, lam)
             else:
                 self._run_blocks(np.arange(K, dtype=np.int64)[:, None],
                                  np.zeros((1, 1), dtype=np.int64))
@@ -997,20 +954,15 @@ class _Engine:
         # modes sorted by component, then flat index; csize[i] is the size of
         # the component of grouped[i], pos_of its position there, and
         # pos_of[-1] = -1 keeps a target outside the box at -1
-        grouped = np.lexsort((flat_all, labels))
-        glabels = labels[grouped]
-        starts = np.r_[0, np.nonzero(np.diff(glabels))[0] + 1]
-        csize = sizes[glabels]
+        grouped, starts, _ = _group(labels)
+        csize = np.repeat(sizes, sizes)
         pos_of = np.empty(K + 1, dtype=np.int64)
-        pos_of[grouped] = np.arange(K) - np.repeat(starts, csize[starts])
+        pos_of[grouped] = np.arange(K) - np.repeat(starts, sizes)
         pos_of[-1] = -1
         for c in np.unique(csize):
             c = int(c)
             # components of one size, in label order, as rows
             members = grouped[csize == c].reshape(-1, c)
-            if c == 1 and self.scalar_const:
-                self._run_koszul_modes(members[:, 0])
-                continue
             # patterns[k, g, i]: the position that step s_k sends member i of
             # component g to, -1 outside the box
             patterns = pos_of[targets[:, members]]

@@ -131,12 +131,16 @@ def hermitian_from_form(E: IntegerSkewForm, cs: ComplexStructure,
     the pivot-normalized period matrix of cs.
     """
     Ef = E.as_float() if isinstance(E, IntegerSkewForm) else np.asarray(E, dtype=float)
-    J = cs.J
-    residual = _compat_residual(Ef, J)
+    residual = _compat_residual(Ef, cs.J)
     if require_compatible and residual > COMPAT_TOL:
         raise IncompatibleFormError(
             f"J^T E J - E has relative residual {residual:.3e} > {COMPAT_TOL:.0e}"
         )
+    return _hermitian(Ef, cs.J, _holomorphic_coordinates(cs), residual)
+
+
+def _holomorphic_coordinates(cs: ComplexStructure) -> np.ndarray:
+    """The real 2n x n basis X with Q X = 1, Q the pivot-normalized period matrix of cs."""
     Q = period_from_j(cs).Q
     n = cs.n
     P = np.vstack([Q, Q.conj()])
@@ -144,7 +148,11 @@ def hermitian_from_form(E: IntegerSkewForm, cs: ComplexStructure,
     X = np.linalg.solve(P, target)
     if np.max(np.abs(X.imag)) > 1e-9:
         raise ValueError("coordinate solve produced a non-real basis")
-    X = X.real
+    return X.real
+
+
+def _hermitian(Ef: np.ndarray, J: np.ndarray, X: np.ndarray, residual: float) -> HermitianFormReport:
+    """hermitian_from_form for the float form Ef, given the coordinates X of J."""
     H = X.T @ J.T @ Ef @ X + 1j * (X.T @ Ef @ X)
     H = 0.5 * (H + H.conj().T)
     return HermitianFormReport(H, np.linalg.eigvalsh(H), residual)
@@ -345,36 +353,22 @@ def _skew_from_vector(v, size: int) -> np.ndarray:
     return out
 
 
-def _compat_operator_float(J: np.ndarray) -> np.ndarray:
+def _compat_operator(J) -> np.ndarray:
+    """The matrix of E -> J^T E J - E on the skew basis (E[i, j] = -E[j, i], i < j).
+
+    J is a float matrix, or a matrix of Fractions for exact arithmetic (an
+    object array); the operator has J's dtype.
+    """
+    J = np.asarray(J)
     size = J.shape[0]
     idx = _skew_basis_indices(size)
-    D = len(idx)
-    A = np.zeros((D, D))
+    at = tuple(np.array(idx).T)
+    A = np.zeros((len(idx), len(idx)), dtype=J.dtype)
     for col, (i, j) in enumerate(idx):
-        K = np.zeros((size, size))
-        K[i, j] = 1.0
-        K[j, i] = -1.0
-        R = J.T @ K @ J - K
-        for row, (a, b) in enumerate(idx):
-            A[row, col] = R[a, b]
-    return A
-
-
-def _compat_operator_exact(J) -> list[list[Fraction]]:
-    size = len(J)
-    idx = _skew_basis_indices(size)
-    D = len(idx)
-    A = [[Fraction(0)] * D for _ in range(D)]
-    for col, (i, j) in enumerate(idx):
-        K = [[Fraction(0)] * size for _ in range(size)]
-        K[i][j] = Fraction(1)
-        K[j][i] = Fraction(-1)
-        JT_K = [[sum(J[a][r] * K[a][c] for a in range(size)) for c in range(size)]
-                for r in range(size)]
-        R = [[sum(JT_K[r][a] * J[a][c] for a in range(size)) - K[r][c]
-              for c in range(size)] for r in range(size)]
-        for row, (a, b) in enumerate(idx):
-            A[row][col] = R[a][b]
+        K = np.zeros((size, size), dtype=J.dtype)
+        K[i, j] = 1
+        K[j, i] = -1
+        A[:, col] = (J.T @ K @ J - K)[at]
     return A
 
 
@@ -506,7 +500,7 @@ def riemann_form_search(cs: ComplexStructure, bound: int = 6, exact: bool = Fals
         Jf = np.array([[float(x) for x in row] for row in J_frac])
         if np.max(np.abs(Jf - cs.J)) > 1e-9:
             raise ValueError("exact_j disagrees with cs.J")
-        A = _compat_operator_exact(J_frac)
+        A = _compat_operator(J_frac)
         denom = 1
         for row in A:
             for x in row:
@@ -516,7 +510,7 @@ def riemann_form_search(cs: ComplexStructure, bound: int = 6, exact: bool = Fals
         kernel = [primitive_vector(v) for v in kernel]
         diagnostics = {}
     else:
-        A = _compat_operator_float(cs.J)
+        A = _compat_operator(cs.J)
         s = np.linalg.svd(A, compute_uv=False)
         smax = s[0] if s.size else 0.0
         k = int(np.sum(s < 1e-10 * max(smax, 1.0)))
@@ -571,11 +565,17 @@ def riemann_form_search(cs: ComplexStructure, bound: int = 6, exact: bool = Fals
             return RiemannSearchResult(True, form, report, numerical_dim, bound, exact,
                                        diagnostics=diagnostics)
     else:
+        # the coordinates depend on cs alone: solved once, at the first compatible form
+        coords = None
         for vec in points:
             form = IntegerSkewForm(_skew_from_vector(vec, size))
-            if _compat_residual(form.as_float(), cs.J) > COMPAT_TOL:
+            Ef = form.as_float()
+            residual = _compat_residual(Ef, cs.J)
+            if residual > COMPAT_TOL:
                 continue
-            report = hermitian_from_form(form, cs)
+            if coords is None:
+                coords = _holomorphic_coordinates(cs)
+            report = _hermitian(Ef, cs.J, coords, residual)
             if report.positivity() == "positive":
                 return RiemannSearchResult(True, form, report, numerical_dim, bound,
                                            exact, diagnostics=diagnostics)

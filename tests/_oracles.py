@@ -157,9 +157,9 @@ def kernel_points_reference(kernel, bound: int) -> list[tuple[int, ...]]:
 def exact_kernel_reference(exact_j) -> list[list[int]]:
     """Primitive integer basis of the compatibility kernel of a rational J."""
     from nctorus.lattice import fraction_matrix, integer_kernel, primitive_vector
-    from nctorus.riemann import _compat_operator_exact
+    from nctorus.riemann import _compat_operator
 
-    A = _compat_operator_exact(fraction_matrix(exact_j))
+    A = _compat_operator(fraction_matrix(exact_j))
     denom = 1
     for row in A:
         for x in row:

@@ -161,6 +161,18 @@ def test_riemann_check_found_and_exact_none():
     assert report["results"]["kernel_dim"] == 4
 
 
+def test_riemann_check_truncated_enumeration_exits_2(tmp_path, capsys):
+    # J0 at n = 3, bound 2: the kernel basis is truncated, so the negative
+    # verdict is partial and the run is inconclusive
+    problem = {"n": 3, "J": complexstruct.standard_j(3).tolist(), "search": {"bound": 2}}
+    code, body = _main_stdout(tmp_path, capsys, problem, "riemann-check")
+    assert code == 2
+    assert body["results"]["verdict"] == "none-within-bound"
+    assert body["results"]["kernel_dim"] == 9
+    assert "truncated kernel basis" in body["diagnostics"]["note"]
+    assert "partial" in body["diagnostics"]["note"]
+
+
 def test_riemann_check_splittorus_w0_found():
     # the split torus degenerates to a product when w = 0 and carries a form
     problem = {
@@ -384,20 +396,22 @@ def test_one_nan_in_one_block_makes_the_report_inconclusive(tmp_path, capsys, mo
         monkeypatch.setattr(np.linalg, "eigvalsh", poison)
     spectra = dolbeault._Engine._spectra
 
-    def spy(self, batch, grams):
-        for item in spectra(self, batch, grams):
-            names.append((grams, item[0]))
-            yield item
+    def spy(self, ops, grams):
+        for terms, degrees, index in spectra(self, ops, grams):
+            names.append((grams, len(terms), tuple(degrees), index))
+            yield terms, degrees, index
 
     monkeypatch.setattr(dolbeault._Engine, "_spectra", spy)
     problem = {"hodge-rank": chain_problem, "laplacian": _two_direction_problem,
                "odd": _n3_fiber_problem, "slab": _shift_problem}[case]()
     code, body = _main_stdout(tmp_path, capsys, problem, command)
     assert poisoned
-    assert {"hodge-rank": names and all(grams for grams, _ in names),
-            "laplacian": ((False, ("delta", 1)) in names
-                          and not any(grams for grams, _ in names)),
-            "odd": {name for _, name in names} == {"odd"},
+    # the index alone: Delta_1 at n = 2 (two terms), the odd block matrix at
+    # n = 3 (Delta_1, Delta_3 and the defect blocks, five terms)
+    assert {"hodge-rank": names and all(grams for grams, *_ in names),
+            "laplacian": ((False, 2, (), True) in names
+                          and not any(grams for grams, *_ in names)),
+            "odd": set(names) == {(False, 5, (), True)},
             "slab": not names}[case]
     assert code == 2
     assert body["results"]["conclusive"] is False and body["results"]["stable"] is False

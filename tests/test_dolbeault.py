@@ -286,9 +286,9 @@ def spy_paths(monkeypatch):
     calls = {"hodge": 0, "laplacian": 0}
     orig = dlb._Engine._spectra
 
-    def counted(self, batch, grams):
+    def counted(self, ops, grams):
         calls["hodge" if grams else "laplacian"] += 1
-        return orig(self, batch, grams)
+        return orig(self, ops, grams)
 
     monkeypatch.setattr(dlb._Engine, "_spectra", counted)
     return calls
@@ -373,7 +373,7 @@ def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
     # the Hodge-rank union would put a value inside the gap band here
-    monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, batch: True)
+    monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, ops: True)
     assert not dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
 
 
@@ -389,11 +389,11 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
     batches = []
     orig = dlb._Engine._forms_complex
 
-    def spy(self, batch):
+    def spy(self, ops):
         # A_0 of a batch of g blocks of c modes holds g matrices of shape (n c r, c r), r = 1
-        A0 = batch.ops[0]
+        A0 = ops[0]
         batches.append((len(A0), A0.shape[-1]))
-        return orig(self, batch)
+        return orig(self, ops)
 
     monkeypatch.setattr(dlb._Engine, "_forms_complex", spy)
     added = record_collector_values(monkeypatch)
@@ -504,10 +504,10 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     engine.run()
     assert len(members) == len(batches) == 1
-    ((_, blocks, _),), ((_, batch, _),) = members, batches
+    ((_, blocks, _),), ((_, ops, _),) = members, batches
     assert blocks.shape == (243, 3)
     for q in range(3):
-        A = batch.ops[q].dense()
+        A = ops[q].dense()
         for i, member in enumerate(blocks):
             want = oracle_block(ref, member, r, q, K)
             assert np.allclose(A[i], want, rtol=0.0, atol=1e-12 * scale)
@@ -517,10 +517,10 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     operators = count_calls(monkeypatch, dlb._Engine, "_spectra")
     dlb._Engine(cs, frame, conn, N, 1e-8, True, False).run()
     assert len(components) == len(operators) == 243
-    for (_, member, _), (_, batch, _) in zip(components, operators):
+    for (_, member, _), (_, ops, _) in zip(components, operators):
         for q in range(3):
             want = oracle_block(ref, member, r, q, K)
-            (A,) = batch.ops[q].dense()
+            (A,) = ops[q].dense()
             assert np.allclose(A, want, rtol=0.0, atol=1e-12 * scale)
 
 
@@ -653,10 +653,8 @@ def test_defect_gate_does_not_stop_at_the_probe():
     # defect off the values of the product itself, with no probe first
     engine = SimpleNamespace(tol_rel=1e-8)
     A0 = sparse_batch([[[1.0, -1.0], [1.0, -1.0]]])
-    batch = dlb._Batch([A0, sparse_batch([[[1.0, 0.0]]])], {})
-    assert not dlb._Engine._forms_complex(engine, batch)
-    batch = dlb._Batch([A0, sparse_batch([[[1.0, -1.0]]])], {})
-    assert dlb._Engine._forms_complex(engine, batch)
+    assert not dlb._Engine._forms_complex(engine, [A0, sparse_batch([[[1.0, 0.0]]])])
+    assert dlb._Engine._forms_complex(engine, [A0, sparse_batch([[[1.0, -1.0]]])])
 
 
 # -- the batched sparse product ------------------------------------------------
@@ -692,38 +690,35 @@ def test_sparse_product_matches_matmul(g):
     # positions drawn with repeats: some values are summed before any product
     assert X.rows.size < 30 and Y.rows.size < 20
     assert_dense_close(X, Xd)
-    plans = {}
-    assert_dense_close(dlb._Batch([X, Y], plans).product("xy", [(X, Y, 0, 0)]), Xd @ Yd)
+    assert_dense_close(dlb._product([(X, Y, 0, 0)]), Xd @ Yd)
     # the adjoint swaps the index arrays and conjugates the values
     XdH = Xd.conj().swapaxes(-1, -2)
     assert_dense_close(X.H, XdH)
-    assert_dense_close(dlb._Product([(X.H, X, 0, 0), (Y, Y.H, 0, 0)])(
-        [(X.H, X, 0, 0), (Y, Y.H, 0, 0)]), XdH @ Xd + Yd @ Yd.conj().swapaxes(-1, -2))
-    # a second batch of the same patterns reuses the symbolic half
+    assert_dense_close(dlb._product([(X.H, X, 0, 0), (Y, Y.H, 0, 0)]),
+                       XdH @ Xd + Yd @ Yd.conj().swapaxes(-1, -2))
+    # other values on the same patterns
     X2 = dlb._Sparse(X.rows, X.cols, X.shape, rng.standard_normal(X.values.shape) + 0j)
-    product = dlb._Batch([X2, Y], plans).product("xy", [(X2, Y, 0, 0)])
-    assert len(plans) == 1
-    assert_dense_close(product, X2.dense() @ Yd)
+    assert_dense_close(dlb._product([(X2, Y, 0, 0)]), X2.dense() @ Yd)
     # no column of Z meets a row of W: an empty product
     Z, Zd = random_sparse(rng, g, (5, 8), 12, cols=np.arange(4))
     W, Wd = random_sparse(rng, g, (8, 3), 10, rows=np.arange(4, 8))
-    empty = dlb._Product([(Z, W, 0, 0)])([(Z, W, 0, 0)])
+    empty = dlb._product([(Z, W, 0, 0)])
     assert empty.values.shape == (g, 0)
     assert_dense_close(empty, Zd @ Wd)
     # terms placed at offsets, as in the odd block matrix: B^* B for B = [X | V]
     V, Vd = random_sparse(rng, g, (6, 5), 15)
     terms = [(X.H, X, 0, 0), (X.H, V, 0, 9), (V.H, X, 9, 0), (V.H, V, 9, 9)]
     B = np.concatenate([Xd, Vd], axis=-1)
-    assert_dense_close(dlb._Product(terms)(terms), B.conj().swapaxes(-1, -2) @ B)
+    assert_dense_close(dlb._product(terms), B.conj().swapaxes(-1, -2) @ B)
     # more blocks than one slice of 2M paired values holds, and a count that
     # leaves a partial last slice
     shape = (10 * g + 37, 40, 40)
     Fd, Hd = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
     F, H = sparse_batch(Fd), sparse_batch(Hd)
-    plan = dlb._Product([(F, H, 0, 0)])
-    step = 2_000_000 // plan.left.size
-    assert len(F) * plan.left.size > 2_000_000 and len(F) % step
-    assert_dense_close(plan([(F, H, 0, 0)]), Fd @ Hd)
+    pairs = dlb._pairs(F.cols, H.rows)[0].size
+    step = 2_000_000 // pairs
+    assert len(F) * pairs > 2_000_000 and len(F) % step
+    assert_dense_close(dlb._product([(F, H, 0, 0)]), Fd @ Hd)
 
 
 def test_laplacians_match_dense_products(setup3, monkeypatch):
@@ -733,19 +728,21 @@ def test_laplacians_match_dense_products(setup3, monkeypatch):
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     engine = dlb._Engine(cs, frame, conn, 1, 1e-8, True, True)
     engine.run()
-    (_, batch, grams) = batches[0]
+    (_, ops, grams) = batches[0]
     assert not grams
-    A = [op.dense() for op in batch.ops]
+    A = [op.dense() for op in ops]
     AH = [a.conj().swapaxes(-1, -2) for a in A]
     delta = [sum(t) for t in ([AH[0] @ A[0]], [AH[1] @ A[1], A[0] @ AH[0]],
                               [AH[2] @ A[2], A[1] @ AH[1]], [A[2] @ AH[2]])]
-    mats = {name: batch.product(name, terms) for name, terms, _, _ in engine._spectra(batch, False)}
-    assert list(mats) == [("delta", 0), ("delta", 1), ("delta", 2), ("delta", 3), "odd"]
+    spectra = list(engine._spectra(ops, False))
+    assert [(degrees, index) for _, degrees, index in spectra] == \
+        [([0], False), ([1], False), ([2], False), ([3], False), ([], True)]
+    mats = [dlb._product(terms) for terms, _, _ in spectra]
     for q in range(4):
-        assert_dense_close(mats["delta", q], delta[q])
+        assert_dense_close(mats[q], delta[q])
     E = A[2] @ A[1]
-    assert_dense_close(mats["odd"], np.block([[delta[1], E.conj().swapaxes(-1, -2)],
-                                              [E, delta[3]]]))
+    assert_dense_close(mats[4], np.block([[delta[1], E.conj().swapaxes(-1, -2)],
+                                          [E, delta[3]]]))
 
 
 def four_direction_connection(theta):
@@ -984,10 +981,10 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     assert batches and len(picks) == len(batches)
     assert len(eigs) == sum(idx.size > 0 for idx in picks)
     solves = iter(eigs)
-    for (_, batch, _), idx in zip(batches, picks):
+    for (_, ops, _), idx in zip(batches, picks):
         if idx.size:
             (M,) = next(solves)
-            A0, A1 = (A.dense() for A in batch.ops)
+            A0, A1 = (A.dense() for A in ops)
             delta1 = A0 @ A0.conj().swapaxes(-1, -2) + A1.conj().swapaxes(-1, -2) @ A1
             assert np.allclose(M, delta1[idx], rtol=0.0, atol=1e-12 * np.abs(delta1).max())
     # one component spanning the box, in the oracle's basis order
@@ -1219,10 +1216,10 @@ def test_rank2_scalar_shift_matches_dense(setup2):
     assert run.kernel_modes_q0 == ((m0, 2),)
 
 
-def test_chain_singletons_take_the_shifted_closed_form(setup2, monkeypatch):
+def test_chain_singletons_take_single_mode_blocks(setup2, monkeypatch):
     # a flat gradient chain along (1,1,0,0) plus a scalar shift on the lattice
-    # point of a singleton mode: the singletons go through the closed form at
-    # their flat indices, fed w + c
+    # point of a singleton mode: the singletons are components of one mode and
+    # take the dense blocks with c = 1, which attribute the kernel to m0
     theta, cs, frame = setup2
     s, m0 = (1, 1, 0, 0), (1, -1, 1, 0)
     ws, c = frame.W @ np.array(s), lattice_shift(frame, m0)
@@ -1231,18 +1228,12 @@ def test_chain_singletons_take_the_shifted_closed_form(setup2, monkeypatch):
              for j in range(2)]
     conn = dlb.FreeConnection(1, terms)
     assert dlb.flatness_curvature(conn, frame).is_flat
-    subsets = []
-    orig = dlb._Engine._run_koszul_modes
-
-    def spy(self, flat_idx):
-        subsets.append(flat_idx)
-        return orig(self, flat_idx)
-
-    monkeypatch.setattr(dlb._Engine, "_run_koszul_modes", spy)
+    blocks = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
     for N in (1, 2):
-        subsets.clear()
+        blocks.clear()
         run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
-        assert len(subsets) == 1 and 0 < subsets[0].size < dlb.mode_count(4, N)
+        singles = [members for (_, members, _) in blocks if members.shape[1] == 1]
+        assert len(singles) == 1 and 0 < singles[0].size < dlb.mode_count(4, N)
         assert run.conclusive
         assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 2, 1)
         if N == 1:

@@ -25,7 +25,7 @@ from nctorus.riemann import (
     frobenius_basis,
     hermitian_from_form,
     _bounded_kernel_points,
-    _compat_operator_exact,
+    _compat_operator,
     _skew_from_vector,
     ncriemann_h0_bound,
     riemann_form_search,
@@ -272,7 +272,7 @@ def test_reduced_kernel_basis_stays_in_the_kernel():
     Jx = rational_split_torus(*EXACT_TORI["w~1e-30"])[1]
     kernel = exact_kernel_reference(Jx)
     assert max(abs(t) for v in kernel for t in v) > 2 ** 53
-    A = _compat_operator_exact(fraction_matrix(Jx))
+    A = _compat_operator(fraction_matrix(Jx))
     red = lll_reduce(np.array(kernel, dtype=object))
     assert len(red) == len(kernel)
     for row in red:
