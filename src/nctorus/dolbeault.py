@@ -36,11 +36,13 @@ Key structural facts the implementation leans on:
 * the collectors keep the values at or below their provisional cutoffs,
   and the degree-0 one the flat mode of each value from a single-mode
   block, so kernel_modes_q0 is read off the kernel itself: it is set when
-  every degree-0 kernel value came from a single mode.
+  every degree-0 kernel value came from a single mode; the collectors a
+  batch or slab feeds share one partition of its values (_feed).
 
-The coupling graph is labelled in numpy (_components); check_box is the one
-box-size rule, for the CLI and the public operations alike.  Only sparse
-components and the operator export import scipy.
+One engine per public call sets up what does not depend on N and runs the
+boxes N and N + 2.  The coupling graph is labelled in numpy (_components);
+check_box is the one box-size rule, for the CLI and the public operations
+alike.  Only sparse components and the operator export import scipy.
 """
 
 from __future__ import annotations
@@ -305,10 +307,11 @@ class _Collector:
     threshold decision needs: the global max, values at or below a
     provisional cutoff, and the smallest value above it.
 
-    Each add keeps its values at or below the cutoff as one array, with
-    their multiplicity and, when modes_at is given, the flat mode index of
-    each: the evidence from which _Engine._finalize decodes the modes of
-    the degree-0 kernel.  A non-finite value marks the run incomplete.
+    Values reach it only through _feed.  Each feed keeps its values at or
+    below the cutoff as one array, with their multiplicity and, for a
+    collector that keeps modes, the flat mode index of each: the evidence
+    from which _Engine._finalize decodes the modes of the degree-0 kernel.
+    A non-finite value marks the run incomplete.
 
     Since nothing else is kept, a dense batch need not be fed whole: the
     engine eigensolves only the blocks whose Gershgorin discs can change one
@@ -323,31 +326,10 @@ class _Collector:
         self.above = math.inf
         self.incomplete = False
 
-    def add(self, values: np.ndarray, mult: int = 1, modes_at=None) -> None:
-        """Take nonnegative values: eigensolves fold their rounding negatives first.
-
-        modes_at, for values of single-mode blocks, maps positions in the
-        flattened values to their flat mode indices.  The largest value is
-        NaN or inf when any value is not finite.
-        """
-        v = values.reshape(-1)
-        top = float(v.max())
-        if not math.isfinite(top):
-            self.incomplete = True
-            return
-        self.vmax = max(self.vmax, top)
-        below = v <= self.prov
-        at = np.flatnonzero(below)
-        if at.size:
-            self.kept.append((v[at], mult, None if modes_at is None else modes_at(at)))
-        if at.size < v.size:
-            above = np.logical_not(below, out=below)
-            self.above = min(self.above, float(np.min(v, where=above, initial=math.inf)))
-
     def add_iterative(self, values: np.ndarray, vmax: float, complete: bool, dim: int) -> None:
         """Take the smallest values of a dim x dim matrix from _iterative_small_eigs."""
         self.vmax = max(self.vmax, vmax)
-        self.add(values)
+        _feed([(self, 1, False)], values)
         # if every computed value sits below the provisional cutoff,
         # more kernel candidates may exist beyond the solver's block
         if not complete or (values.size < dim and float(values.max()) <= self.prov):
@@ -364,6 +346,37 @@ class _Collector:
             cut = max(cut, float(np.max(vals, where=ker, initial=0.0)))
             kept = min(kept, float(np.min(vals, where=~ker, initial=math.inf)))
         return kernel, cut, kept, gap_resolved(cut, kept, thresh) and not self.incomplete
+
+
+def _feed(feeds, values: np.ndarray, modes_at=None) -> None:
+    """Feed nonnegative values to each (collector, multiplicity, keeps modes) of feeds.
+
+    Eigensolves fold their rounding negatives first.  It takes one max (NaN
+    or inf if a value is not finite), one compare with the largest prov and
+    one masked min above it; each collector filters the few values at or
+    below it by its own prov.  All are exact, so each ends as if fed alone.
+    modes_at maps positions in the flattened values to flat mode indices.
+    """
+    v = values.reshape(-1)
+    if not feeds or not v.size:
+        return
+    top = float(v.max())
+    if not math.isfinite(top):
+        for col, _, _ in feeds:
+            col.incomplete = True
+        return
+    below = v <= max(col.prov for col, _, _ in feeds)
+    at = np.flatnonzero(below)
+    low = v[at]
+    rest = float(np.min(v, where=np.logical_not(below, out=below), initial=math.inf))
+    for col, mult, keeps in feeds:
+        col.vmax = max(col.vmax, top)
+        mine = low <= col.prov
+        k = np.flatnonzero(mine)
+        if k.size:
+            col.kept.append((low[k], mult, modes_at(at[k]) if keeps and modes_at else None))
+        if k.size < v.size:
+            col.above = min(col.above, rest, float(np.min(low, where=~mine, initial=math.inf)))
 
 
 def gap_resolved(cut: float, kept: float, thresh: float) -> bool:
@@ -560,8 +573,10 @@ def _product(terms) -> _Sparse:
 
 
 class _Engine:
+    """The N-independent set-up of one connection, run on one box at a time by run."""
+
     def __init__(self, cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
-                 N: int, tol_rel: float, want_dims: bool, want_index: bool):
+                 tol_rel: float):
         n = frame.n
         if conn.n != n:
             raise ValueError("connection and frame disagree on the complex dimension")
@@ -569,7 +584,7 @@ class _Engine:
         if theta.d != 2 * n:
             raise ValueError("Theta size and frame dimension disagree")
         self.frame = frame
-        self.n, self.d, self.r, self.N = n, 2 * n, conn.rank, N
+        self.n, self.d, self.r = n, 2 * n, conn.rank
         self.theta = theta
         self.tol_rel = tol_rel
 
@@ -592,26 +607,14 @@ class _Engine:
         self.U = np.hstack([U.real, U.imag])
         self.v0 = np.concatenate([v0.real, v0.imag])
 
-        # operator norm bounds used for provisional cutoffs
-        W = frame.W
-        wmax = TWO_PI * N * np.sum(np.abs(W), axis=1)
-        coupn = (np.linalg.norm(self.coef[0], 2, axis=(1, 2))
-                 + np.abs(self.coef[1:]).sum(axis=(0, 2, 3)))
-        self.opbound = np.zeros(n + 1)
-        for q in range(n):
-            self.opbound[q] = sum(
-                np.linalg.norm(self.Stil[j][q], 2) * (wmax[j] + coupn[j]) for j in range(n)
-            )
-        lam_bound = [
-            (self.opbound[q] + (self.opbound[q - 1] if q > 0 else 0.0)) ** 2
-            for q in range(n + 1)
-        ]
-        self.lap = [
-            _Collector(16.0 * tol_rel * max(lam_bound[q], 1e-300)) for q in range(n + 1)
-        ] if want_dims else None
-        # ||D|| is at most the sum of the ||A_q||
-        d_bound = max(self.opbound.sum(), 1e-300)
-        self.dsv = _Collector(16.0 * math.sqrt(tol_rel) * d_bound) if want_index else None
+        # the parts of the operator norm bounds that do not depend on N
+        self.wsum = np.sum(np.abs(frame.W), axis=1)
+        self.coupn = (np.linalg.norm(self.coef[0], 2, axis=(1, 2))
+                      + np.abs(self.coef[1:]).sum(axis=(0, 2, 3)))
+        self.snorm = [[np.linalg.norm(Sj[q], 2) for Sj in self.Stil] for q in range(n)]
+        # what one mode of a single-mode block holds: A_q, A_q^* and the pairs of their products
+        a, b = np.array(self.fdims[:-1]), np.array(self.fdims[1:])
+        self.mode_entries = self.r ** 2 * int(a * b @ (2 + self.r * (a + b)))
 
     # -- helpers ----------------------------------------------------
 
@@ -620,8 +623,8 @@ class _Engine:
 
     # -- closed-form path ------------------------------------------------
 
-    def _box_koszul_eigenvalues(self):
-        """Yield (first flat index, |v~|^2) over the box, one slab at a time.
+    def _box_koszul_eigenvalues(self, N: int):
+        """Yield (first flat index, |v~|^2) over the box |m|_inf <= N, one slab at a time.
 
         With a_j = c_j 1 and no coupling the complex on one mode is the
         Koszul complex of the covector v = w + c: wedge multiplication by v.
@@ -639,7 +642,7 @@ class _Engine:
         cancellation can leave a kernel mode slightly negative, so the slab
         is clipped at 0.  Only the slow coordinates of a slab are decoded.
         """
-        n, N = self.n, self.N
+        n = self.n
         side = 2 * N + 1
         y = _decode_modes(np.arange(side ** n), n, N) @ self.U[:n]
         Y = np.column_stack([y, np.ones(len(y)), np.einsum("ij,ij->i", y, y)])
@@ -656,11 +659,10 @@ class _Engine:
         """Feed the closed-form eigenvalues of a slab whose first flat index is start."""
         n, r = self.n, self.r
         if self.lap is not None:
-            for q in range(n + 1):
-                self.lap[q].add(lam, mult=r * self.fdims[q],
-                                modes_at=None if q else lambda at: start + at)
+            _feed([(self.lap[q], r * self.fdims[q], q == 0) for q in range(n + 1)], lam,
+                  lambda at: start + at)
         if self.dsv is not None:
-            self.dsv.add(np.sqrt(lam), mult=r * 2 ** (n - 1))
+            _feed([(self.dsv, r * 2 ** (n - 1), False)], np.sqrt(lam))
 
     # -- block paths ------------------------------------------------------
 
@@ -736,13 +738,15 @@ class _Engine:
         as in _direction_terms.  Each batch eigensolves the matrices of
         _spectra: the Grams when it forms a complex at n <= 2, the
         Laplacians otherwise.  Blocks of one mode give their flat indices
-        to lap[0], for kernel_modes_q0.  The widest matrix a batch forms has
-        2^(n-1) * c * r rows: a Gram or Delta_q at n <= 2, DD^* on the odd
-        forms above.
+        to lap[0], for kernel_modes_q0.  A batch holds at most 8M entries
+        counted per block: the widest matrix dense, 2^(n-1) * c * r rows (a
+        Gram or Delta_q at n <= 2, DD^* on the odd forms above), and per mode
+        what a single-mode block holds, its A_q and their adjoints and the
+        paired values of its Delta_q products.
         """
         G, c = members.shape
         big = 2 ** (self.n - 1) * c * self.r
-        chunk = max(1, int(8_000_000 / max(big * big, 1)))
+        chunk = max(1, 8_000_000 // (big * big + c * self.mode_entries))
         for start in range(0, G, chunk):
             sub = members[start:start + chunk]
             g = sub.shape[0]
@@ -842,10 +846,9 @@ class _Engine:
             return
         vals = np.linalg.eigvalsh(M.dense(idx))
         modes_at = None if modes is None else lambda at: modes[idx][at // vals.shape[1]]
-        for q in degrees:
-            self.lap[q].add(np.abs(vals), modes_at=None if q else modes_at)
+        _feed([(self.lap[q], 1, q == 0) for q in degrees], np.abs(vals), modes_at)
         if index:
-            self.dsv.add(np.sqrt(np.clip(vals, 0.0, None)))
+            _feed([(self.dsv, 1, False)], np.sqrt(np.clip(vals, 0.0, None)))
 
     def _spectra(self, ops: list[_Sparse], grams: bool):
         """(terms, degrees, index) of each matrix whose spectrum a collector needs.
@@ -928,12 +931,24 @@ class _Engine:
 
     # -- main --------------------------------------------------------
 
-    def run(self) -> _BoxRun:
-        d, N = self.d, self.N
+    def run(self, N: int, want_dims: bool, want_index: bool) -> _BoxRun:
+        """The spectra of the box |m|_inf <= N, fed to fresh collectors and finalized."""
+        n, d, tol_rel, self.N = self.n, self.d, self.tol_rel, N
+        # operator norm bounds used for provisional cutoffs
+        wmax = TWO_PI * N * self.wsum
+        opbound = np.zeros(n + 1)
+        for q in range(n):
+            opbound[q] = sum(self.snorm[q][j] * (wmax[j] + self.coupn[j]) for j in range(n))
+        lam_bound = [(opbound[q] + (opbound[q - 1] if q > 0 else 0.0)) ** 2 for q in range(n + 1)]
+        self.lap = [_Collector(16.0 * tol_rel * max(lam_bound[q], 1e-300))
+                    for q in range(n + 1)] if want_dims else None
+        # ||D|| is at most the sum of the ||A_q||
+        d_bound = max(opbound.sum(), 1e-300)
+        self.dsv = _Collector(16.0 * math.sqrt(tol_rel) * d_bound) if want_index else None
         K = mode_count(d, N)
         if len(self.steps) == 1:
             if self.scalar_const:
-                for start, lam in self._box_koszul_eigenvalues():
+                for start, lam in self._box_koszul_eigenvalues(N):
                     self._add_koszul(start, lam)
             else:
                 self._run_blocks(np.arange(K, dtype=np.int64)[:, None],
@@ -1012,23 +1027,26 @@ class _Engine:
 
 
 def _iterative_small_eigs(Lap, k: int, rng) -> tuple[np.ndarray, float, bool]:
-    """Smallest eigenvalues of a sparse Hermitian PSD matrix, in order, plus its largest."""
+    """Smallest eigenvalues of a sparse Hermitian PSD matrix, its largest, and if both converged."""
     import scipy.sparse as sp
-    from scipy.sparse.linalg import eigsh, lobpcg
+    from scipy.sparse.linalg import ArpackError, eigsh, lobpcg
 
     Lap = Lap.tocsr()
     dim = Lap.shape[0]
     if dim < max(64, 5 * k):
         vals = np.linalg.eigvalsh(Lap.toarray())
         return vals, float(vals[-1]), True
-    v0 = np.ones(dim) / math.sqrt(dim)
-    vmax = float(eigsh(Lap, k=1, which="LA", v0=v0, tol=1e-7,
-                       return_eigenvectors=False)[0])
     k = min(k, dim - 2)
+    X = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    try:
+        # a fixed start can span an invariant subspace: ones in a graph Laplacian's kernel
+        vmax = float(eigsh(Lap, k=1, which="LA", v0=rng.standard_normal(dim), tol=1e-7,
+                           return_eigenvectors=False)[0])
+    except ArpackError:  # the largest value is not computed, so none counts
+        return np.zeros(0), 0.0, False
     diag = Lap.diagonal().real
     diag = np.where(diag > 1e-12 * max(vmax, 1.0), diag, 1.0)
     M = sp.diags(1.0 / diag).tocsr()
-    X = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     tol = 1e-10 * max(vmax, 1.0)
     vals, vecs = lobpcg(Lap, X, M=M, tol=tol, maxiter=400, largest=False)
     # lobpcg returns its last iterate when maxiter runs out; only residuals
@@ -1039,7 +1057,7 @@ def _iterative_small_eigs(Lap, k: int, rng) -> tuple[np.ndarray, float, bool]:
 
 
 def _box_run(cs, frame, conn, N, tol_rel, want_dims, want_index) -> _BoxRun:
-    return _Engine(cs, frame, conn, N, tol_rel, want_dims, want_index).run()
+    return _Engine(cs, frame, conn, tol_rel).run(N, want_dims, want_index)
 
 
 # -- public operations ----------------------------------------------------
@@ -1059,8 +1077,9 @@ def cohomology_dims(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnect
             "cohomology needs a flat connection"
         )
     check_box(conn.theta.d, box.N, conn)
-    runA = _box_run(cs, frame, conn, box.N, tol_rel, True, True)
-    runB = _box_run(cs, frame, conn, box.N + 2, tol_rel, True, False)
+    engine = _Engine(cs, frame, conn, tol_rel)
+    runA = engine.run(box.N, True, True)
+    runB = engine.run(box.N + 2, True, False)
     stable = runA.conclusive and runB.conclusive and runA.dims == runB.dims
     return SpectralReport(
         dims=runA.dims,
@@ -1089,8 +1108,9 @@ def index(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
     defect blocks A_{q+1} A_q: Delta_1 itself at n <= 2.
     """
     check_box(conn.theta.d, box.N, conn)
-    runA = _box_run(cs, frame, conn, box.N, tol_rel, False, True)
-    runB = _box_run(cs, frame, conn, box.N + 2, tol_rel, False, True)
+    engine = _Engine(cs, frame, conn, tol_rel)
+    runA = engine.run(box.N, False, True)
+    runB = engine.run(box.N + 2, False, True)
     stable = runA.conclusive and runB.conclusive
     return IndexResult(
         index=0,

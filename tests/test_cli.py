@@ -375,8 +375,8 @@ def test_one_nan_in_one_block_makes_the_report_inconclusive(tmp_path, capsys, mo
     if case == "slab":
         slabs = dolbeault._Engine._box_koszul_eigenvalues
 
-        def poison(self):
-            for start, lam in slabs(self):
+        def poison(self, N):
+            for start, lam in slabs(self, N):
                 if not poisoned:
                     poisoned.append(start)
                     lam[lam.size // 2] = np.nan
@@ -417,6 +417,25 @@ def test_one_nan_in_one_block_makes_the_report_inconclusive(tmp_path, capsys, mo
     assert body["results"]["conclusive"] is False and body["results"]["stable"] is False
 
 
+def test_arpack_error_exits_2(tmp_path, capsys, monkeypatch):
+    # every component of the N + 2 box goes to the sparse path, whose largest
+    # eigenvalue ARPACK then fails to find: inconclusive, not a traceback
+    import scipy.sparse.linalg as spla
+
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise spla.ArpackError(-9)
+
+    monkeypatch.setattr(dolbeault, "DENSE_BLOCK_LIMIT", 10)
+    monkeypatch.setattr(spla, "eigsh", fail)
+    code, body = _main_stdout(tmp_path, capsys, _two_direction_problem(), "index")
+    assert calls
+    assert code == 2
+    assert body["results"]["stable"] is False
+
+
 def test_internal_check_failure_exits_2(tmp_path, capsys, monkeypatch):
     from nctorus import riemann
 
@@ -439,7 +458,7 @@ def test_memory_error_exits_1(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise MemoryError("Unable to allocate 40.0 GiB")
 
-    monkeypatch.setattr(dolbeault, "_box_run", fail)
+    monkeypatch.setattr(dolbeault._Engine, "run", fail)
     problem = dict(PRODUCT_PROBLEM)
     problem["connection"] = {"rank": 1, "terms": [
         [[[{"m": [0, 0, 0, 0], "re": 0.3, "im": 0.1}]]], [[[]]]]}
@@ -534,7 +553,7 @@ def test_range_edges():
 def test_one_box_rule_for_the_cli_and_the_engine(tmp_path, capsys, monkeypatch):
     """A coupled n = 3 connection at N = 7 exits 1 before any box run."""
     runs = []
-    monkeypatch.setattr(dolbeault, "_box_run", lambda *args: runs.append(args))
+    monkeypatch.setattr(dolbeault._Engine, "run", lambda *args: runs.append(args))
     three = {"n": 3, "theta": {"product_blocks": [0.31, 0.47, 0.23]},
              "J": {"blocks": [[[0.0, -1.0], [1.0, 0.0]]] * 3}}
     cs = cli.parse_problem_file(json.dumps(three)).cs
@@ -601,13 +620,13 @@ def _paths(node, prefix=()):
 def test_fuzzed_problem_files_exit_0_1_or_2_with_one_json_object(tmp_path, capsys, monkeypatch):
     """One junk value at a random place of a full problem file, then a random command."""
     boxes = []
-    box_run = dolbeault._box_run
+    run = dolbeault._Engine.run
 
-    def recorded_box_run(cs, frame, conn, N, *rest):
+    def recorded_run(self, N, *rest):
         boxes.append(N)
-        return box_run(cs, frame, conn, N, *rest)
+        return run(self, N, *rest)
 
-    monkeypatch.setattr(dolbeault, "_box_run", recorded_box_run)
+    monkeypatch.setattr(dolbeault._Engine, "run", recorded_run)
     rng = random.Random(1)
     paths = list(_paths(FUZZ_BASE))
     path = tmp_path / "p.json"

@@ -265,14 +265,20 @@ def dense_index_spectra(cs, frame, conn, N):
 def record_collector_values(monkeypatch):
     """Every value each collector is fed, with multiplicities, keyed by id(collector)."""
     added = {}
-    orig_add = dlb._Collector.add
+    orig_feed = dlb._feed
 
-    def record(self, values, mult=1, modes_at=None):
-        added.setdefault(id(self), []).append(np.repeat(values.reshape(-1), mult))
-        return orig_add(self, values, mult, modes_at)
+    def record(feeds, values, modes_at=None):
+        for col, mult, _ in feeds:
+            added.setdefault(id(col), []).append(np.repeat(values.reshape(-1), mult))
+        return orig_feed(feeds, values, modes_at)
 
-    monkeypatch.setattr(dlb._Collector, "add", record)
+    monkeypatch.setattr(dlb, "_feed", record)
     return added
+
+
+def feed(col, values):
+    """Feed values of multiplicity one to the collector col alone."""
+    dlb._feed([(col, 1, False)], values)
 
 
 def solve_every_block(monkeypatch):
@@ -329,8 +335,8 @@ def test_n3_chains_take_the_laplacian_path(monkeypatch, step):
     # the whole spectrum of every degree
     added = record_collector_values(monkeypatch)
     solve_every_block(monkeypatch)
-    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, True)
-    engine.run()
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
+    engine.run(N, True, True)
     for col, want in zip(engine.lap, ref):
         got = np.sort(np.concatenate(added[id(col)]))
         assert got.shape == want.shape
@@ -398,8 +404,8 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
     monkeypatch.setattr(dlb._Engine, "_forms_complex", spy)
     added = record_collector_values(monkeypatch)
     solve_every_block(monkeypatch)
-    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, False)
-    run = engine.run()
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
+    run = engine.run(N, True, False)
     assert any(g >= 2 and c >= 2 for g, c in batches)
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
@@ -495,14 +501,14 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     K = dlb.mode_count(6, N)
     ref = normalized_operators(cs, frame, conn, N)
     scale = max(abs(A).max() for A in ref)
-    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, False)
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
     signs = dlb._wedge_signs(3, engine.forms)
     assert sum(np.count_nonzero(S) for row in engine.Stil for S in row) > \
         sum(np.count_nonzero(S) for row in signs for S in row)
     # the dense path: one batch of all 243 chains of three modes
     members = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
-    engine.run()
+    engine.run(N, True, False)
     assert len(members) == len(batches) == 1
     ((_, blocks, _),), ((_, ops, _),) = members, batches
     assert blocks.shape == (243, 3)
@@ -515,7 +521,7 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
     components = count_calls(monkeypatch, dlb._Engine, "_sparse_component")
     operators = count_calls(monkeypatch, dlb._Engine, "_spectra")
-    dlb._Engine(cs, frame, conn, N, 1e-8, True, False).run()
+    dlb._Engine(cs, frame, conn, 1e-8).run(N, True, False)
     assert len(components) == len(operators) == 243
     for (_, member, _), (_, ops, _) in zip(components, operators):
         for q in range(3):
@@ -562,7 +568,7 @@ def test_degree_operators_write_each_direction_where_its_weight_is_nonzero(monke
         MatrixElement(theta, [[FourierElement.monomial(theta, (0, 1, 0, 0), 0.9j)]]),
     ])
     N = 2
-    engine = dlb._Engine(cs, frame, conn, N, 1e-8, False, True)
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
     signs = dlb._wedge_signs(2, engine.forms)
     for St, sg in zip(engine.Stil, signs):
         assert all(np.array_equal(a != 0, b != 0) for a, b in zip(St, sg))
@@ -574,7 +580,7 @@ def test_degree_operators_write_each_direction_where_its_weight_is_nonzero(monke
         return calls[-1][1]
 
     monkeypatch.setattr(dlb._Engine, "_degree_operators", spy)
-    engine.run()
+    engine.run(N, False, True)
     assert calls
     # at n = 2 row block j of the oracle's A_0 is T_j; every T_j also holds
     # its frequency on the diagonal, which vanishes at mode 0
@@ -726,8 +732,8 @@ def test_laplacians_match_dense_products(setup3, monkeypatch):
     # [[Delta_1, (A_2 A_1)^*], [A_2 A_1, Delta_3]] of one batch
     cs, frame, conn = setup3
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
-    engine = dlb._Engine(cs, frame, conn, 1, 1e-8, True, True)
-    engine.run()
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
+    engine.run(1, True, True)
     (_, ops, grams) = batches[0]
     assert not grams
     A = [op.dense() for op in ops]
@@ -785,6 +791,34 @@ def test_iterative_small_eigs_matches_eigvalsh(monkeypatch):
     assert abs(vmax - ref[-1]) < 1e-7 * ref[-1]
 
 
+def test_iterative_small_eigs_starts_off_the_kernel():
+    # the unweighted path Laplacian has the all-ones vector in its kernel, so
+    # eigsh started from it sees an invariant subspace ("starting vector is zero")
+    n = 200
+    L = sp.diags([np.r_[1.0, 2.0 * np.ones(n - 2), 1.0], -np.ones(n - 1), -np.ones(n - 1)],
+                 [0, 1, -1], format="csr").astype(complex)
+    vals, vmax, complete = dlb._iterative_small_eigs(L, 6, np.random.default_rng(0))
+    ref = np.linalg.eigvalsh(L.toarray())
+    assert complete
+    assert np.allclose(vals, ref[:6], rtol=0.0, atol=1e-10 * ref[-1])
+    assert abs(vmax - ref[-1]) < 1e-7 * ref[-1]
+
+
+def test_arpack_error_leaves_the_values_uncomputed(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def fail(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    L = sp.identity(100, dtype=complex, format="csr")
+    vals, _, complete = dlb._iterative_small_eigs(L, 6, np.random.default_rng(0))
+    assert vals.size == 0 and not complete
+    col = dlb._Collector(prov=0.5)
+    col.add_iterative(vals, 0.0, complete, 100)
+    assert col.incomplete and not col.kept
+
+
 def test_iterative_values_all_below_the_threshold_are_inconclusive():
     # the solver's block holds fewer values than the matrix and all sit below
     # the threshold, so more kernel candidates may lie beyond it: with no value
@@ -802,9 +836,54 @@ def test_non_finite_values_make_the_collector_incomplete(bad):
     # a NaN or inf batch maximum would otherwise be dropped by Python's max,
     # and every comparison with a NaN is False
     col = dlb._Collector(prov=1.0)
-    col.add(np.array([bad, 5.0, 0.5]))
-    col.add(np.array([2.0]))
+    feed(col, np.array([bad, 5.0, 0.5]))
+    feed(col, np.array([2.0]))
     assert col.incomplete and not col.finalize(1e-8)[3]
+
+
+def reference_feed(col, values, mult, modes_at):
+    """One collector fed on its own: its own max, compare and masked minimum."""
+    v = values.reshape(-1)
+    top = float(v.max())
+    if not math.isfinite(top):
+        col.incomplete = True
+        return
+    col.vmax = max(col.vmax, top)
+    at = np.flatnonzero(v <= col.prov)
+    if at.size:
+        col.kept.append((v[at], mult, None if modes_at is None else modes_at(at)))
+    if at.size < v.size:
+        col.above = min(col.above, float(np.min(v[v > col.prov])))
+
+
+def exact_state(col):
+    """vmax, above, incomplete and every kept (values, mult, modes), in feed order."""
+    return col.vmax, col.above, col.incomplete, [
+        (vals.tolist(), mult, None if at is None else at.tolist()) for vals, mult, at in col.kept]
+
+
+def test_one_partition_feeds_every_collector_as_its_own_feed_would():
+    provs, mults, keeps = (0.25, 1.0, 4.0, 1.0), (1, 3, 3, 4), (True, False, False, False)
+    clipped = np.maximum(np.array([-1e-17, 0.5, -3e-18, 6.0]), 0.0)
+    batches = [
+        np.array([[0.25, 1.0, 4.0], [0.5, 3.0, 7.0], [0.0, 0.2, 9.0]]),  # values at each prov
+        clipped,
+        np.array([0.1, 2.0, 8.0]),
+        np.array([0.0, 0.1, 0.2]),  # all below every prov
+        np.array([5.0, 6.0, 9.0]),  # all above every prov
+        np.array([0.1, math.nan, 5.0]),
+        np.array([0.3, 4.5]),
+    ]
+    together = [dlb._Collector(p) for p in provs]
+    alone = [dlb._Collector(p) for p in provs]
+    for k, values in enumerate(batches):
+        modes_at = (lambda at, k=k: 100 * k + at) if k % 2 == 0 else None
+        dlb._feed(list(zip(together, mults, keeps)), values, modes_at)
+        for col, mult, keep in zip(alone, mults, keeps):
+            reference_feed(col, values, mult, modes_at if keep else None)
+        assert [exact_state(c) for c in together] == [exact_state(c) for c in alone], k
+    assert all(c.incomplete for c in together)
+    assert together[0].kept[0][2] is not None and together[1].kept[0][2] is None
 
 
 def test_sparse_engine_matches_dense(setup2, monkeypatch):
@@ -865,8 +944,8 @@ def index_values(monkeypatch, cs, frame, conn, N, want_dims):
     """
     added = record_collector_values(monkeypatch)
     solve_every_block(monkeypatch)
-    engine = dlb._Engine(cs, frame, conn, N, 1e-8, want_dims, True)
-    run = engine.run()
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
+    run = engine.run(N, want_dims, True)
     return run, np.sort(np.concatenate(added[id(engine.dsv)]))
 
 
@@ -945,11 +1024,11 @@ def record_results(monkeypatch, owner, name):
 def test_laplacian_batches_solve_each_degree_once(setup2, monkeypatch):
     # both halves wanted at n = 2: the index reads the Delta_1 eigenvalues
     theta, cs, frame = setup2
-    engine = dlb._Engine(cs, frame, two_direction_connection(theta), 2, 1e-8, True, True)
+    engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
     paths = spy_paths(monkeypatch)
     picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    engine.run()
+    engine.run(2, True, True)
     assert paths["laplacian"] > 0 and paths["hodge"] == 0
     # one pick per degree and batch, and at most one eigensolve per pick
     assert len(picks) == (engine.n + 1) * paths["laplacian"]
@@ -970,11 +1049,11 @@ def test_sparse_component_solves_each_degree_once(setup2, monkeypatch):
 
 def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     theta, cs, frame = setup2
-    engine = dlb._Engine(cs, frame, two_direction_connection(theta), 2, 1e-8, False, True)
+    engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    engine.run()
+    engine.run(2, False, True)
     # every batch takes the Laplacians: one pick per batch, and each
     # eigensolve takes the rows it picked of Delta_1
     assert not any(grams for (_, _, grams) in batches)
@@ -1034,8 +1113,8 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
     }[case]
 
     def run():
-        engine = dlb._Engine(cs, frame, conn, N, 1e-8, want_dims, True)
-        engine.run()
+        engine = dlb._Engine(cs, frame, conn, 1e-8)
+        engine.run(N, want_dims, True)
         cols = (engine.lap or []) + [engine.dsv]
         return [collector_state(col) for col in cols], engine._finalize()
 
@@ -1078,15 +1157,15 @@ def test_first_batch_solves_the_kernel_block_and_two_witnesses():
     M, idx = pick(engine, blocks)
     assert list(idx) == [1, 2, 3]
     full, picked = dlb._Collector(1e-3), dlb._Collector(1e-3)
-    full.add(np.abs(np.linalg.eigvalsh(M)))
-    picked.add(np.abs(np.linalg.eigvalsh(M[idx])))
+    feed(full, np.abs(np.linalg.eigvalsh(M)))
+    feed(picked, np.abs(np.linalg.eigvalsh(M[idx])))
     assert collector_state(picked) == collector_state(full)
 
 
 def test_blocks_with_non_finite_entries_are_solved():
     # every comparison with a NaN disc is False, so the bounds alone would skip it
     engine = stand_in_engine(1e-3)
-    engine.lap[0].add(np.array([1e-4, 1.0, 50.0]))
+    feed(engine.lap[0], np.array([1e-4, 1.0, 50.0]))
     blocks = [np.diag([5.0, 6.0]), np.diag([math.nan, 6.0]), [[5.0, math.inf], [math.inf, 6.0]],
               np.diag([5.5, 6.5])]
     _, idx = pick(engine, blocks)
@@ -1097,7 +1176,7 @@ def test_blocks_one_ulp_from_prov_are_solved():
     prov = 0.25
     up = np.nextafter(prov, 1.0)
     engine = stand_in_engine(prov)
-    engine.lap[0].add(np.array([up, 8.0]))  # above one ulp over prov, vmax 8
+    feed(engine.lap[0], np.array([up, 8.0]))  # above one ulp over prov, vmax 8
     # values at prov, one and two ulps over it, and one far over it: the discs of
     # the middle two clear prov (and the second clears above) by less than the
     # slack that covers eigvalsh's rounding, so they are solved
@@ -1114,8 +1193,8 @@ def test_blocks_one_ulp_from_prov_are_solved():
     assert np.sqrt(up) == 0.5
     assert list(idx) == [0, 1, 2]
     full, picked = dlb._Collector(0.5), dlb._Collector(0.5)
-    full.add(np.sqrt(np.linalg.eigvalsh(M)))
-    picked.add(np.sqrt(np.linalg.eigvalsh(M[idx])))
+    feed(full, np.sqrt(np.linalg.eigvalsh(M)))
+    feed(picked, np.sqrt(np.linalg.eigvalsh(M[idx])))
     assert collector_state(picked) == collector_state(full)
 
 
@@ -1255,8 +1334,8 @@ def test_n3_lattice_shift_kernel_in_a_later_slab(monkeypatch):
     starts = []
     orig = dlb._Engine._box_koszul_eigenvalues
 
-    def spy(self):
-        for start, lam in orig(self):
+    def spy(self, N):
+        for start, lam in orig(self, N):
             starts.append(start)
             yield start, lam
 
@@ -1282,9 +1361,9 @@ def test_box_koszul_values_match_direct_evaluation(n, N, shift):
          "generic": [0.37 + 0.21j, -0.13 + 0.52j, 0.2 - 0.3j][:n],
          "lattice": lattice_shift(frame, m0)}[shift]
     conn = dlb.FreeConnection.scalar_shift(theta, c)
-    engine = dlb._Engine(cs, frame, conn, N, 1e-8, True, True)
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
     d, K = 2 * n, dlb.mode_count(2 * n, N)
-    slabs = list(engine._box_koszul_eigenvalues())
+    slabs = list(engine._box_koszul_eigenvalues(N))
     rng = np.random.default_rng(7)
     end = 0
     for start, lam in slabs:
@@ -1325,6 +1404,30 @@ def test_clipped_kernel_value_keeps_the_lattice_shift_kernel(seed, m0):
     res = dlb.index(cs, frame, conn, box)
     assert res.index == 0 and res.stable and res.conclusive
     assert math.isfinite(res.sigma_kept) and math.isfinite(res.sigma_cut)
+
+
+@pytest.mark.parametrize("case", ["trivial n = 3, r = 2", "scalar shift", "e1 chain",
+                                  "index-grid"])
+def test_one_engine_runs_each_box_as_a_fresh_engine(setup2, case):
+    # cohomology_dims and index run one engine at N, then at N + 2
+    theta, cs, frame = setup2
+    if case == "trivial n = 3, r = 2":
+        cs = random_complex_structure(3, np.random.default_rng(33))
+        frame = antihol_frame(cs)
+        conn = dlb.FreeConnection.trivial(ThetaMatrix.product([0.31, 0.47, 0.23]), 3, 2)
+    else:
+        conn = {"scalar shift": dlb.FreeConnection.scalar_shift(theta, [0.37 + 0.21j, -0.13]),
+                "e1 chain": gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j),
+                "index-grid": two_direction_connection(theta)}[case]
+    wants = [(False, True)] * 2 if case == "index-grid" else [(True, True), (True, False)]
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
+    for N, want in zip((1, 3), wants):
+        run = engine.run(N, *want)
+        fresh = dlb._Engine(cs, frame, conn, 1e-8)
+        assert run == fresh.run(N, *want)
+        assert [exact_state(col) for col in (engine.lap or []) + [engine.dsv] if col] == \
+            [exact_state(col) for col in (fresh.lap or []) + [fresh.dsv] if col]
+        assert run.conclusive
 
 
 def test_only_non_scalar_constant_fibers_assemble_blocks(setup2, monkeypatch):
