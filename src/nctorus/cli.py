@@ -605,7 +605,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ProblemFileError(message)
 
 
-def main(argv=None) -> int:
+def _build_parser():
+    """The argument parser and the flags that override problem-file fields."""
     parser = _ArgumentParser(
         prog="nctorus",
         description="Spectral and lattice computations for noncommutative complex tori",
@@ -623,12 +624,20 @@ def main(argv=None) -> int:
         parser.add_argument("--samples"),
         parser.add_argument("--workers"),
     ]
+    return parser, flags
+
+
+# built once per process; parsing leaves it unchanged, so every main call shares it
+_PARSER, _FLAGS = _build_parser()
+
+
+def main(argv=None) -> int:
     output = None
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         output = args.output
         given = {f.dest: (f.option_strings[0], getattr(args, f.dest))
-                 for f in flags if getattr(args, f.dest) is not None}
+                 for f in _FLAGS if getattr(args, f.dest) is not None}
         with open(args.input) as fh:
             pf = parse_problem_file(fh.read(), given)
         report, status = run(args.command, pf)

@@ -244,12 +244,13 @@ def invariant_metric(cs: ComplexStructure, G0=None) -> MetricG:
     """Average G0 with its J-pullback: G = (G0 + J^T G0 J) / 2."""
     m = 2 * cs.n
     if G0 is None:
-        G0 = np.eye(m)
-    G0 = np.asarray(G0, dtype=float)
-    if G0.shape != (m, m) or np.max(np.abs(G0 - G0.T)) > 1e-12:
-        raise ValueError("G0 must be symmetric of the right size")
-    if np.min(np.linalg.eigvalsh(G0)) <= 0:
-        raise ValueError("G0 must be positive definite")
+        G0 = np.eye(m)  # symmetric positive definite as built, so left unchecked
+    else:
+        G0 = np.asarray(G0, dtype=float)
+        if G0.shape != (m, m) or np.max(np.abs(G0 - G0.T)) > 1e-12:
+            raise ValueError("G0 must be symmetric of the right size")
+        if np.min(np.linalg.eigvalsh(G0)) <= 0:
+            raise ValueError("G0 must be positive definite")
     G = 0.5 * (G0 + cs.J.T @ G0 @ cs.J)
     G = 0.5 * (G + G.T)
     G.setflags(write=False)

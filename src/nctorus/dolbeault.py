@@ -28,7 +28,9 @@ Key structural facts the implementation leans on:
   the Laplacians Delta_q and DD^* on the odd forms, or at n <= 2, for a
   batch that forms a complex, the Grams of the A_q (the Hodge-rank path),
   eigensolved only on the blocks whose Gershgorin discs can change a
-  kernel decision;
+  kernel decision (_Engine._pick); a Laplacian's discs are read off the
+  formed batch, a Gram's off its factor A_q, and the Gram is formed only
+  on the picked blocks;
 * with scalar constant terms a_j = c_j 1 and no other terms every mode is
   a Koszul complex, whose spectra are written down in closed form over the
   whole box; the single-mode components of a coupled connection go through
@@ -70,8 +72,9 @@ FLATNESS_TOL = 1e-10
 DEFAULT_TOL_REL = 1e-8
 DENSE_BLOCK_LIMIT = 1200
 _GAP_BAND = 10.0
-# Gershgorin discs are widened by _DISC_SLACK * m * eps * (disc radius) for an
-# m x m block before they decide which blocks skip the eigensolve
+# Gershgorin discs are widened by _DISC_SLACK * width * eps * (disc radius), width
+# m for the discs of a formed m x m block and m + p for those of the Gram of a
+# p x m factor, before they decide which blocks skip the eigensolve
 _DISC_SLACK = 64.0
 _EPS = float(np.finfo(float).eps)
 
@@ -255,11 +258,9 @@ def _form_grams(frame: AntiholFrame, G: np.ndarray, forms):
     M1 = 0.5 * (M1 + M1.conj().T)
     Ls, Linvs = [], []
     for q in range(n + 1):
-        dim = len(forms[q])
-        Mq = np.empty((dim, dim), dtype=complex)
-        for a, A in enumerate(forms[q]):
-            for b, B in enumerate(forms[q]):
-                Mq[b, a] = 1.0 if q == 0 else np.linalg.det(M1[np.ix_(B, A)])
+        F = np.array(forms[q], dtype=np.intp)
+        # Mq[b, a] = det M1[B, A], one det over the stacked minors (1 at q = 0)
+        Mq = np.linalg.det(M1[F[:, None, :, None], F[None, :, None, :]])
         Mq = 0.5 * (Mq + Mq.conj().T)
         L = np.linalg.cholesky(Mq)
         Ls.append(L)
@@ -315,8 +316,8 @@ class _Collector:
 
     Since nothing else is kept, a dense batch need not be fed whole: the
     engine eigensolves only the blocks whose Gershgorin discs can change one
-    of the three (_Engine._blocks_to_solve), and the collector ends in the
-    state the whole batch would leave.
+    of the three (_Engine._pick), and the collector ends in the state the
+    whole batch would leave.
     """
 
     def __init__(self, prov: float):
@@ -569,6 +570,118 @@ def _product(terms) -> _Sparse:
     return _Sparse(rows, cols, shape, sums[0] if len(sums) == 1 else np.concatenate(sums))
 
 
+def _gram(A: _Sparse, idx: np.ndarray) -> _Sparse:
+    """The Grams of the blocks idx of A on its smaller side, A A^* or A^* A.
+
+    Only those blocks' values are taken, and conjugated for the adjoint;
+    each block's sums in _product do not depend on the other blocks.
+    """
+    sub = _Sparse(A.rows, A.cols, A.shape, A.values[idx])
+    return _product([((sub, sub.H) if A.shape[0] < A.shape[1] else (sub.H, sub)) + (0, 0)])
+
+
+# -- bounds on the spectra of Hermitian batches ------------------------------
+
+
+def _sum_by(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
+    """out[i]: the sum of values[e] over the e with keys[e] == i (0 if none), for i < size.
+
+    A product with the 0/1 matrix of keys, which BLAS runs several times
+    faster than reduceat's loop, when that matrix holds no more entries than
+    values; reduceat otherwise.  Either way a sum of nonnegative terms keeps
+    the error bound of _gram_bounds, since adding an exact zero rounds
+    nothing.
+    """
+    if keys.size * size <= values.size:
+        onehot = np.zeros((size, keys.size))
+        onehot[keys, np.arange(keys.size)] = 1.0
+        return onehot @ values
+    order, starts, present = _group(keys)
+    out = np.zeros((size,) + values.shape[1:])
+    out[present] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
+def _disc_bounds(M: _Sparse):
+    """(diag, rows, width) of a formed Hermitian batch for _spectral_bounds.
+
+    diag (m, g) holds the diagonal entries M_ii of the g blocks, rows the
+    sums sum_j |M_ij| of the values, which are the entries of the dense
+    blocks _Sparse.dense builds from them; width m.
+    """
+    m = M.shape[-1]
+    order, starts, present = _group(M.rows)
+    rows = np.zeros((len(M), m))
+    rows[:, present] = np.add.reduceat(np.abs(M.values)[:, order], starts, axis=1)
+    on = M.rows == M.cols
+    diag = np.zeros((len(M), m))
+    diag[:, M.rows[on]] = M.values[:, on].real
+    return diag.T, rows.T, m
+
+
+def _gram_bounds(A: _Sparse):
+    """(diag, rows, width) for _spectral_bounds of the Grams _gram would form, read off A.
+
+    On its smaller side the Gram is G = B^* B, B = A (G on the columns of
+    A) or B = A^* (on its rows), p x m with p >= m.  For each block,
+    diag_i = sum_k |B_ki|^2 = G_ii and, with s_k = sum_j |B_kj|, rows_i =
+    sum_k |B_ki| s_k bounds sum_j |G_ij| = sum_j |sum_k conj(B_ki) B_kj| by
+    the triangle inequality: (|B|^T (|B| 1))_i.  Both are sums over A's
+    values, grouped by its index arrays, with no product, and (m, g) as in
+    _disc_bounds; width is m + p.
+
+    The slack.  The values fed are eigvalsh's of the formed Gram G', whose
+    entries _product sums with rounding, and diag and rows are rounded
+    sums too.  With u = eps, each rounding relative error at most u, and
+    gamma_k = k u / (1 - k u) <= 1.02 k u (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 3.1; k u <= 0.01 here): |B_ki| is
+    rounded once, s_k sums at most m terms and rows_i at most p products,
+    all nonnegative, so the exact rho_i = sum_k |B_ki| sum_j |B_kj| is at
+    most (1 + 1.03 (m + p + 3) u) rows_i, and diag_i is within
+    1.02 (p + 2) u G_ii of G_ii.  An entry of G' is a complex inner product
+    of at most p terms: |G'_ij - G_ij| <= sqrt(2) gamma_{p+2}
+    sum_k |B_ki| |B_kj| (Higham 3.1 and 3.6, Lemma 3.5).  Summed over j,
+    sum_j |G'_ij| <= (1 + 2.04 (p + 2) u) rho_i <= rows_i + 2 (m + 2p + 5)
+    u R, R = max_i rows_i the disc radius, and |G'_ii - diag_i| <=
+    4 (p + 2) u R, since G_ii <= rho_i.  So the Gershgorin interval of G'
+    lies within (2m + 12p + 26) u R of the one diag and rows give, its
+    diagonals within 4 (p + 2) u R of diag, and its radius is at most
+    1.01 R.  The formed discs of G' need the slack 64 m u times their
+    radius (_spectral_bounds), at most 65 m u R; in all 67m + 12p + 26
+    <= 64 (m + p), as 52 p >= 52 m > 3m + 26.  So width m + p covers the
+    rounding of the factor sums on top of the formed discs' own slack.
+    """
+    if A.shape[0] < A.shape[1]:
+        at, over = A.rows, A.cols
+    else:
+        at, over = A.cols, A.rows
+    m, p = min(A.shape), max(A.shape)
+    a = np.abs(A.values).T
+    s = _sum_by(a, over, p)
+    return _sum_by(a * a, at, m), _sum_by(a * s[over], at, m), m + p
+
+
+def _spectral_bounds(diag: np.ndarray, rows: np.ndarray, width: int):
+    """Per block (lo, hi, least, most) from the (diag, rows, width) of a bound source.
+
+    diag and rows are (m, g), one column per block.  By Gershgorin's
+    theorem every eigenvalue of block b lies in [lo_b, hi_b], lo_b =
+    min_i (2 M_ii - sum_j |M_ij|), hi_b = max_i sum_j |M_ij|, and its
+    smallest (largest) eigenvalue is at most (at least) its smallest
+    (largest) diagonal entry, least_b (most_b).  Each is moved outward by
+    _DISC_SLACK * width * eps * hi_b, which for the discs of a formed block
+    (width m) covers the rounding of the sums and the backward error of
+    eigvalsh, and for a factor's bounds (_gram_bounds) also the rounding
+    of the factor sums.  So every value eigvalsh returns for block b lies in
+    [lo_b, hi_b], its smallest is at most least_b and its largest at least
+    most_b.  Bounds that are not finite stay so.
+    """
+    radius = rows.max(axis=0)
+    slack = _DISC_SLACK * width * _EPS * radius
+    return (np.min(2.0 * diag - rows, axis=0) - slack, radius + slack,
+            diag.min(axis=0) + slack, diag.max(axis=0) - slack)
+
+
 # -- the engine ----------------------------------------------------------
 
 
@@ -611,7 +724,8 @@ class _Engine:
         self.wsum = np.sum(np.abs(frame.W), axis=1)
         self.coupn = (np.linalg.norm(self.coef[0], 2, axis=(1, 2))
                       + np.abs(self.coef[1:]).sum(axis=(0, 2, 3)))
-        self.snorm = [[np.linalg.norm(Sj[q], 2) for Sj in self.Stil] for q in range(n)]
+        self.snorm = [np.linalg.norm(np.array([Sj[q] for Sj in self.Stil]), 2, axis=(1, 2))
+                      for q in range(n)]
         # what one mode of a single-mode block holds: A_q, A_q^* and the pairs of their products
         a, b = np.array(self.fdims[:-1]), np.array(self.fdims[1:])
         self.mode_entries = self.r ** 2 * int(a * b @ (2 + self.r * (a + b)))
@@ -753,8 +867,8 @@ class _Engine:
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
             ops = self._degree_operators(mvec, pattern)
             grams = self.n <= 2 and self._forms_complex(ops)
-            for terms, degrees, index in self._spectra(ops, grams):
-                self._eigensolve(_product(terms), degrees, index, sub[:, 0] if c == 1 else None)
+            for source, degrees, index in self._spectra(ops, grams):
+                self._eigensolve(source, grams, degrees, index, sub[:, 0] if c == 1 else None)
 
     def _forms_complex(self, ops: list[_Sparse]) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
@@ -784,31 +898,40 @@ class _Engine:
                 return False
         return True
 
-    def _blocks_to_solve(self, M: _Sparse, degrees: list[int], index: bool) -> np.ndarray:
-        """Indices of the blocks of the Hermitian batch M whose values can change a collector.
+    def _pick(self, diag: np.ndarray, rows: np.ndarray, width: int, degrees: list[int],
+              index: bool) -> np.ndarray:
+        """Indices of the blocks of a Hermitian batch whose values can change a collector.
 
-        M feeds lap[q] for q in degrees and, if index, dsv, whose singular
-        values are squared here (rounded outward).  The collectors are read as
-        they stand before M's values are fed, and combined conservatively: the
-        largest prov and above, the smallest vmax.
+        (diag, rows, width) are the batch's bounds, from its own discs
+        (_disc_bounds) or from the factor of a Gram (_gram_bounds): one rule
+        for both.  The batch feeds lap[q] for q in degrees and, if index,
+        dsv, whose singular values are squared here (rounded outward).  The
+        collectors are read as they stand before the batch's values are fed,
+        and combined conservatively: the largest prov and above, the
+        smallest vmax.
 
-        By Gershgorin's theorem every eigenvalue of block b lies in
-        [lo_b, hi_b], lo_b = min_i (2 M_ii - sum_j |M_ij|), hi_b = max_i
-        sum_j |M_ij|, and its smallest (largest) eigenvalue is at most (at
-        least) its smallest (largest) diagonal entry.  Each bound is moved
-        outward by _DISC_SLACK m eps hi_b, which covers the rounding of the
-        sums and the backward error of eigvalsh.  Let U be the smallest
-        diagonal entry of the blocks with lo_b > prov and V the largest of the
-        batch.  A block is skipped when lo_b > max(prov, min(above, U)) and
-        hi_b < max(vmax, V).  It has no value at or below prov; its values
-        exceed min(above, U), and the block holding U, solved whenever U <
-        above, puts above at or below U; and they cannot raise vmax past the
-        solved block holding V.  So every collector ends as a solve of the whole batch
-        would leave it, and, since batched eigvalsh solves each block on its
-        own, with the same values.  The sums run over M's values, which are
-        the entries of the dense blocks _eigensolve builds from them.  A block
-        whose bounds are not finite is always solved, so a NaN or inf reaches
-        a collector (or eigvalsh's own error) instead of being skipped.
+        With lo_b, hi_b, least_b and most_b from _spectral_bounds, let U be
+        the smallest least_b of the blocks with lo_b > prov and V the
+        largest most_b of the batch.  A block is skipped when lo_b >
+        max(prov, min(above, U)) and hi_b < max(vmax, V).  Every value it
+        would feed lies in [lo_b, hi_b], so:
+        - it has none at or below prov, and no collector would keep one;
+        - it has none at or below min(above, U).  When U < above, the block
+          holding U is solved: at the i of its least diagonal entry, lo_b
+          is at most 2 diag_i - rows_i - slack, nearly 2 slack below U, as
+          rows_i >= diag_i up to rounding far inside the slack.  Its
+          smallest value, above prov and at most U, leaves above at or below
+          U.  So the final above is at most min(above, U), below every value
+          of the skipped block;
+        - it has none at or above max(vmax, V).  When V > vmax, the block
+          holding V is solved (its hi_b is at least most_b + 2 slack > V),
+          and its largest value, at least V, raises vmax to V or more.  So
+          the final vmax is above every value of the skipped block.
+        So every collector ends as a solve of the whole batch would leave
+        it, and, since batched eigvalsh solves each block on its own, with
+        bitwise the same values.  A block whose bounds are not finite is
+        always solved, so a NaN or inf reaches a collector (or eigvalsh's own
+        error) instead of being skipped.
         """
         feeds = [(self.lap[q], False) for q in degrees] + ([(self.dsv, True)] if index else [])
 
@@ -818,33 +941,37 @@ class _Engine:
         prov = max(units(c.prov, sq, True) for c, sq in feeds)
         above = max(units(c.above, sq, True) for c, sq in feeds)
         vmax = min(units(c.vmax, sq, False) for c, sq in feeds)
-        m = M.shape[-1]
-        order, starts, present = _group(M.rows)
-        rows = np.zeros((len(M), m))
-        rows[:, present] = np.add.reduceat(np.abs(M.values)[:, order], starts, axis=1)
-        on = M.rows == M.cols
-        diag = np.zeros((len(M), m))
-        diag[:, M.rows[on]] = M.values[:, on].real
-        radius = rows.max(axis=-1)
-        slack = _DISC_SLACK * m * _EPS * radius
-        lo = np.min(2.0 * diag - rows, axis=-1) - slack
-        hi = radius + slack
+        lo, hi, least, most = _spectral_bounds(diag, rows, width)
         clear = lo > prov
-        U = np.min(diag[clear].min(axis=-1) + slack[clear], initial=math.inf)
-        V = np.max(diag.max(axis=-1) - slack)
+        U = np.min(least[clear], initial=math.inf)
+        V = np.max(most)
         return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V))
                           | ~(np.isfinite(lo) & np.isfinite(hi)))[0]
 
-    def _eigensolve(self, M: _Sparse, degrees: list[int], index: bool, modes: np.ndarray | None):
-        """Make dense and eigensolve the blocks of M that _blocks_to_solve picks.
+    def _eigensolve(self, source, grams: bool, degrees: list[int], index: bool,
+                    modes: np.ndarray | None):
+        """Eigensolve the blocks of one matrix of _spectra that _pick picks.
 
-        Their values go to lap[q] for q in degrees, and to dsv if index;
-        modes, for single-mode blocks, holds the flat mode index of each block.
+        With grams, source is A_k: the Grams are bounded from it
+        (_gram_bounds) and formed only on the picked blocks (_gram).
+        Otherwise source is the matrix's terms, and the batch is formed whole
+        and bounded by its own discs (_disc_bounds).  Only the picked blocks
+        are made dense.  Their values go to lap[q] for q in degrees, and to
+        dsv if index; modes, for single-mode blocks, holds the flat mode
+        index of each block.
         """
-        idx = self._blocks_to_solve(M, degrees, index)
-        if not idx.size:
-            return
-        vals = np.linalg.eigvalsh(M.dense(idx))
+        if grams:
+            idx = self._pick(*_gram_bounds(source), degrees, index)
+            if not idx.size:
+                return
+            blocks = _gram(source, idx).dense()
+        else:
+            M = _product(source)
+            idx = self._pick(*_disc_bounds(M), degrees, index)
+            if not idx.size:
+                return
+            blocks = M.dense(idx)
+        vals = np.linalg.eigvalsh(blocks)
         modes_at = None if modes is None else lambda at: modes[idx][at // vals.shape[1]]
         _feed([(self.lap[q], 1, q == 0) for q in degrees], np.abs(vals), modes_at)
         if index:
@@ -860,7 +987,9 @@ class _Engine:
         the last is freed.
 
         With grams (the Hodge-rank path, for a batch that forms a complex at
-        n <= 2) the matrices are the Grams of the A_k.  For a complex, Delta_q
+        n <= 2) the matrices are the Grams of the A_k, and A_k itself is
+        yielded in place of terms, for _eigensolve to bound the Grams from
+        and to form them on the blocks it picks (_gram).  For a complex, Delta_q
         = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal summands, so its
         spectrum is the union of the nonzero squared singular values of A_q
         and A_{q-1}, plus zeros; and DD^* is Delta_1.  Each Gram is taken on
@@ -884,8 +1013,7 @@ class _Engine:
         dims, index = self.lap is not None, self.dsv is not None
         if grams:
             for k, A in enumerate(ops):
-                pair = (A, A.H) if A.shape[0] < A.shape[1] else (A.H, A)
-                yield [pair + (0, 0)], [k, k + 1] if dims else [], index
+                yield A, [k, k + 1] if dims else [], index
             return
 
         def delta(q, at=0):

@@ -330,10 +330,9 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    problem = dict(PRODUCT_PROBLEM)
-    problem["connection"] = {"rank": 1, "terms": [
-        [[[{"m": [0, 0, 0, 0], "re": 0.3, "im": 0.1}]]], [[[]]]]}
-    code, body = _main_stdout(tmp_path, capsys, problem, "hodge")
+    # the chain's Gram blocks are eigensolved (a scalar shift takes the closed
+    # form, and the identity metric is not eigensolved)
+    code, body = _main_stdout(tmp_path, capsys, chain_problem(), "hodge")
     assert code == 2
     assert set(body) == {"version", "error"} and "did not converge" in body["error"]
 
@@ -732,6 +731,50 @@ def test_cli_start_up_loads_no_scipy(tmp_path):
     assert all(loaded == [] and code == 0 for code, loaded in seen.values()), seen
     exact = json.loads((tmp_path / "riemann-check-exact.out.json").read_text())
     assert exact["results"]["exact"] is True
+
+
+# Counts the argparse parsers built from the import of the CLI on, then runs
+# each argv of argv[1] through cli.main in this one interpreter; prints the
+# stdout bytes and exit code of each run and the count.
+REUSE_PROBE = """
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(type(self).__name__)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import nctorus.cli as cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([out.getvalue(), code])
+print(json.dumps({"runs": runs, "built": built}))
+"""
+
+
+def test_one_parser_serves_every_main_call(tmp_path):
+    # a report, a bad flag (exit 1 with a JSON body) and the report again,
+    # in one process, give the bytes of three fresh processes
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(chain_problem()))
+    ok = ["--input", str(path), "--command", "hodge", "--truncation", "1"]
+    argvs = [ok, ["--input", str(path), "--command", "hodge", "--truncation", "abc"], ok]
+    env = _env_with_src()
+    probe = subprocess.run([sys.executable, "-c", REUSE_PROBE, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert probe.returncode == 0, probe.stderr
+    seen = json.loads(probe.stdout)
+    assert seen["built"] == ["_ArgumentParser"]
+    fresh = [subprocess.run([sys.executable, "-m", "nctorus.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=300)
+             for argv in argvs]
+    assert seen["runs"] == [[run.stdout, run.returncode] for run in fresh]
+    assert [code for _, code in seen["runs"]] == [0, 1, 0]
+    assert set(json.loads(seen["runs"][1][0])) == {"version", "error"}
+    assert json.loads(seen["runs"][0][0])["results"]["dims"] == [1, 2, 1]
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -283,8 +283,8 @@ def feed(col, values):
 
 def solve_every_block(monkeypatch):
     """Make every dense eigensolve take its whole batch, so collectors see whole spectra."""
-    monkeypatch.setattr(dlb._Engine, "_blocks_to_solve",
-                        lambda self, M, degrees, index: np.arange(len(M)))
+    monkeypatch.setattr(dlb._Engine, "_pick",
+                        lambda self, diag, rows, width, degrees, index: np.arange(diag.shape[1]))
 
 
 def spy_paths(monkeypatch):
@@ -347,14 +347,15 @@ def test_few_n3_blocks_reach_the_eigensolver(monkeypatch):
     # one N = 2 box run of the n = 3 e1 chain with both halves: 3125 chains
     # of 5 modes in one batch, four Delta_q and the odd block matrix each
     cs, frame, conn = n3_chain((1, 0, 0, 0, 0, 0))
-    picks = count_calls(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    picks = count_calls(monkeypatch, dlb._Engine, "_pick")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     run = dlb._box_run(cs, frame, conn, 2, 1e-8, True, True)
     assert run.dims == (1, 3, 3, 1) and run.conclusive
-    blocks = sum(len(M) for (_, M, _, _) in picks)
+    blocks = sum(diag.shape[1] for (_, diag, *_) in picks)
     assert blocks == 5 * 3125
-    # invariant_metric checks its metric with a 2-D eigvalsh of its own
-    assert sum(len(M) for (M,) in eigs if M.ndim == 3) < 0.05 * blocks
+    # every eigensolve is a batched one (the identity metric is not eigensolved)
+    assert all(M.ndim == 3 for (M,) in eigs)
+    assert sum(len(M) for (M,) in eigs) < 0.05 * blocks
 
 
 def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
@@ -1026,7 +1027,7 @@ def test_laplacian_batches_solve_each_degree_once(setup2, monkeypatch):
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
     paths = spy_paths(monkeypatch)
-    picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    picks = record_results(monkeypatch, dlb._Engine, "_pick")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run(2, True, True)
     assert paths["laplacian"] > 0 and paths["hodge"] == 0
@@ -1051,7 +1052,7 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
-    picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    picks = record_results(monkeypatch, dlb._Engine, "_pick")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run(2, False, True)
     # every batch takes the Laplacians: one pick per batch, and each
@@ -1133,14 +1134,14 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
 
 
 def stand_in_engine(prov, sv_prov=None):
-    """The collectors _blocks_to_solve reads: lap[0] and, given sv_prov, dsv."""
+    """The collectors _pick reads: lap[0] and, given sv_prov, dsv."""
     return SimpleNamespace(lap=[dlb._Collector(prov)],
                            dsv=None if sv_prov is None else dlb._Collector(sv_prov))
 
 
 def pick(engine, blocks, degrees=(0,), index=False):
     M = np.array(blocks, dtype=complex)
-    return M, dlb._Engine._blocks_to_solve(engine, sparse_batch(M), list(degrees), index)
+    return M, dlb._Engine._pick(engine, *dlb._disc_bounds(sparse_batch(M)), list(degrees), index)
 
 
 def test_first_batch_solves_the_kernel_block_and_two_witnesses():
@@ -1203,33 +1204,48 @@ def test_few_gram_blocks_reach_the_eigensolver(setup2, monkeypatch):
     # 729 chains of 9 modes make one batch, one Gram per degree operator
     theta, cs, frame = setup2
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
-    picks = count_calls(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    picks = count_calls(monkeypatch, dlb._Engine, "_pick")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     run = dlb._box_run(cs, frame, conn, 4, 1e-8, True, True)
     assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
-    blocks = sum(len(M) for (_, M, _, _) in picks)
+    blocks = sum(diag.shape[1] for (_, diag, *_) in picks)
     assert blocks == 1458
     assert sum(len(M) for (M,) in eigs) < 0.05 * blocks
+
+
+def test_few_gram_blocks_are_formed(setup2, monkeypatch):
+    # the same run: each Gram is bounded from its factor A_q and formed only
+    # on the blocks picked; the one whole-batch product is the defect A_1 A_0
+    theta, cs, frame = setup2
+    conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
+    grams = count_calls(monkeypatch, dlb, "_gram")
+    products = record_results(monkeypatch, dlb, "_product")
+    run = dlb._box_run(cs, frame, conn, 4, 1e-8, True, True)
+    assert run.dims == (1, 2, 1) and run.conclusive
+    assert len(grams) == 2 and all(len(A) == 729 for (A, _) in grams)
+    formed = sum(idx.size for (_, idx) in grams)
+    assert 0 < formed <= 0.02 * 1458
+    assert sum(len(P) for P in products) == 729 + formed
 
 
 @pytest.mark.parametrize("case, N", [("e1 chain", 4), ("two directions", 2)])
 def test_only_picked_blocks_are_made_dense(setup2, monkeypatch, case, N):
     # n <= 2: the Hodge-rank Grams of the e1 chain and the Delta_q of the
     # Laplacian path; every dense block eigvalsh reads is a block
-    # _blocks_to_solve picked, so no batch is made dense whole
+    # _pick picked, so no batch is made dense whole
     theta, cs, frame = setup2
     conn = {"e1 chain": gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j),
             "two directions": two_direction_connection(theta)}[case]
-    batches = count_calls(monkeypatch, dlb._Engine, "_blocks_to_solve")
-    picks = record_results(monkeypatch, dlb._Engine, "_blocks_to_solve")
+    batches = count_calls(monkeypatch, dlb._Engine, "_pick")
+    picks = record_results(monkeypatch, dlb._Engine, "_pick")
     dense = record_results(monkeypatch, dlb._Sparse, "dense")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
     picked = sum(idx.size for idx in picks)
-    assert 0 < picked < sum(len(M) for (_, M, _, _) in batches)
-    # invariant_metric checks its metric with a 2-D eigvalsh of its own
-    batched = [M for (M,) in eigs if M.ndim == 3]
-    assert sum(len(M) for M in dense) == sum(len(M) for M in batched) == picked
+    assert 0 < picked < sum(diag.shape[1] for (_, diag, *_) in batches)
+    # every eigensolve is a batched one (the identity metric is not eigensolved)
+    assert all(M.ndim == 3 for (M,) in eigs)
+    assert sum(len(M) for M in dense) == sum(len(M) for (M,) in eigs) == picked
 
 
 def test_coupled_connection_with_a_non_scalar_fiber(setup2, monkeypatch):
