@@ -106,15 +106,6 @@ class ThetaMatrix:
     def same_context(self, other: "ThetaMatrix") -> bool:
         return self is other or np.array_equal(self.entries, other.entries)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ThetaMatrix) and self.same_context(other)
-
-    def __hash__(self) -> int:
-        return hash(self.entries.tobytes())
-
-    def __repr__(self) -> str:
-        return f"ThetaMatrix(d={self.d})"
-
 
 def _check_context(a: "FourierElement", b: "FourierElement") -> None:
     if not a.theta.same_context(b.theta):
@@ -173,9 +164,6 @@ class FourierElement:
     def coeffs(self):
         return MappingProxyType(self._coeffs)
 
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._coeffs)
-
     def coefficient(self, m) -> complex:
         return self._coeffs.get(tuple(int(x) for x in m), 0.0)
 
@@ -184,14 +172,6 @@ class FourierElement:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{m}:{c:.3g}" for m, c in sorted(self._coeffs.items())[:4])
-        more = "..." if len(self._coeffs) > 4 else ""
-        return f"FourierElement({terms}{more})"
 
     # -- arithmetic ---------------------------------------------------
 
@@ -214,20 +194,9 @@ class FourierElement:
             data[m] = data.get(m, 0.0) - c
         return self._pruned(data)
 
-    def __neg__(self) -> "FourierElement":
-        return self.scale(-1.0)
-
     def scale(self, z) -> "FourierElement":
         z = complex(z)
         return self._pruned({m: z * c for m, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FourierElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, z) -> "FourierElement":
-        return self.scale(z)
 
     # -- serialization (records {m, re, im}) ---------------------------
 
@@ -330,12 +299,6 @@ class MatrixElement:
     @classmethod
     def zeros(cls, theta: ThetaMatrix, r: int) -> "MatrixElement":
         return cls(theta, [[FourierElement.zero(theta) for _ in range(r)] for _ in range(r)])
-
-    @classmethod
-    def identity(cls, theta: ThetaMatrix, r: int) -> "MatrixElement":
-        one = FourierElement.one(theta)
-        zero = FourierElement.zero(theta)
-        return cls(theta, [[one if i == j else zero for j in range(r)] for i in range(r)])
 
     @classmethod
     def from_scalars(cls, theta: ThetaMatrix, arr) -> "MatrixElement":

@@ -77,13 +77,6 @@ class PeriodMatrix:
 
     Q: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
-
-    def stacked_cond(self) -> float:
-        return float(np.linalg.cond(np.vstack([self.Q, self.Q.conj()])))
-
 
 @dataclass(frozen=True)
 class MetricG:

@@ -5,7 +5,7 @@ antiholomorphic direction, where dbar_j = sum_k W[j,k] delta_k acts
 diagonally on lattice modes and a_j acts by left multiplication.  The
 complex on (0,q)-forms is compressed to the mode box |m|_inf <= N
 (Dirichlet cut: coefficients leaving the box are dropped), and kernel
-dimensions are read off singular-value gaps.
+dimensions are read off spectral gaps.
 
 Key structural facts the implementation leans on:
 
@@ -35,11 +35,13 @@ Key structural facts the implementation leans on:
   a Koszul complex, whose spectra are written down in closed form over the
   whole box; the single-mode components of a coupled connection go through
   the block path like any other size;
-* the collectors keep the values at or below their provisional cutoffs,
-  and the degree-0 one the flat mode of each value from a single-mode
-  block, so kernel_modes_q0 is read off the kernel itself: it is set when
-  every degree-0 kernel value came from a single mode; the collectors a
-  batch or slab feeds share one partition of its values (_feed).
+* the collectors take raw eigenvalues and keep those at or below their
+  provisional cutoffs, and the degree-0 one the flat mode of each value
+  from a single-mode block, so kernel_modes_q0 is read off the kernel
+  itself: it is set when every degree-0 kernel value came from a single
+  mode; each eigensolved batch, slab or sparse solve feeds its collectors
+  one partition of its values (_feed), and only finalize converts to the
+  reporting unit, |lambda| or the singular value sqrt(lambda).
 
 One engine per public call sets up what does not depend on N and runs the
 boxes N and N + 2.  The coupling graph is labelled in numpy (_components);
@@ -304,15 +306,24 @@ def _connection_data(conn: FreeConnection):
 
 
 class _Collector:
-    """Streams eigenvalues (or singular values), keeping only what the
+    """Streams the eigenvalues of Hermitian matrices, keeping only what the
     threshold decision needs: the global max, values at or below a
-    provisional cutoff, and the smallest value above it.
+    provisional cutoff prov, and the smallest value above it.
 
-    Values reach it only through _feed.  Each feed keeps its values at or
-    below the cutoff as one array, with their multiplicity and, for a
-    collector that keeps modes, the flat mode index of each: the evidence
-    from which _Engine._finalize decodes the modes of the degree-0 kernel.
-    A non-finite value marks the run incomplete.
+    Values reach it raw, only through _feed.  Each feed keeps its values at
+    or below prov as one array, with their multiplicity and, for a collector
+    that keeps modes, the flat mode index of each: the evidence from which
+    _Engine._finalize decodes the modes of the degree-0 kernel.  A
+    non-finite value marks the run incomplete.
+
+    Only finalize converts to the reporting unit, on the kept values, vmax
+    and above: |lambda| for a Laplacian collector, sqrt(max(lambda, 0)) for
+    a singular-value one (singular), which reads D's singular values off
+    DD^*.  sqrt is monotone and correctly rounded, so it commutes with the
+    max and min taken here; |.| changes neither above (> prov > 0) nor vmax,
+    as the matrices are PSD up to rounding far below their largest value.
+    So the decision is that of converted values whenever prov is at least
+    the threshold in raw units, which keeps every value below it.
 
     Since nothing else is kept, a dense batch need not be fed whole: the
     engine eigensolves only the blocks whose Gershgorin discs can change one
@@ -320,43 +331,51 @@ class _Collector:
     whole batch would leave.
     """
 
-    def __init__(self, prov: float):
+    def __init__(self, prov: float, singular: bool = False):
         self.prov = prov
+        self.singular = singular
         self.kept: list[tuple[np.ndarray, int, np.ndarray | None]] = []
         self.vmax = 0.0
         self.above = math.inf
         self.incomplete = False
 
-    def add_iterative(self, values: np.ndarray, vmax: float, complete: bool, dim: int) -> None:
-        """Take the smallest values of a dim x dim matrix from _iterative_small_eigs."""
-        self.vmax = max(self.vmax, vmax)
-        _feed([(self, 1, False)], values)
-        # if every computed value sits below the provisional cutoff,
-        # more kernel candidates may exist beyond the solver's block
-        if not complete or (values.size < dim and float(values.max()) <= self.prov):
-            self.incomplete = True
-
     def finalize(self, tol_rel: float):
-        thresh = tol_rel * self.vmax
+        """(kernel, cut, kept, conclusive) in the reporting unit, thresh = tol_rel * its max.
+
+        kernel counts the values below thresh, with multiplicity; cut is the
+        largest of them and kept the smallest value at or above it (inf when
+        there is none).  The count is conclusive when both sit a factor
+        _GAP_BAND clear of thresh.  kernel_modes gets the (flat modes or
+        None, multiplicity) of each feed's kernel values.
+        """
+        def unit(x):
+            return np.sqrt(np.maximum(x, 0.0)) if self.singular else np.abs(x)
+
+        thresh = tol_rel * float(unit(self.vmax))
         kernel = 0
         cut = 0.0
-        kept = self.above
-        for vals, mult, _ in self.kept:
+        kept = float(unit(self.above))
+        self.kernel_modes = []
+        for vals, mult, at in self.kept:
+            vals = unit(vals)
             ker = vals < thresh
             kernel += mult * int(np.count_nonzero(ker))
             cut = max(cut, float(np.max(vals, where=ker, initial=0.0)))
             kept = min(kept, float(np.min(vals, where=~ker, initial=math.inf)))
-        return kernel, cut, kept, gap_resolved(cut, kept, thresh) and not self.incomplete
+            if ker.any():
+                self.kernel_modes.append((None if at is None else at[ker], mult))
+        return kernel, cut, kept, (cut <= thresh / _GAP_BAND and kept >= thresh * _GAP_BAND
+                                   and not self.incomplete)
 
 
 def _feed(feeds, values: np.ndarray, modes_at=None) -> None:
-    """Feed nonnegative values to each (collector, multiplicity, keeps modes) of feeds.
+    """Feed raw eigenvalues to each (collector, multiplicity, keeps modes) of feeds.
 
-    Eigensolves fold their rounding negatives first.  It takes one max (NaN
-    or inf if a value is not finite), one compare with the largest prov and
-    one masked min above it; each collector filters the few values at or
-    below it by its own prov.  All are exact, so each ends as if fed alone.
-    modes_at maps positions in the flattened values to flat mode indices.
+    It takes one max (NaN or inf if a value is not finite), one compare with
+    the largest prov and one masked min above it; each collector filters the
+    few values at or below it by its own prov.  All are exact, so each ends
+    as if fed alone.  modes_at maps positions in the flattened values to
+    flat mode indices.
     """
     v = values.reshape(-1)
     if not feeds or not v.size:
@@ -380,14 +399,15 @@ def _feed(feeds, values: np.ndarray, modes_at=None) -> None:
             col.above = min(col.above, rest, float(np.min(low, where=~mine, initial=math.inf)))
 
 
-def gap_resolved(cut: float, kept: float, thresh: float) -> bool:
-    """Whether a kernel count read off a threshold is conclusive.
-
-    cut is the largest value below thresh and kept the smallest at or above
-    it (inf when there is none); both must sit a factor _GAP_BAND clear of
-    thresh.
-    """
-    return cut <= thresh / _GAP_BAND and kept >= thresh * _GAP_BAND
+def _add_iterative(feeds, values: np.ndarray, vmax: float, complete: bool, dim: int) -> None:
+    """Feed _iterative_small_eigs' smallest values of a dim x dim matrix, and its largest."""
+    _feed(feeds, values)
+    for col, _, _ in feeds:
+        col.vmax = max(col.vmax, vmax)
+        # if every computed value sits below the provisional cutoff,
+        # more kernel candidates may exist beyond the solver's block
+        if not complete or (values.size < dim and float(values.max()) <= col.prov):
+            col.incomplete = True
 
 
 @dataclass
@@ -769,15 +789,6 @@ class _Engine:
             np.maximum(lam, 0.0, out=lam)
             yield o0 * len(Y), lam.reshape(-1)
 
-    def _add_koszul(self, start: int, lam: np.ndarray):
-        """Feed the closed-form eigenvalues of a slab whose first flat index is start."""
-        n, r = self.n, self.r
-        if self.lap is not None:
-            _feed([(self.lap[q], r * self.fdims[q], q == 0) for q in range(n + 1)], lam,
-                  lambda at: start + at)
-        if self.dsv is not None:
-            _feed([(self.dsv, r * 2 ** (n - 1), False)], np.sqrt(lam))
-
     # -- block paths ------------------------------------------------------
 
     def _direction_terms(self, mvec: np.ndarray, pattern: np.ndarray):
@@ -867,8 +878,8 @@ class _Engine:
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
             ops = self._degree_operators(mvec, pattern)
             grams = self.n <= 2 and self._forms_complex(ops)
-            for source, degrees, index in self._spectra(ops, grams):
-                self._eigensolve(source, grams, degrees, index, sub[:, 0] if c == 1 else None)
+            for source, feeds in self._spectra(ops, grams):
+                self._eigensolve(source, grams, feeds, sub[:, 0] if c == 1 else None)
 
     def _forms_complex(self, ops: list[_Sparse]) -> bool:
         """Whether the batch is close enough to a complex for the Hodge-rank path.
@@ -882,8 +893,8 @@ class _Engine:
         on the odd forms is Delta_1.  Every collector this batch feeds sees
         an eigenvalue of at least s, the smallest over q of max |A_q|^2 (an
         entry bounds ||A_q||; the entries are the values), so its threshold
-        is at least tol_rel * s, in eigenvalue units for the singular-value
-        collector too.  The gate asks 3 eps <= tol_rel * s / _GAP_BAND**2,
+        is at least tol_rel * s in the raw eigenvalues every collector
+        reads, the singular-value one's squared.  The gate asks 3 eps <= tol_rel * s / _GAP_BAND**2,
         with a factor 3 to spare, so no value moves by more than
         thresh / _GAP_BAND**2: a value at or below thresh / _GAP_BAND (a
         singular value at or below its threshold / _GAP_BAND) stays below
@@ -898,17 +909,14 @@ class _Engine:
                 return False
         return True
 
-    def _pick(self, diag: np.ndarray, rows: np.ndarray, width: int, degrees: list[int],
-              index: bool) -> np.ndarray:
+    def _pick(self, diag: np.ndarray, rows: np.ndarray, width: int, feeds) -> np.ndarray:
         """Indices of the blocks of a Hermitian batch whose values can change a collector.
 
         (diag, rows, width) are the batch's bounds, from its own discs
         (_disc_bounds) or from the factor of a Gram (_gram_bounds): one rule
-        for both.  The batch feeds lap[q] for q in degrees and, if index,
-        dsv, whose singular values are squared here (rounded outward).  The
-        collectors are read as they stand before the batch's values are fed,
-        and combined conservatively: the largest prov and above, the
-        smallest vmax.
+        for both.  The batch's raw eigenvalues go to the collectors of feeds,
+        read as they stand before the batch is fed, and combined
+        conservatively: the largest prov and above, the smallest vmax.
 
         With lo_b, hi_b, least_b and most_b from _spectral_bounds, let U be
         the smallest least_b of the blocks with lo_b > prov and V the
@@ -933,14 +941,9 @@ class _Engine:
         always solved, so a NaN or inf reaches a collector (or eigvalsh's own
         error) instead of being skipped.
         """
-        feeds = [(self.lap[q], False) for q in degrees] + ([(self.dsv, True)] if index else [])
-
-        def units(x, squared, up):
-            return x * x * (1.0 + 4 * _EPS if up else 1.0 - 4 * _EPS) if squared else x
-
-        prov = max(units(c.prov, sq, True) for c, sq in feeds)
-        above = max(units(c.above, sq, True) for c, sq in feeds)
-        vmax = min(units(c.vmax, sq, False) for c, sq in feeds)
+        prov = max(col.prov for col, _, _ in feeds)
+        above = max(col.above for col, _, _ in feeds)
+        vmax = min(col.vmax for col, _, _ in feeds)
         lo, hi, least, most = _spectral_bounds(diag, rows, width)
         clear = lo > prov
         U = np.min(least[clear], initial=math.inf)
@@ -948,43 +951,39 @@ class _Engine:
         return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V))
                           | ~(np.isfinite(lo) & np.isfinite(hi)))[0]
 
-    def _eigensolve(self, source, grams: bool, degrees: list[int], index: bool,
-                    modes: np.ndarray | None):
-        """Eigensolve the blocks of one matrix of _spectra that _pick picks.
+    def _eigensolve(self, source, grams: bool, feeds, modes: np.ndarray | None):
+        """Eigensolve the blocks of one matrix of _spectra that _pick picks, and feed them.
 
         With grams, source is A_k: the Grams are bounded from it
         (_gram_bounds) and formed only on the picked blocks (_gram).
         Otherwise source is the matrix's terms, and the batch is formed whole
         and bounded by its own discs (_disc_bounds).  Only the picked blocks
-        are made dense.  Their values go to lap[q] for q in degrees, and to
-        dsv if index; modes, for single-mode blocks, holds the flat mode
-        index of each block.
+        are made dense.  Their values go to feeds in one _feed; modes, for
+        single-mode blocks, holds the flat mode index of each block.
         """
         if grams:
-            idx = self._pick(*_gram_bounds(source), degrees, index)
+            idx = self._pick(*_gram_bounds(source), feeds)
             if not idx.size:
                 return
             blocks = _gram(source, idx).dense()
         else:
             M = _product(source)
-            idx = self._pick(*_disc_bounds(M), degrees, index)
+            idx = self._pick(*_disc_bounds(M), feeds)
             if not idx.size:
                 return
             blocks = M.dense(idx)
         vals = np.linalg.eigvalsh(blocks)
-        modes_at = None if modes is None else lambda at: modes[idx][at // vals.shape[1]]
-        _feed([(self.lap[q], 1, q == 0) for q in degrees], np.abs(vals), modes_at)
-        if index:
-            _feed([(self.dsv, 1, False)], np.sqrt(np.clip(vals, 0.0, None)))
+        _feed(feeds, vals, None if modes is None else lambda at: modes[idx][at // vals.shape[1]])
 
     def _spectra(self, ops: list[_Sparse], grams: bool):
-        """(terms, degrees, index) of each matrix whose spectrum a collector needs.
+        """(terms, feeds) of each matrix whose spectrum a collector needs.
 
         ops are the degree operators A_q of a batch.  The values of the matrix
-        sum_t X_t Y_t of terms (_product) feed lap[q] for q in degrees and, if
-        index, dsv; a matrix that would feed no collector is not yielded.
-        Terms, not products, are yielded, so the caller forms each matrix once
-        the last is freed.
+        sum_t X_t Y_t of terms (_product) go to the (collector, 1, keeps
+        modes) of feeds: lap[q] for the Delta_q it holds and dsv for DD^*.  A
+        matrix that would feed no collector is not yielded.  Terms, not
+        products, are yielded, so the caller forms each matrix once the last
+        is freed.
 
         With grams (the Hodge-rank path, for a batch that forms a complex at
         n <= 2) the matrices are the Grams of the A_k, and A_k itself is
@@ -1011,9 +1010,14 @@ class _Engine:
         """
         n = self.n
         dims, index = self.lap is not None, self.dsv is not None
+
+        def feeds(degrees, dd):
+            return [(self.lap[q], 1, q == 0) for q in degrees if dims] + \
+                ([(self.dsv, 1, False)] if dd else [])
+
         if grams:
             for k, A in enumerate(ops):
-                yield A, [k, k + 1] if dims else [], index
+                yield A, feeds([k, k + 1], index)
             return
 
         def delta(q, at=0):
@@ -1023,7 +1027,7 @@ class _Engine:
         for q in range(n + 1):
             delta1 = index and n <= 2 and q == 1
             if dims or delta1:
-                yield delta(q), [q] if dims else [], delta1
+                yield delta(q), feeds([q], delta1)
         if index and n > 2:
             odds = range(1, n + 1, 2)
             cr = ops[0].shape[1]
@@ -1034,7 +1038,7 @@ class _Engine:
                 if q + 2 <= n:
                     terms += [(ops[q + 1], ops[q], at[i + 1], at[i]),
                               (ops[q].H, ops[q + 1].H, at[i], at[i + 1])]
-            yield terms, [], True
+            yield terms, feeds([], True)
 
     def _sparse_component(self, member: np.ndarray, pattern: np.ndarray):
         """Iterative spectra for one component too large for dense blocks.
@@ -1047,15 +1051,11 @@ class _Engine:
 
         mvec = _decode_modes(member, self.d, self.N)[None]
         rng = np.random.default_rng(20240711)
-        for terms, degrees, index in self._spectra(self._degree_operators(mvec, pattern), False):
+        for terms, feeds in self._spectra(self._degree_operators(mvec, pattern), False):
             M = _product(terms)
             M = sp.csr_matrix((M.values[0], (M.rows, M.cols)), shape=M.shape)
             vals, vmax, complete = _iterative_small_eigs(M, 2 * M.shape[0] // member.size + 6, rng)
-            for q in degrees:
-                self.lap[q].add_iterative(np.abs(vals), vmax, complete, M.shape[0])
-            if index:
-                self.dsv.add_iterative(np.sqrt(np.clip(vals, 0.0, None)), math.sqrt(vmax),
-                                       complete, M.shape[0])
+            _add_iterative(feeds, vals, vmax, complete, M.shape[0])
 
     # -- main --------------------------------------------------------
 
@@ -1070,14 +1070,19 @@ class _Engine:
         lam_bound = [(opbound[q] + (opbound[q - 1] if q > 0 else 0.0)) ** 2 for q in range(n + 1)]
         self.lap = [_Collector(16.0 * tol_rel * max(lam_bound[q], 1e-300))
                     for q in range(n + 1)] if want_dims else None
-        # ||D|| is at most the sum of the ||A_q||
-        d_bound = max(opbound.sum(), 1e-300)
-        self.dsv = _Collector(16.0 * math.sqrt(tol_rel) * d_bound) if want_index else None
+        # ||D|| is at most the sum of the ||A_q||, so DD^*'s values are at most its square
+        self.dsv = _Collector(256.0 * tol_rel * max(opbound.sum() ** 2, 1e-300),
+                              singular=True) if want_index else None
         K = mode_count(d, N)
         if len(self.steps) == 1:
             if self.scalar_const:
+                # each Delta_q holds |v~|^2 r dim C_q times, DD^* on the odd forms r 2^(n-1)
+                r = self.r
+                feeds = [(self.lap[q], r * self.fdims[q], q == 0)
+                         for q in range(n + 1) if want_dims] \
+                    + ([(self.dsv, r * 2 ** (n - 1), False)] if want_index else [])
                 for start, lam in self._box_koszul_eigenvalues(N):
-                    self._add_koszul(start, lam)
+                    _feed(feeds, lam, lambda at: start + at)
             else:
                 self._run_blocks(np.arange(K, dtype=np.int64)[:, None],
                                  np.zeros((1, 1), dtype=np.int64))
@@ -1134,16 +1139,13 @@ class _Engine:
                 conclusive = conclusive and ok
             dims = tuple(dlist)
             # lap[0] keeps the flat mode of each value from a single-mode block
-            thresh0 = self.tol_rel * self.lap[0].vmax
             agg: dict | None = {}
-            for vals, mult, at in self.lap[0].kept:
-                ker = vals < thresh0
-                if at is not None:
-                    for mode in map(tuple, _decode_modes(at[ker], self.d, self.N).tolist()):
-                        agg[mode] = agg.get(mode, 0) + mult
-                elif ker.any():
+            for at, mult in self.lap[0].kernel_modes:
+                if at is None:
                     agg = None
                     break
+                for mode in map(tuple, _decode_modes(at, self.d, self.N).tolist()):
+                    agg[mode] = agg.get(mode, 0) + mult
             kernel_modes = None if agg is None else tuple(sorted(agg.items()))
         ker_even = None
         if self.dsv is not None:
@@ -1182,10 +1184,6 @@ def _iterative_small_eigs(Lap, k: int, rng) -> tuple[np.ndarray, float, bool]:
     resid = np.linalg.norm(Lap @ vecs - vecs * vals, axis=0)
     complete = bool(np.all(resid <= tol))
     return np.sort(vals), vmax, complete
-
-
-def _box_run(cs, frame, conn, N, tol_rel, want_dims, want_index) -> _BoxRun:
-    return _Engine(cs, frame, conn, tol_rel).run(N, want_dims, want_index)
 
 
 # -- public operations ----------------------------------------------------

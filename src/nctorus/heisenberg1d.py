@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dolbeault import SpectralReport, gap_resolved
+from .dolbeault import SpectralReport, _Collector, _feed
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def _kernel_count(alpha: complex, beta: complex, M: int, copies: int,
     artifacts.  Its normal matrix couples k only with k +- 2, so it splits
     exactly into tridiagonal matrices on the even and the odd indices,
     made real by a diagonal phase similarity; both go to LAPACK's sterf,
-    the root-free QR a banded eigensolve would end in.  The copies are
+    the root-free QR a banded eigensolve would end in, and then to one
+    singular-value collector that keeps every value.  The copies are
     identical and only multiply the counts.
     """
     from scipy.linalg import eigvalsh_tridiagonal
@@ -111,15 +112,11 @@ def _kernel_count(alpha: complex, beta: complex, M: int, copies: int,
     k = np.arange(M, dtype=float)
     diag = abs(alpha) ** 2 * k + abs(beta) ** 2 * (k + 1)
     off = np.abs(np.conj(alpha) * beta * np.sqrt((k[: M - 2] + 1.0) * (k[: M - 2] + 2.0)))
-    halves = [eigvalsh_tridiagonal(diag[p::2], off[p::2], lapack_driver="sterf") for p in (0, 1)]
-    ev = np.sort(np.concatenate(halves))
-    sv = np.sqrt(np.clip(ev, 0.0, None))
-    smax = float(sv[-1])
-    thresh = tol_rel * smax
-    small = sv[sv < thresh]
-    kept = float(sv[sv >= thresh].min()) if np.any(sv >= thresh) else math.inf
-    cut = float(small.max()) if small.size else 0.0
-    return int(small.size) * copies, cut, kept, gap_resolved(cut, kept, thresh)
+    col = _Collector(math.inf, singular=True)
+    for p in (0, 1):
+        _feed([(col, copies, False)], eigvalsh_tridiagonal(diag[p::2], off[p::2],
+                                                           lapack_driver="sterf"))
+    return col.finalize(tol_rel)
 
 
 def standard_module_cohomology(sm: StandardModule1D,

@@ -14,6 +14,7 @@ from nctorus.algebra import (
     multiply,
     star,
     trace,
+    trace_inner,
 )
 
 from _oracles import ClockShift, random_fourier, word_multiply
@@ -123,6 +124,21 @@ def test_trace_positivity(theta4):
         val = trace(multiply(star(a), a))
         assert val.real >= 0
         assert abs(val.imag) < 1e-12
+
+
+def test_trace_inner_is_the_l2_product_of_coefficients(theta4):
+    # monomials are orthonormal for <a, b> = trace(star(b) a): the twisted
+    # product reduces to sum_m a_m conj(b_m), conjugate linear in b
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        a = random_fourier(theta4, rng, 5, 2)
+        b = random_fourier(theta4, rng, 5, 2)
+        want = sum(c * b.coefficient(m).conjugate() for m, c in a.coeffs.items())
+        assert abs(trace_inner(a, b) - want) < 1e-12
+        assert abs(trace_inner(b, a) - want.conjugate()) < 1e-12
+        assert abs(trace_inner(a, b.scale(2j)) - (-2j) * want) < 1e-12
+    u1, u2 = (FourierElement.generator(theta4, j) for j in (1, 2))
+    assert abs(trace_inner(u1, u1) - 1) < 1e-15 and trace_inner(u1, u2) == 0
 
 
 def test_derivation_on_generators(theta2):

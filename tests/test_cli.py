@@ -255,6 +255,34 @@ def test_nonalg_scan_deterministic():
     assert r1["results"]["certified"] >= 5
 
 
+def test_nonalg_scan_lists_each_failure_with_its_vanishing_pairs(monkeypatch):
+    # about half the samples draw a product structure J1 (+) J2, whose
+    # antiholomorphic frame kills any two covectors of the first block, so
+    # (1,0,0,0) and (0,1,0,0) vanish; the others are generic
+    real = complexstruct.random_complex_structure
+
+    def sometimes_product(n, rng):
+        if rng.uniform() < 0.5:
+            return real(n, rng)
+        J = np.zeros((4, 4))
+        J[:2, :2], J[2:, 2:] = real(1, rng).J, real(1, rng).J
+        return complexstruct.ComplexStructure(2, J)
+
+    monkeypatch.setattr(complexstruct, "random_complex_structure", sometimes_product)
+    report, status, _ = run_text("nonalg-scan", {"seed": 42, "samples": 8, "search": {"bound": 2}})
+    results = report["results"]
+    failures = results["failures"]
+    assert status == 0
+    assert 0 < len(failures) < 8 and results["certified"] + len(failures) == 8
+    seeds = report["diagnostics"]["child_seeds"]
+    for failure in failures:
+        assert failure["seed"] == seeds[failure["sample"]]
+        pairs = failure["vanishing_pairs"]
+        assert pairs and all(pair["abs_value"] < 1e-9 for pair in pairs)
+        assert {"alpha": [0, 1, 0, 0], "beta": [1, 0, 0, 0]} in [
+            {k: pair[k] for k in ("alpha", "beta")} for pair in pairs]
+
+
 def test_report_determinism_bytes():
     _, _, a = run_text("hodge", PRODUCT_PROBLEM)
     _, _, b = run_text("hodge", PRODUCT_PROBLEM)
@@ -396,21 +424,22 @@ def test_one_nan_in_one_block_makes_the_report_inconclusive(tmp_path, capsys, mo
     spectra = dolbeault._Engine._spectra
 
     def spy(self, ops, grams):
-        for terms, degrees, index in spectra(self, ops, grams):
-            names.append((grams, len(terms), tuple(degrees), index))
-            yield terms, degrees, index
+        for terms, feeds in spectra(self, ops, grams):
+            names.append((grams, len(terms), tuple(col.singular for col, _, _ in feeds)))
+            yield terms, feeds
 
     monkeypatch.setattr(dolbeault._Engine, "_spectra", spy)
     problem = {"hodge-rank": chain_problem, "laplacian": _two_direction_problem,
                "odd": _n3_fiber_problem, "slab": _shift_problem}[case]()
     code, body = _main_stdout(tmp_path, capsys, problem, command)
     assert poisoned
-    # the index alone: Delta_1 at n = 2 (two terms), the odd block matrix at
-    # n = 3 (Delta_1, Delta_3 and the defect blocks, five terms)
+    # the index alone, whose one singular-value collector each matrix feeds:
+    # Delta_1 at n = 2 (two terms), the odd block matrix at n = 3 (Delta_1,
+    # Delta_3 and the defect blocks, five terms)
     assert {"hodge-rank": names and all(grams for grams, *_ in names),
-            "laplacian": ((False, 2, (), True) in names
+            "laplacian": ((False, 2, (True,)) in names
                           and not any(grams for grams, *_ in names)),
-            "odd": set(names) == {(False, 5, (), True)},
+            "odd": set(names) == {(False, 5, (True,))},
             "slab": not names}[case]
     assert code == 2
     assert body["results"]["conclusive"] is False and body["results"]["stable"] is False

@@ -165,13 +165,13 @@ def test_kernel_modes_q0_attribute_hundreds_of_kernel_modes():
     cs = random_complex_structure(1, np.random.default_rng(17))
     frame = antihol_frame(cs)
     conn = dlb.FreeConnection.trivial(theta, 1, 1)
-    run = dlb._box_run(cs, frame, conn, 12, 0.3, True, False)
+    run = dlb._Engine(cs, frame, conn, 0.3).run(12, True, False)
     assert run.dims[0] > 256
     assert sum(c for _, c in run.kernel_modes_q0) == run.dims[0]
     # at 0.02 more than 256 modes sit below the provisional cutoff but only
     # 35 below the threshold, and only those are attributed
     for tol_rel in (0.01, 0.02):
-        run = dlb._box_run(cs, frame, conn, 12, tol_rel, True, False)
+        run = dlb._Engine(cs, frame, conn, tol_rel).run(12, True, False)
         assert run.dims[0] > 1
         assert sum(c for _, c in run.kernel_modes_q0) == run.dims[0]
 
@@ -262,14 +262,20 @@ def dense_index_spectra(cs, frame, conn, N):
     return out
 
 
+def in_unit(col, values):
+    """Raw eigenvalues in col's reporting unit: sqrt(max(lambda, 0)) or |lambda|."""
+    return np.sqrt(np.maximum(values, 0.0)) if col.singular else np.abs(values)
+
+
 def record_collector_values(monkeypatch):
-    """Every value each collector is fed, with multiplicities, keyed by id(collector)."""
+    """Every value each collector is fed, in its reporting unit and with multiplicities,
+    keyed by id(collector)."""
     added = {}
     orig_feed = dlb._feed
 
     def record(feeds, values, modes_at=None):
         for col, mult, _ in feeds:
-            added.setdefault(id(col), []).append(np.repeat(values.reshape(-1), mult))
+            added.setdefault(id(col), []).append(np.repeat(in_unit(col, values.reshape(-1)), mult))
         return orig_feed(feeds, values, modes_at)
 
     monkeypatch.setattr(dlb, "_feed", record)
@@ -284,7 +290,7 @@ def feed(col, values):
 def solve_every_block(monkeypatch):
     """Make every dense eigensolve take its whole batch, so collectors see whole spectra."""
     monkeypatch.setattr(dlb._Engine, "_pick",
-                        lambda self, diag, rows, width, degrees, index: np.arange(diag.shape[1]))
+                        lambda self, diag, rows, width, feeds: np.arange(diag.shape[1]))
 
 
 def spy_paths(monkeypatch):
@@ -305,7 +311,7 @@ def test_chain_engine_matches_dense(setup2, monkeypatch):
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
     N = 2
     calls = spy_paths(monkeypatch)
-    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     assert calls["hodge"] > 0 and calls["laplacian"] == 0
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 2, 1)
 
@@ -327,7 +333,7 @@ def test_n3_chains_take_the_laplacian_path(monkeypatch, step):
     N = 1
     calls = spy_paths(monkeypatch)
     defects = count_calls(monkeypatch, dlb._Engine, "_forms_complex")
-    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     assert calls["laplacian"] > 0 and calls["hodge"] == 0 and not defects
     assert run.conclusive
     ref = dense_laplacian_spectra(cs, frame, conn, N)
@@ -349,7 +355,7 @@ def test_few_n3_blocks_reach_the_eigensolver(monkeypatch):
     cs, frame, conn = n3_chain((1, 0, 0, 0, 0, 0))
     picks = count_calls(monkeypatch, dlb._Engine, "_pick")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    run = dlb._box_run(cs, frame, conn, 2, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(2, True, True)
     assert run.dims == (1, 3, 3, 1) and run.conclusive
     blocks = sum(diag.shape[1] for (_, diag, *_) in picks)
     assert blocks == 5 * 3125
@@ -375,13 +381,13 @@ def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
     A0, A1 = (dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q) for q in (0, 1))
     assert abs(A1 @ A0).max() > 0.1
     calls = spy_paths(monkeypatch)
-    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     assert calls["laplacian"] > 0 and calls["hodge"] == 0
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
     # the Hodge-rank union would put a value inside the gap band here
     monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, ops: True)
-    assert not dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
+    assert not dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True).conclusive
 
 
 def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
@@ -432,7 +438,7 @@ def coupling_graph(monkeypatch, cs, frame, conn, N):
 
     with monkeypatch.context() as patch, pytest.raises(_GraphTaken):
         patch.setattr(dlb, "_components", record)
-        dlb._box_run(cs, frame, conn, N, 1e-8, False, True)
+        dlb._Engine(cs, frame, conn, 1e-8).run(N, False, True)
     return graphs[0]
 
 
@@ -641,9 +647,9 @@ def test_sparse_fallback_matches_dense(setup2, monkeypatch):
     u3 = MatrixElement(theta, [[FourierElement.monomial(theta, (0, 0, 1, 0), 0.2)]])
     conn = dlb.FreeConnection(1, [u1, u3])
     N = 1
-    ref = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    ref = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
-    sparse = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    sparse = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     assert sparse.dims == ref.dims
     assert sparse.ker_even == ref.ker_even
 
@@ -742,9 +748,9 @@ def test_laplacians_match_dense_products(setup3, monkeypatch):
     delta = [sum(t) for t in ([AH[0] @ A[0]], [AH[1] @ A[1], A[0] @ AH[0]],
                               [AH[2] @ A[2], A[1] @ AH[1]], [A[2] @ AH[2]])]
     spectra = list(engine._spectra(ops, False))
-    assert [(degrees, index) for _, degrees, index in spectra] == \
-        [([0], False), ([1], False), ([2], False), ([3], False), ([], True)]
-    mats = [dlb._product(terms) for terms, _, _ in spectra]
+    assert [feeds for _, feeds in spectra] == \
+        [[(col, 1, q == 0)] for q, col in enumerate(engine.lap)] + [[(engine.dsv, 1, False)]]
+    mats = [dlb._product(terms) for terms, _ in spectra]
     for q in range(4):
         assert_dense_close(mats[q], delta[q])
     E = A[2] @ A[1]
@@ -816,7 +822,7 @@ def test_arpack_error_leaves_the_values_uncomputed(monkeypatch):
     vals, _, complete = dlb._iterative_small_eigs(L, 6, np.random.default_rng(0))
     assert vals.size == 0 and not complete
     col = dlb._Collector(prov=0.5)
-    col.add_iterative(vals, 0.0, complete, 100)
+    dlb._add_iterative([(col, 1, False)], vals, 0.0, complete, 100)
     assert col.incomplete and not col.kept
 
 
@@ -825,7 +831,7 @@ def test_iterative_values_all_below_the_threshold_are_inconclusive():
     # the threshold, so more kernel candidates may lie beyond it: with no value
     # kept, the gap test alone would pass (cut <= thresh / _GAP_BAND)
     col = dlb._Collector(prov=0.16)
-    col.add_iterative(np.array([1e-5, 2e-5]), vmax=1.0, complete=True, dim=10)
+    dlb._add_iterative([(col, 1, False)], np.array([1e-5, 2e-5]), vmax=1.0, complete=True, dim=10)
     kernel, cut, kept, conclusive = col.finalize(0.01)
     assert (kernel, cut, kept) == (2, 2e-5, math.inf)
     assert cut <= 0.01 / dlb._GAP_BAND
@@ -890,10 +896,10 @@ def test_one_partition_feeds_every_collector_as_its_own_feed_would():
 def test_sparse_engine_matches_dense(setup2, monkeypatch):
     theta, cs, frame = setup2
     conn = four_direction_connection(theta)
-    ref = dlb._box_run(cs, frame, conn, 1, 1e-8, True, True)
+    ref = dlb._Engine(cs, frame, conn, 1e-8).run(1, True, True)
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
     calls = count_lobpcg(monkeypatch)
-    sparse = dlb._box_run(cs, frame, conn, 1, 1e-8, True, True)
+    sparse = dlb._Engine(cs, frame, conn, 1e-8).run(1, True, True)
     assert calls
     assert ref.conclusive and sparse.conclusive
     assert sparse.dims == ref.dims
@@ -911,7 +917,7 @@ def test_unconverged_lobpcg_makes_report_inconclusive(setup2, monkeypatch):
     assert not res.conclusive and not res.stable
     # the Laplacian-only run goes through the sparse path's Laplacian solves
     calls.clear()
-    run = dlb._box_run(cs, frame, conn, 1, 1e-8, True, False)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(1, True, False)
     assert calls
     assert not run.conclusive
 
@@ -1043,7 +1049,7 @@ def test_sparse_component_solves_each_degree_once(setup2, monkeypatch):
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
     components = count_calls(monkeypatch, dlb._Engine, "_sparse_component")
     solves = count_calls(monkeypatch, dlb, "_iterative_small_eigs")
-    run = dlb._box_run(cs, frame, four_direction_connection(theta), 1, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, four_direction_connection(theta), 1e-8).run(1, True, True)
     assert len(components) == 1 and len(solves) == 3
     assert run.conclusive
 
@@ -1071,7 +1077,7 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     conn = four_direction_connection(theta)
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
     solves = count_calls(monkeypatch, dlb, "_iterative_small_eigs")
-    assert dlb._box_run(cs, frame, conn, 1, 1e-8, False, True).conclusive
+    assert dlb._Engine(cs, frame, conn, 1e-8).run(1, False, True).conclusive
     A0, A1 = normalized_operators(cs, frame, conn, 1)
     delta1 = (A0 @ A0.conj().T + A1.conj().T @ A1).toarray()
     assert len(solves) == 1
@@ -1133,21 +1139,17 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
         assert full[1].kernel_modes_q0 == ((m0, 1),)
 
 
-def stand_in_engine(prov, sv_prov=None):
-    """The collectors _pick reads: lap[0] and, given sv_prov, dsv."""
-    return SimpleNamespace(lap=[dlb._Collector(prov)],
-                           dsv=None if sv_prov is None else dlb._Collector(sv_prov))
-
-
-def pick(engine, blocks, degrees=(0,), index=False):
+def pick(cols, blocks):
+    """_pick on dense blocks whose values would go to the collectors cols."""
     M = np.array(blocks, dtype=complex)
-    return M, dlb._Engine._pick(engine, *dlb._disc_bounds(sparse_batch(M)), list(degrees), index)
+    return M, dlb._Engine._pick(None, *dlb._disc_bounds(sparse_batch(M)),
+                                [(col, 1, False) for col in cols])
 
 
 def test_first_batch_solves_the_kernel_block_and_two_witnesses():
-    engine = stand_in_engine(1e-3)
+    col = dlb._Collector(1e-3)
     kernel = [[1.0, 1.0], [1.0, 1.0]]  # eigenvalues 0 and 2
-    _, idx = pick(engine, [kernel])
+    _, idx = pick([col], [kernel])
     assert list(idx) == [0]
     # with above = inf and vmax = 0 the batch is solved only where it can set
     # them: the kernel block, the block with the smallest diagonal entry among
@@ -1155,48 +1157,72 @@ def test_first_batch_solves_the_kernel_block_and_two_witnesses():
     # diagonal entry (it sets vmax)
     blocks = [np.diag([5.0, 6.0]), kernel, np.diag([3.0, 4.0]), np.diag([4.5, 9.0]),
               [[7.0, 0.5], [0.5, 7.0]]]
-    M, idx = pick(engine, blocks)
+    M, idx = pick([col], blocks)
     assert list(idx) == [1, 2, 3]
     full, picked = dlb._Collector(1e-3), dlb._Collector(1e-3)
-    feed(full, np.abs(np.linalg.eigvalsh(M)))
-    feed(picked, np.abs(np.linalg.eigvalsh(M[idx])))
+    feed(full, np.linalg.eigvalsh(M))
+    feed(picked, np.linalg.eigvalsh(M[idx]))
     assert collector_state(picked) == collector_state(full)
 
 
 def test_blocks_with_non_finite_entries_are_solved():
     # every comparison with a NaN disc is False, so the bounds alone would skip it
-    engine = stand_in_engine(1e-3)
-    feed(engine.lap[0], np.array([1e-4, 1.0, 50.0]))
+    col = dlb._Collector(1e-3)
+    feed(col, np.array([1e-4, 1.0, 50.0]))
     blocks = [np.diag([5.0, 6.0]), np.diag([math.nan, 6.0]), [[5.0, math.inf], [math.inf, 6.0]],
               np.diag([5.5, 6.5])]
-    _, idx = pick(engine, blocks)
+    _, idx = pick([col], blocks)
     assert list(idx) == [1, 2]
 
 
 def test_blocks_one_ulp_from_prov_are_solved():
     prov = 0.25
     up = np.nextafter(prov, 1.0)
-    engine = stand_in_engine(prov)
-    feed(engine.lap[0], np.array([up, 8.0]))  # above one ulp over prov, vmax 8
     # values at prov, one and two ulps over it, and one far over it: the discs of
     # the middle two clear prov (and the second clears above) by less than the
     # slack that covers eigvalsh's rounding, so they are solved
     blocks = [np.diag([prov, 1.0]), np.diag([up, 1.0]), np.diag([np.nextafter(up, 1.0), 1.0]),
               np.diag([0.5, 1.0])]
-    M, idx = pick(engine, blocks)
-    assert list(idx) == [0, 1, 2]
-    # the index collector keeps singular values: sqrt(prov^2 + one ulp) rounds
-    # to its prov, so that block holds a kernel candidate and is solved
-    engine = stand_in_engine(1e-12, sv_prov=0.5)
-    sv_blocks = [np.diag([0.25, 1.0]), np.diag([up, 1.0]), np.diag([0.5, 1.0]),
-                 np.diag([0.75, 0.9])]
-    M, idx = pick(engine, sv_blocks, degrees=(), index=True)
-    assert np.sqrt(up) == 0.5
-    assert list(idx) == [0, 1, 2]
-    full, picked = dlb._Collector(0.5), dlb._Collector(0.5)
-    feed(full, np.sqrt(np.linalg.eigvalsh(M)))
-    feed(picked, np.sqrt(np.linalg.eigvalsh(M[idx])))
-    assert collector_state(picked) == collector_state(full)
+    # a Laplacian collector, then a singular-value one: it reads the raw
+    # eigenvalues too, so its prov sits one ulp below the second block's least
+    # diagonal entry, inside that block's disc
+    for singular in (False, True):
+        full, picked = (dlb._Collector(prov, singular) for _ in range(2))
+        for col in (full, picked):
+            feed(col, np.array([up, 8.0]))  # above one ulp over prov, vmax 8
+        M, idx = pick([picked], blocks)
+        assert list(idx) == [0, 1, 2]
+        feed(full, np.linalg.eigvalsh(M))
+        feed(picked, np.linalg.eigvalsh(M[idx]))
+        assert collector_state(picked) == collector_state(full)
+        assert picked.finalize(0.1) == full.finalize(0.1)
+
+
+def test_finalize_reads_raw_eigenvalues_in_either_unit():
+    # a PSD spectrum as eigvalsh returns it, fed raw in two parts of multiplicity
+    # 3: the kernel is rounding noise, its largest magnitude a negative value,
+    # and some values clear of the kernel sit at or below prov, some above it
+    rng = np.random.default_rng(5)
+    lam = np.concatenate([rng.uniform(-1e-14, 1e-14, 7), [-2e-14, 0.0, 2e-3, 5e-3],
+                          rng.uniform(1e-3, 40.0, 30), [40.0]])
+    rng.shuffle(lam)
+    for singular, values, tol_rel in ((False, np.abs(lam), 1e-8),
+                                      (True, np.sqrt(np.maximum(lam, 0.0)), 1e-4)):
+        col = dlb._Collector(1e-2, singular)
+        for part in np.split(lam, [20]):
+            dlb._feed([(col, 3, False)], part)
+        assert col.kept and math.isfinite(col.above)
+        thresh = tol_rel * values.max()
+        ker = values < thresh
+        assert np.count_nonzero(ker) == 9
+        assert col.finalize(tol_rel) == (3 * 9, values[ker].max(), values[~ker].min(), True)
+    # the negative value is the Laplacian kernel's largest; a singular value reads it as 0
+    col = dlb._Collector(1.0)
+    feed(col, np.array([-2e-14, 1e-14, 40.0]))
+    assert col.finalize(1e-8)[1] == 2e-14
+    col = dlb._Collector(1.0, singular=True)
+    feed(col, np.array([-2e-14, 1e-14, 40.0]))
+    assert col.finalize(1e-4)[1] == np.sqrt(1e-14)
 
 
 def test_few_gram_blocks_reach_the_eigensolver(setup2, monkeypatch):
@@ -1206,7 +1232,7 @@ def test_few_gram_blocks_reach_the_eigensolver(setup2, monkeypatch):
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
     picks = count_calls(monkeypatch, dlb._Engine, "_pick")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    run = dlb._box_run(cs, frame, conn, 4, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
     assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
     blocks = sum(diag.shape[1] for (_, diag, *_) in picks)
     assert blocks == 1458
@@ -1220,7 +1246,7 @@ def test_few_gram_blocks_are_formed(setup2, monkeypatch):
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
     grams = count_calls(monkeypatch, dlb, "_gram")
     products = record_results(monkeypatch, dlb, "_product")
-    run = dlb._box_run(cs, frame, conn, 4, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
     assert run.dims == (1, 2, 1) and run.conclusive
     assert len(grams) == 2 and all(len(A) == 729 for (A, _) in grams)
     formed = sum(idx.size for (_, idx) in grams)
@@ -1240,7 +1266,7 @@ def test_only_picked_blocks_are_made_dense(setup2, monkeypatch, case, N):
     picks = record_results(monkeypatch, dlb._Engine, "_pick")
     dense = record_results(monkeypatch, dlb._Sparse, "dense")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    assert dlb._box_run(cs, frame, conn, N, 1e-8, True, True).conclusive
+    assert dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True).conclusive
     picked = sum(idx.size for idx in picks)
     assert 0 < picked < sum(diag.shape[1] for (_, diag, *_) in batches)
     # every eigensolve is a batched one (the identity metric is not eigensolved)
@@ -1262,7 +1288,7 @@ def test_coupled_connection_with_a_non_scalar_fiber(setup2, monkeypatch):
     assert dlb.flatness_curvature(conn, frame).is_flat
     blocks = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
     layouts = count_calls(monkeypatch, dlb._Engine, "_direction_terms")
-    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     assert any(members.shape[1] == 1 for (_, members, _) in blocks)
     assert any(np.all(pattern[1:] < 0) for (_, _, pattern) in layouts)
     assert run.conclusive
@@ -1281,7 +1307,7 @@ def test_constant_fiber_matrices_match_dense(setup2):
                                   MatrixElement.from_scalars(theta, A2)])
     assert dlb.flatness_curvature(conn, frame).is_flat
     N = 1
-    run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
 
 
@@ -1300,12 +1326,12 @@ def test_rank2_scalar_shift_matches_dense(setup2):
     theta, cs, frame = setup2
     N = 1
     off = scalar_fiber_connection(theta, [0.37 + 0.21j, -0.13 + 0.52j], 2)
-    run = dlb._box_run(cs, frame, off, N, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, off, 1e-8).run(N, True, True)
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, off, N) == run.dims == (0, 0, 0)
     m0 = (1, 0, -1, 1)
     on = scalar_fiber_connection(theta, lattice_shift(frame, m0), 2)
-    run = dlb._box_run(cs, frame, on, N, 1e-8, True, True)
+    run = dlb._Engine(cs, frame, on, 1e-8).run(N, True, True)
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, on, N) == run.dims == (2, 4, 2)
     assert run.kernel_modes_q0 == ((m0, 2),)
@@ -1326,7 +1352,7 @@ def test_chain_singletons_take_single_mode_blocks(setup2, monkeypatch):
     blocks = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
     for N in (1, 2):
         blocks.clear()
-        run = dlb._box_run(cs, frame, conn, N, 1e-8, True, True)
+        run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
         singles = [members for (_, members, _) in blocks if members.shape[1] == 1]
         assert len(singles) == 1 and 0 < singles[0].size < dlb.mode_count(4, N)
         assert run.conclusive
@@ -1356,7 +1382,7 @@ def test_n3_lattice_shift_kernel_in_a_later_slab(monkeypatch):
             yield start, lam
 
     monkeypatch.setattr(dlb._Engine, "_box_koszul_eigenvalues", spy)
-    run = dlb._box_run(cs, frame, conn, 6, 1e-8, True, False)
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(6, True, False)
     flat0 = sum((m + 6) * 13 ** k for k, m in enumerate(m0))
     assert len(starts) > 1 and flat0 >= starts[1]
     assert run.dims == (1, 3, 3, 1) and run.conclusive
@@ -1455,13 +1481,13 @@ def test_only_non_scalar_constant_fibers_assemble_blocks(setup2, monkeypatch):
     monkeypatch.setattr(dlb._Engine, "_run_blocks", refuse)
     for conn in (dlb.FreeConnection.scalar_shift(theta, [0.37 + 0.21j, -0.13 + 0.52j]),
                  scalar_fiber_connection(theta, [0.2j, 0.5 - 0.1j], 2)):
-        assert dlb._box_run(cs, frame, conn, 2, 1e-8, True, True).conclusive
+        assert dlb._Engine(cs, frame, conn, 1e-8).run(2, True, True).conclusive
     diagonal = dlb.FreeConnection(2, [
         MatrixElement.from_scalars(theta, np.diag([0.3 + 0.1j, -0.2j])),
         MatrixElement.from_scalars(theta, np.diag([0.1 - 0.4j, 0.25])),
     ])
     with pytest.raises(AssertionError, match="dense blocks assembled"):
-        dlb._box_run(cs, frame, diagonal, 2, 1e-8, True, True)
+        dlb._Engine(cs, frame, diagonal, 1e-8).run(2, True, True)
 
 
 def test_index_n3():
