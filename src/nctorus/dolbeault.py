@@ -25,12 +25,11 @@ Key structural facts the implementation leans on:
   sparsity pattern, for dense batches and sparse components alike, which
   keeps everything deterministic and exact to working precision;
 * a batch's spectra are those of one list of matrices (_Engine._spectra),
-  the Laplacians Delta_q and DD^* on the odd forms, or at n <= 2, for a
-  batch that forms a complex, the Grams of the A_q (the Hodge-rank path),
-  eigensolved only on the blocks whose Gershgorin discs can change a
-  kernel decision (_Engine._pick); a Laplacian's discs are read off the
-  formed batch, a Gram's off its factor A_q, and the Gram is formed only
-  on the picked blocks;
+  the Laplacians Delta_q and DD^* on the odd forms, for every n; a block
+  is assembled only when bounds from the Koszul covectors of its modes
+  (_Engine._mode_bounds) let it change a kernel decision, and eigensolved
+  only when the Gershgorin discs of its formed matrix do too, by one rule
+  (_Engine._pick);
 * with scalar constant terms a_j = c_j 1 and no other terms every mode is
   a Koszul complex, whose spectra are written down in closed form over the
   whole box; the single-mode components of a coupled connection go through
@@ -74,9 +73,9 @@ FLATNESS_TOL = 1e-10
 DEFAULT_TOL_REL = 1e-8
 DENSE_BLOCK_LIMIT = 1200
 _GAP_BAND = 10.0
-# Gershgorin discs are widened by _DISC_SLACK * width * eps * (disc radius), width
-# m for the discs of a formed m x m block and m + p for those of the Gram of a
-# p x m factor, before they decide which blocks skip the eigensolve
+# the bounds that decide which blocks skip the eigensolve are widened by
+# _DISC_SLACK * m * eps * (disc radius) for the discs of a formed m x m block, and
+# by _DISC_SLACK * (m + steps)^2 * eps * (a bound on every value) for mode bounds
 _DISC_SLACK = 64.0
 _EPS = float(np.finfo(float).eps)
 
@@ -326,9 +325,9 @@ class _Collector:
     the threshold in raw units, which keeps every value below it.
 
     Since nothing else is kept, a dense batch need not be fed whole: the
-    engine eigensolves only the blocks whose Gershgorin discs can change one
-    of the three (_Engine._pick), and the collector ends in the state the
-    whole batch would leave.
+    engine assembles and eigensolves only the blocks whose bounds let them
+    change one of the three (_Engine._pick), and the collector ends in the
+    state the whole batch would leave.
     """
 
     def __init__(self, prov: float, singular: bool = False):
@@ -590,44 +589,15 @@ def _product(terms) -> _Sparse:
     return _Sparse(rows, cols, shape, sums[0] if len(sums) == 1 else np.concatenate(sums))
 
 
-def _gram(A: _Sparse, idx: np.ndarray) -> _Sparse:
-    """The Grams of the blocks idx of A on its smaller side, A A^* or A^* A.
-
-    Only those blocks' values are taken, and conjugated for the adjoint;
-    each block's sums in _product do not depend on the other blocks.
-    """
-    sub = _Sparse(A.rows, A.cols, A.shape, A.values[idx])
-    return _product([((sub, sub.H) if A.shape[0] < A.shape[1] else (sub.H, sub)) + (0, 0)])
-
-
 # -- bounds on the spectra of Hermitian batches ------------------------------
 
 
-def _sum_by(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
-    """out[i]: the sum of values[e] over the e with keys[e] == i (0 if none), for i < size.
-
-    A product with the 0/1 matrix of keys, which BLAS runs several times
-    faster than reduceat's loop, when that matrix holds no more entries than
-    values; reduceat otherwise.  Either way a sum of nonnegative terms keeps
-    the error bound of _gram_bounds, since adding an exact zero rounds
-    nothing.
-    """
-    if keys.size * size <= values.size:
-        onehot = np.zeros((size, keys.size))
-        onehot[keys, np.arange(keys.size)] = 1.0
-        return onehot @ values
-    order, starts, present = _group(keys)
-    out = np.zeros((size,) + values.shape[1:])
-    out[present] = np.add.reduceat(values[order], starts, axis=0)
-    return out
-
-
 def _disc_bounds(M: _Sparse):
-    """(diag, rows, width) of a formed Hermitian batch for _spectral_bounds.
+    """(diag, rows) of a formed Hermitian batch for _spectral_bounds.
 
     diag (m, g) holds the diagonal entries M_ii of the g blocks, rows the
     sums sum_j |M_ij| of the values, which are the entries of the dense
-    blocks _Sparse.dense builds from them; width m.
+    blocks _Sparse.dense builds from them.
     """
     m = M.shape[-1]
     order, starts, present = _group(M.rows)
@@ -636,68 +606,24 @@ def _disc_bounds(M: _Sparse):
     on = M.rows == M.cols
     diag = np.zeros((len(M), m))
     diag[:, M.rows[on]] = M.values[:, on].real
-    return diag.T, rows.T, m
+    return diag.T, rows.T
 
 
-def _gram_bounds(A: _Sparse):
-    """(diag, rows, width) for _spectral_bounds of the Grams _gram would form, read off A.
-
-    On its smaller side the Gram is G = B^* B, B = A (G on the columns of
-    A) or B = A^* (on its rows), p x m with p >= m.  For each block,
-    diag_i = sum_k |B_ki|^2 = G_ii and, with s_k = sum_j |B_kj|, rows_i =
-    sum_k |B_ki| s_k bounds sum_j |G_ij| = sum_j |sum_k conj(B_ki) B_kj| by
-    the triangle inequality: (|B|^T (|B| 1))_i.  Both are sums over A's
-    values, grouped by its index arrays, with no product, and (m, g) as in
-    _disc_bounds; width is m + p.
-
-    The slack.  The values fed are eigvalsh's of the formed Gram G', whose
-    entries _product sums with rounding, and diag and rows are rounded
-    sums too.  With u = eps, each rounding relative error at most u, and
-    gamma_k = k u / (1 - k u) <= 1.02 k u (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., 3.1; k u <= 0.01 here): |B_ki| is
-    rounded once, s_k sums at most m terms and rows_i at most p products,
-    all nonnegative, so the exact rho_i = sum_k |B_ki| sum_j |B_kj| is at
-    most (1 + 1.03 (m + p + 3) u) rows_i, and diag_i is within
-    1.02 (p + 2) u G_ii of G_ii.  An entry of G' is a complex inner product
-    of at most p terms: |G'_ij - G_ij| <= sqrt(2) gamma_{p+2}
-    sum_k |B_ki| |B_kj| (Higham 3.1 and 3.6, Lemma 3.5).  Summed over j,
-    sum_j |G'_ij| <= (1 + 2.04 (p + 2) u) rho_i <= rows_i + 2 (m + 2p + 5)
-    u R, R = max_i rows_i the disc radius, and |G'_ii - diag_i| <=
-    4 (p + 2) u R, since G_ii <= rho_i.  So the Gershgorin interval of G'
-    lies within (2m + 12p + 26) u R of the one diag and rows give, its
-    diagonals within 4 (p + 2) u R of diag, and its radius is at most
-    1.01 R.  The formed discs of G' need the slack 64 m u times their
-    radius (_spectral_bounds), at most 65 m u R; in all 67m + 12p + 26
-    <= 64 (m + p), as 52 p >= 52 m > 3m + 26.  So width m + p covers the
-    rounding of the factor sums on top of the formed discs' own slack.
-    """
-    if A.shape[0] < A.shape[1]:
-        at, over = A.rows, A.cols
-    else:
-        at, over = A.cols, A.rows
-    m, p = min(A.shape), max(A.shape)
-    a = np.abs(A.values).T
-    s = _sum_by(a, over, p)
-    return _sum_by(a * a, at, m), _sum_by(a * s[over], at, m), m + p
-
-
-def _spectral_bounds(diag: np.ndarray, rows: np.ndarray, width: int):
-    """Per block (lo, hi, least, most) from the (diag, rows, width) of a bound source.
+def _spectral_bounds(diag: np.ndarray, rows: np.ndarray):
+    """Per block (lo, hi, least, most) for _Engine._pick from the discs of _disc_bounds.
 
     diag and rows are (m, g), one column per block.  By Gershgorin's
     theorem every eigenvalue of block b lies in [lo_b, hi_b], lo_b =
     min_i (2 M_ii - sum_j |M_ij|), hi_b = max_i sum_j |M_ij|, and its
     smallest (largest) eigenvalue is at most (at least) its smallest
     (largest) diagonal entry, least_b (most_b).  Each is moved outward by
-    _DISC_SLACK * width * eps * hi_b, which for the discs of a formed block
-    (width m) covers the rounding of the sums and the backward error of
-    eigvalsh, and for a factor's bounds (_gram_bounds) also the rounding
-    of the factor sums.  So every value eigvalsh returns for block b lies in
-    [lo_b, hi_b], its smallest is at most least_b and its largest at least
-    most_b.  Bounds that are not finite stay so.
+    _DISC_SLACK * m * eps * hi_b, which covers the rounding of the sums and
+    the backward error of eigvalsh.  So every value eigvalsh returns for
+    block b lies in [lo_b, hi_b], its smallest is at most least_b and its
+    largest at least most_b.  Bounds that are not finite stay so.
     """
     radius = rows.max(axis=0)
-    slack = _DISC_SLACK * width * _EPS * radius
+    slack = _DISC_SLACK * diag.shape[0] * _EPS * radius
     return (np.min(2.0 * diag - rows, axis=0) - slack, radius + slack,
             diag.min(axis=0) + slack, diag.max(axis=0) - slack)
 
@@ -730,11 +656,14 @@ class _Engine:
         self.L1 = Ls[1]
 
         self.steps, self.coef = _connection_data(conn)
-        # every constant fiber matrix is c_j I_r (the trivial connection included):
-        # then v~(m) = (w(m) + c) L1-bar = v0 + sum_k m_k U[k] on each mode,
-        # kept as real and imaginary parts side by side (2n real columns)
+        # v~(m) = (w(m) + c) L1-bar = v0 + sum_k m_k U[k], c the shift, is the
+        # Koszul covector of mode m, kept as real and imaginary parts side by
+        # side (2n real columns); off is what the connection holds beyond it,
+        # nothing when every constant fiber matrix is c_j I_r and none couples
         shift = self.coef[0, :, 0, 0]
-        self.scalar_const = np.array_equal(self.coef[0], shift[:, None, None] * np.eye(self.r))
+        off = self.coef.copy()
+        off[0] -= shift[:, None, None] * np.eye(self.r)
+        self.scalar_const = not off[0].any()
         U = (2j * math.pi) * (frame.W.T @ self.L1.conj())
         v0 = shift @ self.L1.conj()
         self.U = np.hstack([U.real, U.imag])
@@ -746,6 +675,9 @@ class _Engine:
                       + np.abs(self.coef[1:]).sum(axis=(0, 2, 3)))
         self.snorm = [np.linalg.norm(np.array([Sj[q] for Sj in self.Stil]), 2, axis=(1, 2))
                       for q in range(n)]
+        # gamma bounds the norm of the part of D off the modes' Koszul complexes (_mode_bounds)
+        rho = np.linalg.norm(off, 2, axis=(2, 3)).sum(axis=0)
+        self.gamma = 2.0 * max(float(sq @ rho) for sq in self.snorm)
         # what one mode of a single-mode block holds: A_q, A_q^* and the pairs of their products
         a, b = np.array(self.fdims[:-1]), np.array(self.fdims[1:])
         self.mode_entries = self.r ** 2 * int(a * b @ (2 + self.r * (a + b)))
@@ -860,122 +792,152 @@ class _Engine:
         """Dense spectra of blocks that share one coupling pattern, in batches.
 
         members (G, c) holds the flat mode indices of G blocks; pattern is
-        as in _direction_terms.  Each batch eigensolves the matrices of
-        _spectra: the Grams when it forms a complex at n <= 2, the
-        Laplacians otherwise.  Blocks of one mode give their flat indices
-        to lap[0], for kernel_modes_q0.  A batch holds at most 8M entries
-        counted per block: the widest matrix dense, 2^(n-1) * c * r rows (a
-        Gram or Delta_q at n <= 2, DD^* on the odd forms above), and per mode
-        what a single-mode block holds, its A_q and their adjoints and the
-        paired values of its Delta_q products.
+        as in _direction_terms.  Each batch assembles only the blocks that
+        _pick keeps, against every collector, from the bounds of their modes
+        (_mode_bounds), and eigensolves the matrices of _spectra on them.
+        Blocks of one mode give their flat indices to lap[0], for
+        kernel_modes_q0.  A batch holds at most 8M entries counted per
+        block: the widest matrix dense, 2^(n-1) * c * r rows (Delta_q at
+        n <= 2, DD^* on the odd forms above), and per mode what a
+        single-mode block holds, its A_q and their adjoints and the paired
+        values of its Delta_q products.
         """
         G, c = members.shape
         big = 2 ** (self.n - 1) * c * self.r
         chunk = max(1, 8_000_000 // (big * big + c * self.mode_entries))
+        every = [(col, 1, False) for col in (self.lap or []) + [self.dsv] if col is not None]
         for start in range(0, G, chunk):
             sub = members[start:start + chunk]
-            g = sub.shape[0]
-            mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(g, c, self.d)
-            ops = self._degree_operators(mvec, pattern)
-            grams = self.n <= 2 and self._forms_complex(ops)
-            for source, feeds in self._spectra(ops, grams):
-                self._eigensolve(source, grams, feeds, sub[:, 0] if c == 1 else None)
+            mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(len(sub), c, self.d)
+            keep = self._pick(*self._mode_bounds(mvec, big), every)
+            if not keep.size:
+                continue
+            sub = sub[keep]
+            for terms, feeds in self._spectra(self._degree_operators(mvec[keep], pattern)):
+                self._eigensolve(terms, feeds, sub[:, 0] if c == 1 else None)
 
-    def _forms_complex(self, ops: list[_Sparse]) -> bool:
-        """Whether the batch is close enough to a complex for the Hodge-rank path.
+    def _mode_bounds(self, mvec: np.ndarray, width: int):
+        """Per block (lo, hi, least, most) for _pick, from the Koszul covectors of its modes.
 
-        Asked at n <= 2 only.  eps = max over the batch and q of
-        ||A_{q+1} A_q||_F bounds the defect in operator norm; it is read off
-        the values of the sparse product.  With B = [A_q; A_{q-1}^*] we have
-        Delta_q = B^* B and B B^* = diag(A_q A_q^*, A_{q-1}^* A_{q-1})
-        + [[0, E], [E^*, 0]], E = A_q A_{q-1}, so by Weyl each sorted
-        eigenvalue of Delta_q lies within eps of the Hodge-rank union; DD^*
-        on the odd forms is Delta_1.  Every collector this batch feeds sees
-        an eigenvalue of at least s, the smallest over q of max |A_q|^2 (an
-        entry bounds ||A_q||; the entries are the values), so its threshold
-        is at least tol_rel * s in the raw eigenvalues every collector
-        reads, the singular-value one's squared.  The gate asks 3 eps <= tol_rel * s / _GAP_BAND**2,
-        with a factor 3 to spare, so no value moves by more than
-        thresh / _GAP_BAND**2: a value at or below thresh / _GAP_BAND (a
-        singular value at or below its threshold / _GAP_BAND) stays below
-        the threshold, one at or above _GAP_BAND times it stays above, and
-        the kernel counts of a conclusive run cannot change.
+        mvec (g, c, d) as in _direction_terms; every matrix of _spectra on
+        these blocks, Delta_q or DD^*, has at most width rows.
+
+        The bound.  Let D_b = dbar + dbar^* on all forms of block b and c =
+        coef[0, :, 0, 0].  Then T_j = (w_j + c_j) 1 + B_j, where B_j holds
+        coef[0, j] - c_j 1 on each mode and, along each step s_k, coef[k, j]
+        times a partial isometry (a shift with phases, cut at the box), so
+        ||B_j|| <= rho_j = sum_k ||off[k, j]||.  So D_b = D_0 + B.  On each
+        mode m, D_0 is the Koszul complex of v~(m) = v0 + m U (wedge by
+        w + c in orthonormal form bases), so D_0(m)^2 = |v~(m)|^2 1 on all
+        forms and the eigenvalues of D_0 are +-|v~(m)|, m in b.  B = X + X^*,
+        where X maps each C_q to C_{q+1} by sum_j S~[j][q] (x) B_j, of norm at
+        most sum_j ||S~[j][q]|| rho_j; the C_q are orthogonal, so ||X|| is the
+        largest of these and ||B|| <= 2 ||X|| <= gamma.  By Weyl's inequality
+        every eigenvalue of D_b lies within gamma of one of D_0, so its
+        modulus lies in [(min_b |v~| - gamma)_+, max_b |v~| + gamma].
+        Delta_q is the diagonal block of
+        D_b^2 on C_q, and DD^* the one on the odd forms, D_b being [[0, D^*],
+        [D, 0]] on even and odd forms; so by Cauchy interlacing the values of
+        both lie in [lo, hi] = [(min - gamma)_+^2, (max + gamma)^2], whether
+        or not the batch forms a complex.  For a unit phi in one degree (an
+        odd one for DD^*) and x = e_m (x) phi, the Rayleigh quotient is x^*
+        D_b^2 x = ||D_b x||^2, and ||D_0 x|| = |v~(m)|: so the smallest value
+        is at most least = (min + gamma)^2 and the largest at least most =
+        (max - gamma)_+^2 (Horn & Johnson, Matrix Analysis, ch. 4).
+
+        The margin.  Each bound moves outward by _DISC_SLACK (w + s)^2 u H,
+        u = eps, w = width, s the number of steps and H = value_bound =
+        (sum_q opbound_q + gamma)^2 (run), at least every value here.  With
+        gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., 3.1, 3.5 and 3.6) and sigma = ||v0|| +
+        N sum_k ||U[k]|| <= opbound_0 (||S~[j][0]|| is the norm of row j of
+        L1), the rounding, in units of u H on the squared bounds, is at most:
+        - 2.1 (3d + 5) from |v~|: v0 + m U and its norm are within
+          gamma_{2d+3} sigma of exact, and the rounded w_j move v~ by
+          gamma_{d+2} opbound_0 more;
+        - 2.1 (n s + 32 w) from gamma, a sum of n s products of 2-norms that
+          LAPACK's SVD returns within 16 w u; rounded phases keep the shifts
+          within 2u of partial isometries;
+        - 6.2 (n + 2) sqrt(w) from the contraction over j in A_q: its entries
+          are within sqrt(2) gamma_{n+2} of a matrix of moduli, of norm at
+          most sqrt(w) opbound_q;
+        - 5.8 w (w + 1) from the products: an entry of the matrix sums at
+          most 2w paired products, and || |X| || <= sqrt(w) ||X||;
+        - 64 w from eigvalsh, the backward error the discs allow it, and 4
+          from the squares and sums here.
+        With n <= 2^(n-1) <= w and s >= 1 these add up to less than 64 (w +
+        s)^2.
         """
-        s = min(float(np.max(np.abs(A.values))) for A in ops) ** 2
-        gate = self.tol_rel * s / (3.0 * _GAP_BAND ** 2)
-        for q in range(len(ops) - 1):
-            E = _product([(ops[q + 1], ops[q], 0, 0)])
-            if float(np.max(np.linalg.norm(E.values, axis=1))) > gate:
-                return False
-        return True
+        v = np.linalg.norm(mvec @ self.U + self.v0, axis=2)
+        low, high, g = v.min(axis=1), v.max(axis=1), self.gamma
+        slack = _DISC_SLACK * (width + len(self.steps)) ** 2 * _EPS * self.value_bound
+        return (np.maximum(low - g, 0.0) ** 2 - slack, (high + g) ** 2 + slack,
+                (low + g) ** 2 + slack, np.maximum(high - g, 0.0) ** 2 - slack)
 
-    def _pick(self, diag: np.ndarray, rows: np.ndarray, width: int, feeds) -> np.ndarray:
+    def _pick(self, lo, hi, least, most, feeds) -> np.ndarray:
         """Indices of the blocks of a Hermitian batch whose values can change a collector.
 
-        (diag, rows, width) are the batch's bounds, from its own discs
-        (_disc_bounds) or from the factor of a Gram (_gram_bounds): one rule
-        for both.  The batch's raw eigenvalues go to the collectors of feeds,
-        read as they stand before the batch is fed, and combined
-        conservatively: the largest prov and above, the smallest vmax.
+        For every matrix whose raw eigenvalues go to the collectors of
+        feeds, the values of block b lie in [lo_b, hi_b], the smallest is at
+        most least_b and the largest at least most_b.  The bounds come from
+        the blocks' modes before assembly, for all the matrices of a batch
+        (_mode_bounds), or from the discs of one formed matrix
+        (_spectral_bounds): one rule for both.  The collectors are read as
+        they stand before the batch is fed, and combined conservatively:
+        the largest prov and above, the smallest vmax.
 
-        With lo_b, hi_b, least_b and most_b from _spectral_bounds, let U be
-        the smallest least_b of the blocks with lo_b > prov and V the
+        Let U be the smallest least_b of the blocks with lo_b > prov and V the
         largest most_b of the batch.  A block is skipped when lo_b >
         max(prov, min(above, U)) and hi_b < max(vmax, V).  Every value it
         would feed lies in [lo_b, hi_b], so:
         - it has none at or below prov, and no collector would keep one;
         - it has none at or below min(above, U).  When U < above, the block
-          holding U is solved: at the i of its least diagonal entry, lo_b
-          is at most 2 diag_i - rows_i - slack, nearly 2 slack below U, as
-          rows_i >= diag_i up to rounding far inside the slack.  Its
-          smallest value, above prov and at most U, leaves above at or below
-          U.  So the final above is at most min(above, U), below every value
-          of the skipped block;
+          holding U is solved, as its lo_b is at most U.  Its smallest value,
+          above prov and at most U, leaves above at or below U.  So the final
+          above is at most min(above, U), below every value of the skipped
+          block;
         - it has none at or above max(vmax, V).  When V > vmax, the block
-          holding V is solved (its hi_b is at least most_b + 2 slack > V),
-          and its largest value, at least V, raises vmax to V or more.  So
-          the final vmax is above every value of the skipped block.
+          holding V is solved (its hi_b is at least V), and its largest
+          value, at least V, raises vmax to V or more.  So the final vmax is
+          above every value of the skipped block.
         So every collector ends as a solve of the whole batch would leave
         it, and, since batched eigvalsh solves each block on its own, with
         bitwise the same values.  A block whose bounds are not finite is
         always solved, so a NaN or inf reaches a collector (or eigvalsh's own
         error) instead of being skipped.
+
+        A mode pick followed by a disc pick on each formed matrix does the
+        same.  Each collector is fed once per batch, so both read it in the
+        same state.  Solving the blocks the mode pick keeps leaves every
+        collector as solving the whole batch would, and the disc pick, on
+        those blocks as a batch of their own, leaves it as solving all of
+        them would.
         """
         prov = max(col.prov for col, _, _ in feeds)
         above = max(col.above for col, _, _ in feeds)
         vmax = min(col.vmax for col, _, _ in feeds)
-        lo, hi, least, most = _spectral_bounds(diag, rows, width)
         clear = lo > prov
         U = np.min(least[clear], initial=math.inf)
         V = np.max(most)
         return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V))
                           | ~(np.isfinite(lo) & np.isfinite(hi)))[0]
 
-    def _eigensolve(self, source, grams: bool, feeds, modes: np.ndarray | None):
-        """Eigensolve the blocks of one matrix of _spectra that _pick picks, and feed them.
+    def _eigensolve(self, terms, feeds, modes: np.ndarray | None):
+        """Eigensolve the blocks of one matrix of _spectra that its discs pick, and feed them.
 
-        With grams, source is A_k: the Grams are bounded from it
-        (_gram_bounds) and formed only on the picked blocks (_gram).
-        Otherwise source is the matrix's terms, and the batch is formed whole
-        and bounded by its own discs (_disc_bounds).  Only the picked blocks
-        are made dense.  Their values go to feeds in one _feed; modes, for
+        The matrix sum_t X_t Y_t of terms is formed (_product) and bounded
+        by its own discs (_disc_bounds); only the picked blocks are made
+        dense.  Their values go to feeds in one _feed; modes, for
         single-mode blocks, holds the flat mode index of each block.
         """
-        if grams:
-            idx = self._pick(*_gram_bounds(source), feeds)
-            if not idx.size:
-                return
-            blocks = _gram(source, idx).dense()
-        else:
-            M = _product(source)
-            idx = self._pick(*_disc_bounds(M), feeds)
-            if not idx.size:
-                return
-            blocks = M.dense(idx)
-        vals = np.linalg.eigvalsh(blocks)
+        M = _product(terms)
+        idx = self._pick(*_spectral_bounds(*_disc_bounds(M)), feeds)
+        if not idx.size:
+            return
+        vals = np.linalg.eigvalsh(M.dense(idx))
         _feed(feeds, vals, None if modes is None else lambda at: modes[idx][at // vals.shape[1]])
 
-    def _spectra(self, ops: list[_Sparse], grams: bool):
+    def _spectra(self, ops: list[_Sparse]):
         """(terms, feeds) of each matrix whose spectrum a collector needs.
 
         ops are the degree operators A_q of a batch.  The values of the matrix
@@ -985,21 +947,7 @@ class _Engine:
         products, are yielded, so the caller forms each matrix once the last
         is freed.
 
-        With grams (the Hodge-rank path, for a batch that forms a complex at
-        n <= 2) the matrices are the Grams of the A_k, and A_k itself is
-        yielded in place of terms, for _eigensolve to bound the Grams from
-        and to form them on the blocks it picks (_gram).  For a complex, Delta_q
-        = A_q^* A_q + A_{q-1} A_{q-1}^* has orthogonal summands, so its
-        spectrum is the union of the nonzero squared singular values of A_q
-        and A_{q-1}, plus zeros; and DD^* is Delta_1.  Each Gram is taken on
-        the smaller side, the adjoint being A_k's index arrays swapped and
-        its values conjugated.  At n <= 2 the smaller sides of A_q and
-        A_{q-1} add up to dim C_q, so the union is exactly the spectrum: the
-        Gram of A_k feeds Delta_k, Delta_{k+1} and DD^* as it is.  (At n >= 3
-        they add up to more, and dropping the surplus zeros would need every
-        block solved.)
-
-        Otherwise the matrices hold without dbar^2 = 0: Delta_q = A_q^* A_q +
+        The matrices hold without dbar^2 = 0: Delta_q = A_q^* A_q +
         A_{q-1} A_{q-1}^*, every degree when the dims are wanted, and DD^* on
         the odd forms, which has the spectrum of D^*D since D = dbar + dbar^*
         (even forms -> odd forms) is square: the odd Delta_q on the diagonal,
@@ -1014,11 +962,6 @@ class _Engine:
         def feeds(degrees, dd):
             return [(self.lap[q], 1, q == 0) for q in degrees if dims] + \
                 ([(self.dsv, 1, False)] if dd else [])
-
-        if grams:
-            for k, A in enumerate(ops):
-                yield A, feeds([k, k + 1], index)
-            return
 
         def delta(q, at=0):
             return ([(ops[q].H, ops[q], at, at)] if q < n else []) + \
@@ -1051,7 +994,7 @@ class _Engine:
 
         mvec = _decode_modes(member, self.d, self.N)[None]
         rng = np.random.default_rng(20240711)
-        for terms, feeds in self._spectra(self._degree_operators(mvec, pattern), False):
+        for terms, feeds in self._spectra(self._degree_operators(mvec, pattern)):
             M = _product(terms)
             M = sp.csr_matrix((M.values[0], (M.rows, M.cols)), shape=M.shape)
             vals, vmax, complete = _iterative_small_eigs(M, 2 * M.shape[0] // member.size + 6, rng)
@@ -1068,6 +1011,8 @@ class _Engine:
         for q in range(n):
             opbound[q] = sum(self.snorm[q][j] * (wmax[j] + self.coupn[j]) for j in range(n))
         lam_bound = [(opbound[q] + (opbound[q - 1] if q > 0 else 0.0)) ** 2 for q in range(n + 1)]
+        # at least every value of every block, and the scale of their rounding (_mode_bounds)
+        self.value_bound = (opbound.sum() + self.gamma) ** 2
         self.lap = [_Collector(16.0 * tol_rel * max(lam_bound[q], 1e-300))
                     for q in range(n + 1)] if want_dims else None
         # ||D|| is at most the sum of the ||A_q||, so DD^*'s values are at most its square

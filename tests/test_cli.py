@@ -393,7 +393,7 @@ def _shift_problem():
 
 
 @pytest.mark.parametrize("case, command", [
-    ("hodge-rank", "hodge"), ("laplacian", "index"), ("odd", "index"), ("slab", "hodge")])
+    ("chain", "hodge"), ("laplacian", "index"), ("odd", "index"), ("slab", "hodge")])
 def test_one_nan_in_one_block_makes_the_report_inconclusive(tmp_path, capsys, monkeypatch,
                                                             case, command):
     # one NaN among the values of the first batched eigensolve (or of the
@@ -423,23 +423,23 @@ def test_one_nan_in_one_block_makes_the_report_inconclusive(tmp_path, capsys, mo
         monkeypatch.setattr(np.linalg, "eigvalsh", poison)
     spectra = dolbeault._Engine._spectra
 
-    def spy(self, ops, grams):
-        for terms, feeds in spectra(self, ops, grams):
-            names.append((grams, len(terms), tuple(col.singular for col, _, _ in feeds)))
+    def spy(self, ops):
+        for terms, feeds in spectra(self, ops):
+            names.append((len(terms), tuple(col.singular for col, _, _ in feeds)))
             yield terms, feeds
 
     monkeypatch.setattr(dolbeault._Engine, "_spectra", spy)
-    problem = {"hodge-rank": chain_problem, "laplacian": _two_direction_problem,
+    problem = {"chain": chain_problem, "laplacian": _two_direction_problem,
                "odd": _n3_fiber_problem, "slab": _shift_problem}[case]()
     code, body = _main_stdout(tmp_path, capsys, problem, command)
     assert poisoned
-    # the index alone, whose one singular-value collector each matrix feeds:
-    # Delta_1 at n = 2 (two terms), the odd block matrix at n = 3 (Delta_1,
-    # Delta_3 and the defect blocks, five terms)
-    assert {"hodge-rank": names and all(grams for grams, *_ in names),
-            "laplacian": ((False, 2, (True,)) in names
-                          and not any(grams for grams, *_ in names)),
-            "odd": set(names) == {(False, 5, (True,))},
+    # the hodge report's box at N feeds its Delta_1 (two terms) to lap[1] and
+    # the singular-value collector; the index alone feeds that collector
+    # Delta_1 at n = 2, the odd block matrix at n = 3 (Delta_1, Delta_3 and
+    # the defect blocks, five terms)
+    assert {"chain": (2, (False, True)) in names,
+            "laplacian": (2, (True,)) in names,
+            "odd": set(names) == {(5, (True,))},
             "slab": not names}[case]
     assert code == 2
     assert body["results"]["conclusive"] is False and body["results"]["stable"] is False

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -290,29 +289,28 @@ def feed(col, values):
 def solve_every_block(monkeypatch):
     """Make every dense eigensolve take its whole batch, so collectors see whole spectra."""
     monkeypatch.setattr(dlb._Engine, "_pick",
-                        lambda self, diag, rows, width, feeds: np.arange(diag.shape[1]))
+                        lambda self, lo, hi, least, most, feeds: np.arange(lo.size))
 
 
-def spy_paths(monkeypatch):
-    """Count the batches that take the Hodge-rank and the Laplacian path."""
-    calls = {"hodge": 0, "laplacian": 0}
-    orig = dlb._Engine._spectra
+def record_picks(monkeypatch):
+    """Every _pick as (source, picked indices), source "modes" (_mode_bounds) or "discs"."""
+    picks, discs = [], record_results(monkeypatch, dlb, "_spectral_bounds")
+    orig = dlb._Engine._pick
 
-    def counted(self, ops, grams):
-        calls["hodge" if grams else "laplacian"] += 1
-        return orig(self, ops, grams)
+    def wrapped(self, lo, *rest):
+        picks.append(("discs" if any(lo is b[0] for b in discs) else "modes",
+                      orig(self, lo, *rest)))
+        return picks[-1][1]
 
-    monkeypatch.setattr(dlb._Engine, "_spectra", counted)
-    return calls
+    monkeypatch.setattr(dlb._Engine, "_pick", wrapped)
+    return picks
 
 
-def test_chain_engine_matches_dense(setup2, monkeypatch):
+def test_chain_engine_matches_dense(setup2):
     theta, cs, frame = setup2
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
     N = 2
-    calls = spy_paths(monkeypatch)
     run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
-    assert calls["hodge"] > 0 and calls["laplacian"] == 0
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims == (1, 2, 1)
 
 
@@ -326,15 +324,11 @@ def n3_chain(step):
 
 @pytest.mark.parametrize("step", [(1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)])
 def test_n3_chains_take_the_laplacian_path(monkeypatch, step):
-    # at n = 3 the Gram unions for q = 1, 2 would hold more values than
-    # dim C_q, so no batch asks for the defect and every one takes the
-    # Laplacians; the diagonal step also makes chains of 1, 2 and 3 modes
+    # every batch takes the Laplacians; the diagonal step also makes chains
+    # of 1, 2 and 3 modes
     cs, frame, conn = n3_chain(step)
     N = 1
-    calls = spy_paths(monkeypatch)
-    defects = count_calls(monkeypatch, dlb._Engine, "_forms_complex")
     run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
-    assert calls["laplacian"] > 0 and calls["hodge"] == 0 and not defects
     assert run.conclusive
     ref = dense_laplacian_spectra(cs, frame, conn, N)
     assert kernel_dims(ref) == run.dims == (1, 3, 3, 1)
@@ -351,20 +345,23 @@ def test_n3_chains_take_the_laplacian_path(monkeypatch, step):
 
 def test_few_n3_blocks_reach_the_eigensolver(monkeypatch):
     # one N = 2 box run of the n = 3 e1 chain with both halves: 3125 chains
-    # of 5 modes in one batch, four Delta_q and the odd block matrix each
+    # of 5 modes in one batch, four Delta_q and the odd block matrix each;
+    # the mode pick sees every chain and few are assembled
     cs, frame, conn = n3_chain((1, 0, 0, 0, 0, 0))
-    picks = count_calls(monkeypatch, dlb._Engine, "_pick")
+    bounds = record_results(monkeypatch, dlb._Engine, "_mode_bounds")
+    assembled = count_calls(monkeypatch, dlb._Engine, "_degree_operators")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     run = dlb._Engine(cs, frame, conn, 1e-8).run(2, True, True)
     assert run.dims == (1, 3, 3, 1) and run.conclusive
-    blocks = sum(diag.shape[1] for (_, diag, *_) in picks)
-    assert blocks == 5 * 3125
+    assert [lo.size for lo, *_ in bounds] == [3125]
+    assert 0 < sum(len(mvec) for (_, mvec, _) in assembled) < 0.02 * 3125
+    blocks = 5 * 3125
     # every eigensolve is a batched one (the identity metric is not eigensolved)
     assert all(M.ndim == 3 for (M,) in eigs)
     assert sum(len(M) for (M,) in eigs) < 0.05 * blocks
 
 
-def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
+def test_flat_connection_whose_compression_is_no_complex():
     # a path can leave the box along e1 and come back along t, so the
     # compressed operators of this exactly flat connection miss A_1 A_0 = 0
     theta = ThetaMatrix.product([0.31, 0.52])
@@ -380,14 +377,9 @@ def test_flat_connection_whose_compression_is_no_complex(monkeypatch):
     N = 2
     A0, A1 = (dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q) for q in (0, 1))
     assert abs(A1 @ A0).max() > 0.1
-    calls = spy_paths(monkeypatch)
     run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
-    assert calls["laplacian"] > 0 and calls["hodge"] == 0
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
-    # the Hodge-rank union would put a value inside the gap band here
-    monkeypatch.setattr(dlb._Engine, "_forms_complex", lambda self, ops: True)
-    assert not dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True).conclusive
 
 
 def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
@@ -399,21 +391,13 @@ def test_components_of_one_size_with_different_patterns(setup2, monkeypatch):
         MatrixElement(theta, [[FourierElement.monomial(theta, (-1, 0, -1, 0), 0.3)]]),
     ])
     N = 1
-    batches = []
-    orig = dlb._Engine._forms_complex
-
-    def spy(self, ops):
-        # A_0 of a batch of g blocks of c modes holds g matrices of shape (n c r, c r), r = 1
-        A0 = ops[0]
-        batches.append((len(A0), A0.shape[-1]))
-        return orig(self, ops)
-
-    monkeypatch.setattr(dlb._Engine, "_forms_complex", spy)
+    # mvec holds the coordinates of a batch of g blocks of c modes each
+    batches = count_calls(monkeypatch, dlb._Engine, "_degree_operators")
     added = record_collector_values(monkeypatch)
     solve_every_block(monkeypatch)
     engine = dlb._Engine(cs, frame, conn, 1e-8)
     run = engine.run(N, True, False)
-    assert any(g >= 2 and c >= 2 for g, c in batches)
+    assert any(mvec.shape[0] >= 2 and mvec.shape[1] >= 2 for (_, mvec, _) in batches)
     assert run.conclusive
     assert dense_laplacian_dims(cs, frame, conn, N) == run.dims
     # the whole spectrum of every degree, so a block built with another
@@ -512,12 +496,13 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     signs = dlb._wedge_signs(3, engine.forms)
     assert sum(np.count_nonzero(S) for row in engine.Stil for S in row) > \
         sum(np.count_nonzero(S) for row in signs for S in row)
-    # the dense path: one batch of all 243 chains of three modes
+    # the dense path: one batch of all 243 chains of three modes, every one assembled
     members = count_calls(monkeypatch, dlb._Engine, "_run_blocks")
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
+    solve_every_block(monkeypatch)
     engine.run(N, True, False)
     assert len(members) == len(batches) == 1
-    ((_, blocks, _),), ((_, ops, _),) = members, batches
+    ((_, blocks, _),), ((_, ops),) = members, batches
     assert blocks.shape == (243, 3)
     for q in range(3):
         A = ops[q].dense()
@@ -530,7 +515,7 @@ def test_degree_operators_match_oracle_entries(monkeypatch):
     operators = count_calls(monkeypatch, dlb._Engine, "_spectra")
     dlb._Engine(cs, frame, conn, 1e-8).run(N, True, False)
     assert len(components) == len(operators) == 243
-    for (_, member, _), (_, ops, _) in zip(components, operators):
+    for (_, member, _), (_, ops) in zip(components, operators):
         for q in range(3):
             want = oracle_block(ref, member, r, q, K)
             (A,) = ops[q].dense()
@@ -661,15 +646,6 @@ def sparse_batch(blocks):
     return dlb._Sparse(rows, cols, M.shape[1:], M.reshape(len(M), -1))
 
 
-def test_defect_gate_does_not_stop_at_the_probe():
-    # A_0 kills the all-ones vector, yet A_1 A_0 != 0: the gate reads the
-    # defect off the values of the product itself, with no probe first
-    engine = SimpleNamespace(tol_rel=1e-8)
-    A0 = sparse_batch([[[1.0, -1.0], [1.0, -1.0]]])
-    assert not dlb._Engine._forms_complex(engine, [A0, sparse_batch([[[1.0, 0.0]]])])
-    assert dlb._Engine._forms_complex(engine, [A0, sparse_batch([[[1.0, -1.0]]])])
-
-
 # -- the batched sparse product ------------------------------------------------
 
 
@@ -741,13 +717,12 @@ def test_laplacians_match_dense_products(setup3, monkeypatch):
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     engine = dlb._Engine(cs, frame, conn, 1e-8)
     engine.run(1, True, True)
-    (_, ops, grams) = batches[0]
-    assert not grams
+    (_, ops) = batches[0]
     A = [op.dense() for op in ops]
     AH = [a.conj().swapaxes(-1, -2) for a in A]
     delta = [sum(t) for t in ([AH[0] @ A[0]], [AH[1] @ A[1], A[0] @ AH[0]],
                               [AH[2] @ A[2], A[1] @ AH[1]], [A[2] @ AH[2]])]
-    spectra = list(engine._spectra(ops, False))
+    spectra = list(engine._spectra(ops))
     assert [feeds for _, feeds in spectra] == \
         [[(col, 1, q == 0)] for q, col in enumerate(engine.lap)] + [[(engine.dsv, 1, False)]]
     mats = [dlb._product(terms) for terms, _ in spectra]
@@ -970,9 +945,7 @@ def test_index_spectrum_matches_dense_oracle_n2(setup2, monkeypatch, want_dims):
     theta, cs, frame = setup2
     conn = two_direction_connection(theta)
     assert not dlb.flatness_curvature(conn, frame).is_flat
-    calls = spy_paths(monkeypatch)
     run, got = index_values(monkeypatch, cs, frame, conn, 2, want_dims)
-    assert calls["laplacian"] > 0 and calls["hodge"] == 0
     assert_matches_oracle(run, got, np.sort(np.concatenate(dense_index_spectra(cs, frame, conn, 2))))
 
 
@@ -981,9 +954,7 @@ def test_index_spectrum_with_defect_blocks_matches_dense_oracle_n3(setup3, monke
                                                                    want_dims):
     cs, frame, conn = setup3
     assert not dlb.flatness_curvature(conn, frame).is_flat
-    calls = spy_paths(monkeypatch)
     run, got = index_values(monkeypatch, cs, frame, conn, 1, want_dims)
-    assert calls["laplacian"] > 0 and calls["hodge"] == 0
     assert_matches_oracle(run, got, np.sort(np.concatenate(dense_index_spectra(cs, frame, conn, 1))))
 
 
@@ -1032,14 +1003,14 @@ def test_laplacian_batches_solve_each_degree_once(setup2, monkeypatch):
     # both halves wanted at n = 2: the index reads the Delta_1 eigenvalues
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
-    paths = spy_paths(monkeypatch)
-    picks = record_results(monkeypatch, dlb._Engine, "_pick")
+    batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
+    picks = record_picks(monkeypatch)
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run(2, True, True)
-    assert paths["laplacian"] > 0 and paths["hodge"] == 0
-    # one pick per degree and batch, and at most one eigensolve per pick
-    assert len(picks) == (engine.n + 1) * paths["laplacian"]
-    solved = [idx for idx in picks if idx.size]
+    # one disc pick per degree and assembled batch, and at most one eigensolve per pick
+    discs = [idx for source, idx in picks if source == "discs"]
+    assert batches and len(discs) == (engine.n + 1) * len(batches)
+    solved = [idx for idx in discs if idx.size]
     assert len(eigs) == len(solved)
     assert [M.shape[0] for (M,) in eigs] == [idx.size for idx in solved]
 
@@ -1058,16 +1029,16 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
-    picks = record_results(monkeypatch, dlb._Engine, "_pick")
+    picks = record_picks(monkeypatch)
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run(2, False, True)
-    # every batch takes the Laplacians: one pick per batch, and each
-    # eigensolve takes the rows it picked of Delta_1
-    assert not any(grams for (_, _, grams) in batches)
-    assert batches and len(picks) == len(batches)
-    assert len(eigs) == sum(idx.size > 0 for idx in picks)
+    # one disc pick per assembled batch, and each eigensolve takes the rows
+    # it picked of Delta_1
+    discs = [idx for source, idx in picks if source == "discs"]
+    assert batches and len(discs) == len(batches)
+    assert len(eigs) == sum(idx.size > 0 for idx in discs)
     solves = iter(eigs)
-    for (_, ops, _), idx in zip(batches, picks):
+    for (_, ops), idx in zip(batches, discs):
         if idx.size:
             (M,) = next(solves)
             A0, A1 = (A.dense() for A in ops)
@@ -1102,9 +1073,9 @@ def lattice_fiber_connection(theta, frame, m0):
 
 
 @pytest.mark.parametrize("case, N, want_dims", [
-    ("e1 chain", 4, True),        # Hodge-rank path at n = 2
-    ("two directions", 2, True),  # Laplacian path, both halves
-    ("two directions", 2, False),  # Laplacian path, index only
+    ("e1 chain", 4, True),        # a flat chain at n = 2
+    ("two directions", 2, True),  # non-flat, both halves
+    ("two directions", 2, False),  # non-flat, index only
     ("setup3", 1, True),          # n = 3: every Delta_q and the odd block matrix
     ("rank-2 fiber", 1, True),    # single-mode blocks, kernel_modes_q0
 ])
@@ -1142,7 +1113,7 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
 def pick(cols, blocks):
     """_pick on dense blocks whose values would go to the collectors cols."""
     M = np.array(blocks, dtype=complex)
-    return M, dlb._Engine._pick(None, *dlb._disc_bounds(sparse_batch(M)),
+    return M, dlb._Engine._pick(None, *dlb._spectral_bounds(*dlb._disc_bounds(sparse_batch(M))),
                                 [(col, 1, False) for col in cols])
 
 
@@ -1225,50 +1196,49 @@ def test_finalize_reads_raw_eigenvalues_in_either_unit():
     assert col.finalize(1e-4)[1] == np.sqrt(1e-14)
 
 
-def test_few_gram_blocks_reach_the_eigensolver(setup2, monkeypatch):
+def test_few_chain_blocks_reach_the_eigensolver(setup2, monkeypatch):
     # one N = 4 box run of the e1 chain of test_gradient_chain_cohomology: its
-    # 729 chains of 9 modes make one batch, one Gram per degree operator
+    # 729 chains of 9 modes make one batch, whose mode pick sees them all;
+    # each chain has Delta_0, Delta_1 and Delta_2
     theta, cs, frame = setup2
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
-    picks = count_calls(monkeypatch, dlb._Engine, "_pick")
+    bounds = record_results(monkeypatch, dlb._Engine, "_mode_bounds")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
     assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
-    blocks = sum(diag.shape[1] for (_, diag, *_) in picks)
-    assert blocks == 1458
-    assert sum(len(M) for (M,) in eigs) < 0.05 * blocks
+    assert [lo.size for lo, *_ in bounds] == [729]
+    assert sum(len(M) for (M,) in eigs) < 0.05 * 3 * 729
 
 
-def test_few_gram_blocks_are_formed(setup2, monkeypatch):
-    # the same run: each Gram is bounded from its factor A_q and formed only
-    # on the blocks picked; the one whole-batch product is the defect A_1 A_0
+def test_few_chain_blocks_are_assembled(setup2, monkeypatch):
+    # the same run: only the chains the mode pick keeps are assembled, and
+    # each Delta_q is formed on them alone
     theta, cs, frame = setup2
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
-    grams = count_calls(monkeypatch, dlb, "_gram")
+    assembled = count_calls(monkeypatch, dlb._Engine, "_degree_operators")
     products = record_results(monkeypatch, dlb, "_product")
     run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
     assert run.dims == (1, 2, 1) and run.conclusive
-    assert len(grams) == 2 and all(len(A) == 729 for (A, _) in grams)
-    formed = sum(idx.size for (_, idx) in grams)
-    assert 0 < formed <= 0.02 * 1458
-    assert sum(len(P) for P in products) == 729 + formed
+    kept = sum(len(mvec) for (_, mvec, _) in assembled)
+    assert 0 < kept < 0.05 * 729
+    assert sum(len(P) for P in products) == 3 * kept
 
 
 @pytest.mark.parametrize("case, N", [("e1 chain", 4), ("two directions", 2)])
 def test_only_picked_blocks_are_made_dense(setup2, monkeypatch, case, N):
-    # n <= 2: the Hodge-rank Grams of the e1 chain and the Delta_q of the
-    # Laplacian path; every dense block eigvalsh reads is a block
-    # _pick picked, so no batch is made dense whole
+    # n <= 2: the Delta_q of a flat chain and of two coupled directions;
+    # every dense block eigvalsh reads is a block the discs of its formed
+    # matrix picked, so no batch is made dense whole
     theta, cs, frame = setup2
     conn = {"e1 chain": gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j),
             "two directions": two_direction_connection(theta)}[case]
-    batches = count_calls(monkeypatch, dlb._Engine, "_pick")
-    picks = record_results(monkeypatch, dlb._Engine, "_pick")
+    batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
+    picks = record_picks(monkeypatch)
     dense = record_results(monkeypatch, dlb._Sparse, "dense")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True).conclusive
-    picked = sum(idx.size for idx in picks)
-    assert 0 < picked < sum(diag.shape[1] for (_, diag, *_) in batches)
+    picked = sum(idx.size for source, idx in picks if source == "discs")
+    assert 0 < picked < 3 * sum(len(ops[0]) for (_, ops) in batches)
     # every eigensolve is a batched one (the identity metric is not eigensolved)
     assert all(M.ndim == 3 for (M,) in eigs)
     assert sum(len(M) for M in dense) == sum(len(M) for (M,) in eigs) == picked
@@ -1488,6 +1458,28 @@ def test_only_non_scalar_constant_fibers_assemble_blocks(setup2, monkeypatch):
     ])
     with pytest.raises(AssertionError, match="dense blocks assembled"):
         dlb._Engine(cs, frame, diagonal, 1e-8).run(2, True, True)
+
+
+def test_uncoupled_non_scalar_fiber_box_assembles_few_blocks(setup2, monkeypatch):
+    # a_j = diag(0, d_j): no step, yet not scalar, so every mode is a block of
+    # its own; the mode pick keeps those near the kernel at mode 0 and the
+    # witnesses, out of the 21^4 of the N + 2 box
+    theta, cs, frame = setup2
+    conn = dlb.FreeConnection(2, [MatrixElement.from_scalars(theta, np.diag([0.0, d]))
+                                  for d in (0.37 + 0.21j, -0.13 + 0.52j)])
+    assembled = {}
+    orig = dlb._Engine._degree_operators
+
+    def spy(self, mvec, pattern):
+        assembled[self.N] = assembled.get(self.N, 0) + len(mvec)
+        return orig(self, mvec, pattern)
+
+    monkeypatch.setattr(dlb._Engine, "_degree_operators", spy)
+    rep = dlb.cohomology_dims(cs, frame, conn, dlb.TruncationBox(8))
+    assert rep.dims == (1, 2, 1) and rep.stable
+    assert rep.kernel_modes_q0 == (((0, 0, 0, 0), 1),)
+    assert dlb.mode_count(4, 10) == 194_481
+    assert 0 < assembled[10] < 0.001 * 194_481
 
 
 def test_index_n3():
