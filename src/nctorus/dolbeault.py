@@ -431,13 +431,13 @@ def check_box(d: int, N: int, conn: FreeConnection | None = None) -> None:
 
     The runs at N and N + 2 fit when the larger, N + 2, holds at most 10^8
     modes and, for a coupled connection (a term off the constant step),
-    whose whole box is decoded to int64 coordinates, at most 2 * 10^9 bytes
-    of them (K * d * 8): 41.7M modes at n = 3.  d = 2n; None stands for the
-    trivial connection.
+    whose whole box is decoded to int64 coordinates next to one float |v~|
+    per mode, at most 2 * 10^9 bytes of them (K * (d + 1) * 8): 35.7M modes
+    at n = 3.  d = 2n; None stands for the trivial connection.
     """
     K = mode_count(d, N + 2)
     coupled = conn is not None and len(_connection_data(conn)[0]) > 1
-    if K > 10 ** 8 or (coupled and K * d * 8 > 2 * 10 ** 9):
+    if K > 10 ** 8 or (coupled and K * (d + 1) * 8 > 2 * 10 ** 9):
         raise ValueError(f"the N + 2 box at N = {N} has {2 * N + 5}^{d} modes, more than "
                          f"the engine runs for {'a coupled' if coupled else 'any'} connection")
 
@@ -791,36 +791,40 @@ class _Engine:
     def _run_blocks(self, members: np.ndarray, pattern: np.ndarray):
         """Dense spectra of blocks that share one coupling pattern, in batches.
 
-        members (G, c) holds the flat mode indices of G blocks; pattern is
-        as in _direction_terms.  Each batch assembles only the blocks that
-        _pick keeps, against every collector, from the bounds of their modes
-        (_mode_bounds), and eigensolves the matrices of _spectra on them.
-        Blocks of one mode give their flat indices to lap[0], for
-        kernel_modes_q0.  A batch holds at most 8M entries counted per
-        block: the widest matrix dense, 2^(n-1) * c * r rows (Delta_q at
-        n <= 2, DD^* on the odd forms above), and per mode what a
-        single-mode block holds, its A_q and their adjoints and the paired
-        values of its Delta_q products.
+        members (G, c) holds the flat mode indices of G blocks, which the
+        mode pick of run kept; pattern is as in _direction_terms.  Each batch
+        is assembled and the matrices of _spectra on it are eigensolved, each
+        on the blocks its discs pick (_eigensolve).  Blocks of one mode give
+        their flat indices to lap[0], for kernel_modes_q0.  A batch holds at
+        most 8M entries counted per block: the widest matrix dense, 2^(n-1) *
+        c * r rows (Delta_q at n <= 2, DD^* on the odd forms above), and per
+        mode what a single-mode block holds, its A_q and their adjoints and
+        the paired values of its Delta_q products.
         """
         G, c = members.shape
         big = 2 ** (self.n - 1) * c * self.r
         chunk = max(1, 8_000_000 // (big * big + c * self.mode_entries))
-        every = [(col, 1, False) for col in (self.lap or []) + [self.dsv] if col is not None]
         for start in range(0, G, chunk):
             sub = members[start:start + chunk]
             mvec = _decode_modes(sub.reshape(-1), self.d, self.N).reshape(len(sub), c, self.d)
-            keep = self._pick(*self._mode_bounds(mvec, big), every)
-            if not keep.size:
-                continue
-            sub = sub[keep]
-            for terms, feeds in self._spectra(self._degree_operators(mvec[keep], pattern)):
+            for terms, feeds in self._spectra(self._degree_operators(mvec, pattern)):
                 self._eigensolve(terms, feeds, sub[:, 0] if c == 1 else None)
 
-    def _mode_bounds(self, mvec: np.ndarray, width: int):
+    def _covector_norms(self, K: int, modes) -> np.ndarray:
+        """|v~(m)| = ||v0 + m U|| of the modes 0..K-1, modes(a, b) the (b - a, d) coordinates
+        of modes a..b-1, in slabs of 2^15 modes, so the temporaries stay small at any K."""
+        out = np.empty(K)
+        rows = 2 ** 15
+        for a in range(0, K, rows):
+            out[a:a + rows] = np.linalg.norm(modes(a, min(a + rows, K)) @ self.U + self.v0, axis=1)
+        return out
+
+    def _mode_bounds(self, low: np.ndarray, high: np.ndarray, width):
         """Per block (lo, hi, least, most) for _pick, from the Koszul covectors of its modes.
 
-        mvec (g, c, d) as in _direction_terms; every matrix of _spectra on
-        these blocks, Delta_q or DD^*, has at most width rows.
+        low and high hold per block the least and the largest |v~(m)| of its
+        modes m (_covector_norms); every matrix of _spectra on block b,
+        Delta_q or DD^*, has at most width_b rows.
 
         The bound.  Let D_b = dbar + dbar^* on all forms of block b and c =
         coef[0, :, 0, 0].  Then T_j = (w_j + c_j) 1 + B_j, where B_j holds
@@ -846,7 +850,7 @@ class _Engine:
         (max - gamma)_+^2 (Horn & Johnson, Matrix Analysis, ch. 4).
 
         The margin.  Each bound moves outward by _DISC_SLACK (w + s)^2 u H,
-        u = eps, w = width, s the number of steps and H = value_bound =
+        u = eps, w = width_b, s the number of steps and H = value_bound =
         (sum_q opbound_q + gamma)^2 (run), at least every value here.  With
         gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
         Numerical Algorithms, 2nd ed., 3.1, 3.5 and 3.6) and sigma = ||v0|| +
@@ -868,8 +872,7 @@ class _Engine:
         With n <= 2^(n-1) <= w and s >= 1 these add up to less than 64 (w +
         s)^2.
         """
-        v = np.linalg.norm(mvec @ self.U + self.v0, axis=2)
-        low, high, g = v.min(axis=1), v.max(axis=1), self.gamma
+        g = self.gamma
         slack = _DISC_SLACK * (width + len(self.steps)) ** 2 * _EPS * self.value_bound
         return (np.maximum(low - g, 0.0) ** 2 - slack, (high + g) ** 2 + slack,
                 (low + g) ** 2 + slack, np.maximum(high - g, 0.0) ** 2 - slack)
@@ -880,8 +883,8 @@ class _Engine:
         For every matrix whose raw eigenvalues go to the collectors of
         feeds, the values of block b lie in [lo_b, hi_b], the smallest is at
         most least_b and the largest at least most_b.  The bounds come from
-        the blocks' modes before assembly, for all the matrices of a batch
-        (_mode_bounds), or from the discs of one formed matrix
+        the blocks' modes before assembly, for all the matrices of the box's
+        blocks (_mode_bounds), or from the discs of one formed matrix
         (_spectral_bounds): one rule for both.  The collectors are read as
         they stand before the batch is fed, and combined conservatively:
         the largest prov and above, the smallest vmax.
@@ -906,19 +909,22 @@ class _Engine:
         always solved, so a NaN or inf reaches a collector (or eigvalsh's own
         error) instead of being skipped.
 
-        A mode pick followed by a disc pick on each formed matrix does the
-        same.  Each collector is fed once per batch, so both read it in the
-        same state.  Solving the blocks the mode pick keeps leaves every
-        collector as solving the whole batch would, and the disc pick, on
-        those blocks as a batch of their own, leaves it as solving all of
-        them would.
+        One box-wide mode pick followed by disc picks chunk by chunk does the
+        same.  run picks once, on every dense-size block of the box and on
+        fresh collectors (above = inf, vmax = 0), so the rule reads lo_b <=
+        max(prov, U) or hi_b >= V whatever order the kept blocks are solved
+        in; the sparse components, always solved, only lower above and raise
+        vmax.  The collector state depends only on the multiset of values
+        fed, so by induction over the chunks each disc pick, read in the
+        state the chunks before it leave, keeps every collector as solving
+        all the kept blocks would.
         """
         prov = max(col.prov for col, _, _ in feeds)
         above = max(col.above for col, _, _ in feeds)
         vmax = min(col.vmax for col, _, _ in feeds)
         clear = lo > prov
         U = np.min(least[clear], initial=math.inf)
-        V = np.max(most)
+        V = np.max(most, initial=-math.inf)
         return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V))
                           | ~(np.isfinite(lo) & np.isfinite(hi)))[0]
 
@@ -1019,6 +1025,7 @@ class _Engine:
         self.dsv = _Collector(256.0 * tol_rel * max(opbound.sum() ** 2, 1e-300),
                               singular=True) if want_index else None
         K = mode_count(d, N)
+        every = [(col, 1, False) for col in (self.lap or []) + [self.dsv] if col is not None]
         if len(self.steps) == 1:
             if self.scalar_const:
                 # each Delta_q holds |v~|^2 r dim C_q times, DD^* on the odd forms r 2^(n-1)
@@ -1029,8 +1036,9 @@ class _Engine:
                 for start, lam in self._box_koszul_eigenvalues(N):
                     _feed(feeds, lam, lambda at: start + at)
             else:
-                self._run_blocks(np.arange(K, dtype=np.int64)[:, None],
-                                 np.zeros((1, 1), dtype=np.int64))
+                v = self._covector_norms(K, lambda a, b: _decode_modes(np.arange(a, b), d, N))
+                keep = self._pick(*self._mode_bounds(v, v, 2 ** (n - 1) * self.r), every)
+                self._run_blocks(keep[:, None], np.zeros((1, 1), dtype=np.int64))
             return self._finalize()
         # targets[k, m]: the flat index of mode m + s_k, -1 when it leaves the box
         flat_all = np.arange(K, dtype=np.int64)
@@ -1040,6 +1048,8 @@ class _Engine:
         for k, s in enumerate(np.array(self.steps, dtype=np.int64)):
             ok = np.all(np.abs(modes_all + s) <= N, axis=1)
             targets[k, ok] = flat_all[ok] + s @ radix
+        # |v~| of every mode, formed after the loop above, whose temporaries set the peak
+        v = self._covector_norms(K, lambda a, b: modes_all[a:b])
         del modes_all
         ok = targets[1:] >= 0
         labels = _components(K, np.broadcast_to(flat_all, ok.shape)[ok], targets[1:][ok])
@@ -1052,6 +1062,16 @@ class _Engine:
         pos_of = np.empty(K + 1, dtype=np.int64)
         pos_of[grouped] = np.arange(K) - np.repeat(starts, sizes)
         pos_of[-1] = -1
+        # one mode pick on the dense-size components; the others are always solved
+        v = v[grouped]
+        dense = sizes * (self.r * max(self.fdims)) <= DENSE_BLOCK_LIMIT
+        keep = ~dense
+        keep[np.flatnonzero(dense)[self._pick(*self._mode_bounds(
+            np.minimum.reduceat(v, starts)[dense], np.maximum.reduceat(v, starts)[dense],
+            2 ** (n - 1) * self.r * sizes[dense]), every)]] = True
+        del v
+        keep = np.repeat(keep, sizes)
+        grouped, csize = grouped[keep], csize[keep]
         for c in np.unique(csize):
             c = int(c)
             # components of one size, in label order, as rows

@@ -607,8 +607,9 @@ def test_one_box_rule_for_the_cli_and_the_engine(tmp_path, capsys, monkeypatch):
             return False
         return True
 
-    # coupled: 8 * d bytes of coordinates per mode, at most 2 * 10^9 for the
-    # N + 2 box (17^6 at N = 6, 19^6 at N = 7); uncoupled: (2N + 5)^6 <= 10^8
+    # coupled: 8 * (d + 1) bytes of coordinates and |v~| per mode, at most
+    # 2 * 10^9 for the N + 2 box (17^6 at N = 6, 19^6 at N = 7); uncoupled:
+    # (2N + 5)^6 <= 10^8
     assert parses(coupled, 6) and not parses(coupled, 7)
     assert parses(uncoupled, 8) and not parses(uncoupled, 9)
     assert parses(three, 8) and not parses(three, 9)

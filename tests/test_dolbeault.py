@@ -346,14 +346,16 @@ def test_n3_chains_take_the_laplacian_path(monkeypatch, step):
 def test_few_n3_blocks_reach_the_eigensolver(monkeypatch):
     # one N = 2 box run of the n = 3 e1 chain with both halves: 3125 chains
     # of 5 modes in one batch, four Delta_q and the odd block matrix each;
-    # the mode pick sees every chain and few are assembled
+    # the box's one mode pick sees every chain and few are assembled
     cs, frame, conn = n3_chain((1, 0, 0, 0, 0, 0))
     bounds = record_results(monkeypatch, dlb._Engine, "_mode_bounds")
+    picks = record_picks(monkeypatch)
     assembled = count_calls(monkeypatch, dlb._Engine, "_degree_operators")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     run = dlb._Engine(cs, frame, conn, 1e-8).run(2, True, True)
     assert run.dims == (1, 3, 3, 1) and run.conclusive
     assert [lo.size for lo, *_ in bounds] == [3125]
+    assert [source for source, _ in picks].count("modes") == 1
     assert 0 < sum(len(mvec) for (_, mvec, _) in assembled) < 0.02 * 3125
     blocks = 5 * 3125
     # every eigensolve is a batched one (the identity metric is not eigensolved)
@@ -1074,6 +1076,7 @@ def lattice_fiber_connection(theta, frame, m0):
 
 @pytest.mark.parametrize("case, N, want_dims", [
     ("e1 chain", 4, True),        # a flat chain at n = 2
+    ("diagonal chain", 4, True),  # chains of 1 to 9 modes: the pick spans size classes
     ("two directions", 2, True),  # non-flat, both halves
     ("two directions", 2, False),  # non-flat, index only
     ("setup3", 1, True),          # n = 3: every Delta_q and the odd block matrix
@@ -1085,6 +1088,8 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
     m0 = (1, 0, -1, 1)
     cs, frame, conn = {
         "e1 chain": (cs, frame, gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)),
+        "diagonal chain": (cs, frame, gradient_connection(theta, frame, (1, 1, 0, 0),
+                                                          0.8 - 0.3j)),
         "two directions": (cs, frame, two_direction_connection(theta)),
         "setup3": setup3,
         "rank-2 fiber": (cs, frame, lattice_fiber_connection(theta, frame, m0)),
@@ -1198,15 +1203,17 @@ def test_finalize_reads_raw_eigenvalues_in_either_unit():
 
 def test_few_chain_blocks_reach_the_eigensolver(setup2, monkeypatch):
     # one N = 4 box run of the e1 chain of test_gradient_chain_cohomology: its
-    # 729 chains of 9 modes make one batch, whose mode pick sees them all;
-    # each chain has Delta_0, Delta_1 and Delta_2
+    # 729 chains of 9 modes, which the box's one mode pick sees all of; each
+    # chain has Delta_0, Delta_1 and Delta_2
     theta, cs, frame = setup2
     conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
     bounds = record_results(monkeypatch, dlb._Engine, "_mode_bounds")
+    picks = record_picks(monkeypatch)
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
     assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
     assert [lo.size for lo, *_ in bounds] == [729]
+    assert [source for source, _ in picks].count("modes") == 1
     assert sum(len(M) for (M,) in eigs) < 0.05 * 3 * 729
 
 
@@ -1222,6 +1229,23 @@ def test_few_chain_blocks_are_assembled(setup2, monkeypatch):
     kept = sum(len(mvec) for (_, mvec, _) in assembled)
     assert 0 < kept < 0.05 * 729
     assert sum(len(P) for P in products) == 3 * kept
+
+
+def test_diagonal_chain_assembles_few_blocks_in_one_mode_pick(setup2, monkeypatch):
+    # the flat (1,1,0,0) gradient chain at N = 4: per (m_3, m_4), the 17
+    # diagonals of the (m_1, m_2) plane, chains of 1 to 9 modes; one mode pick
+    # bounds all 1377 across their size classes, and few are assembled
+    theta, cs, frame = setup2
+    conn = gradient_connection(theta, frame, (1, 1, 0, 0), 0.8 - 0.3j)
+    bounds = record_results(monkeypatch, dlb._Engine, "_mode_bounds")
+    picks = record_picks(monkeypatch)
+    assembled = count_calls(monkeypatch, dlb._Engine, "_degree_operators")
+    run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
+    assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
+    assert [lo.size for lo, *_ in bounds] == [17 * 81]
+    assert [source for source, _ in picks].count("modes") == 1
+    assert len({mvec.shape[1] for (_, mvec, _) in assembled}) > 1
+    assert 0 < sum(len(mvec) for (_, mvec, _) in assembled) < 0.1 * 17 * 81
 
 
 @pytest.mark.parametrize("case, N", [("e1 chain", 4), ("two directions", 2)])

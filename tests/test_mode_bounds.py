@@ -55,33 +55,42 @@ def unit(n, k):
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 def test_mode_bounds_contain_every_block_spectrum(spec):
     # every block assembled, and each matrix of _spectra, every Delta_q and
-    # DD^*, checked against the bounds of the batch it came from
+    # DD^*, checked against the bounds of the box's one mode pick; the pick
+    # bounds the dense-size components in label order, that is in order of
+    # their least flat mode, which is the first member of each assembled block
     n, N, seed, r, const, steps = spec
     cs = random_complex_structure(n, np.random.default_rng(seed))
     engine = dlb._Engine(cs, antihol_frame(cs), build(n, r, const, steps), 1e-8)
     assume(not engine.scalar_const or len(engine.steps) > 1)
-    bounds, checked = [], []
+    bounds, spectra = [], []
     mode_bounds, degree_operators = dlb._Engine._mode_bounds, dlb._Engine._degree_operators
 
-    def record(self, mvec, m):
-        bounds.append(mode_bounds(self, mvec, m))
+    def bound(self, *args):
+        bounds.append(mode_bounds(self, *args))
         return bounds[-1]
 
-    def check(self, mvec, pattern):
+    def record(self, mvec, pattern):
         ops = degree_operators(self, mvec, pattern)
-        lo, hi, least, most = bounds[-1]
+        first = (mvec[:, 0] + self.N) @ dlb._radix(self.d, self.N)
         for terms, _ in self._spectra(ops):
             vals = np.linalg.eigvalsh(dlb._product(terms).dense())
-            assert np.all(vals >= lo[:, None]) and np.all(vals <= hi[:, None])
-            assert np.all(vals[:, 0] <= least) and np.all(vals[:, -1] >= most)
-            checked.append(len(vals))
+            spectra.append((first, vals))
         return ops
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dlb._Engine, "_mode_bounds", record)
-        patch.setattr(dlb._Engine, "_degree_operators", check)
+        patch.setattr(dlb._Engine, "_mode_bounds", bound)
+        patch.setattr(dlb._Engine, "_degree_operators", record)
         patch.setattr(dlb._Engine, "_pick",
                       lambda self, lo, hi, least, most, feeds: np.arange(lo.size))
         engine.run(N, True, True)
-    # Delta_0, ..., Delta_n, and at n = 3 the odd block matrix
-    assert checked and len(checked) % (n + 1 + (n > 2)) == 0
+    assert len(bounds) == 1
+    lo, hi, least, most = bounds[0]
+    # every block kept: one least mode per dense-size component, each with Delta_0,
+    # ..., Delta_n and, at n = 3, the odd block matrix
+    firsts = np.unique(np.concatenate([first for first, _ in spectra]))
+    assert firsts.size == lo.size
+    assert sum(len(first) for first, _ in spectra) == lo.size * (n + 1 + (n > 2))
+    for first, vals in spectra:
+        b = np.searchsorted(firsts, first)
+        assert np.all(vals >= lo[b, None]) and np.all(vals <= hi[b, None])
+        assert np.all(vals[:, 0] <= least[b]) and np.all(vals[:, -1] >= most[b])
