@@ -32,20 +32,16 @@ Key structural facts the implementation leans on:
   (_Engine._pick);
 * with scalar constant terms a_j = c_j 1 and no other terms every mode is
   a Koszul complex, whose spectra are written down in closed form over the
-  whole box; the single-mode components of a coupled connection go through
-  the block path like any other size;
-* the collectors take raw eigenvalues and keep those at or below their
-  provisional cutoffs, and the degree-0 one the flat mode of each value
-  from a single-mode block, so kernel_modes_q0 is read off the kernel
-  itself: it is set when every degree-0 kernel value came from a single
-  mode; each eigensolved batch, slab or sparse solve feeds its collectors
-  one partition of its values (_feed), and only finalize converts to the
-  reporting unit, |lambda| or the singular value sqrt(lambda).
+  whole box; single-mode components of a coupled connection are blocks;
+* the collectors take raw eigenvalues, one partition of each eigensolved
+  batch, slab or sparse solve (_feed), and keep those at or below their
+  provisional cutoffs, the degree-0 one with the flat mode of each value
+  from a single-mode block, from which kernel_modes_q0 is read.
 
 One engine per public call sets up what does not depend on N and runs the
-boxes N and N + 2.  The coupling graph is labelled in numpy (_components);
-check_box is the one box-size rule, for the CLI and the public operations
-alike.  Only sparse components and the operator export import scipy.
+boxes N and N + 2.  The coupling graph is read off the box's grid shape
+(_box_targets) and labelled in numpy (_components); check_box is the one
+box-size rule.  Only sparse components and the operator export import scipy.
 """
 
 from __future__ import annotations
@@ -322,12 +318,8 @@ class _Collector:
     max and min taken here; |.| changes neither above (> prov > 0) nor vmax,
     as the matrices are PSD up to rounding far below their largest value.
     So the decision is that of converted values whenever prov is at least
-    the threshold in raw units, which keeps every value below it.
-
-    Since nothing else is kept, a dense batch need not be fed whole: the
-    engine assembles and eigensolves only the blocks whose bounds let them
-    change one of the three (_Engine._pick), and the collector ends in the
-    state the whole batch would leave.
+    the threshold in raw units, which keeps every value below it.  Since
+    nothing else is kept, a batch need not be fed whole (_Engine._pick).
     """
 
     def __init__(self, prov: float, singular: bool = False):
@@ -429,32 +421,43 @@ def mode_count(d: int, N: int) -> int:
 def check_box(d: int, N: int, conn: FreeConnection | None = None) -> None:
     """Refuse, with a ValueError, a truncation N whose boxes the engine does not run.
 
-    The runs at N and N + 2 fit when the larger, N + 2, holds at most 10^8
-    modes and, for a coupled connection (a term off the constant step),
-    whose whole box is decoded to int64 coordinates next to one float |v~|
-    per mode, at most 2 * 10^9 bytes of them (K * (d + 1) * 8): 35.7M modes
-    at n = 3.  d = 2n; None stands for the trivial connection.
+    The runs at N and N + 2 fit when the larger, N + 2, holds K <= 10^8
+    modes and, with s >= 1 coupling steps, its per-mode arrays (int32
+    targets per step, float |v~|, int32 labels and pos_of, int64 sort
+    order) hold at most 10^9 bytes, K (4s + 24): 35.7M modes on one step.
+    d = 2n; None stands for the trivial connection.
     """
     K = mode_count(d, N + 2)
-    coupled = conn is not None and len(_connection_data(conn)[0]) > 1
-    if K > 10 ** 8 or (coupled and K * (d + 1) * 8 > 2 * 10 ** 9):
+    s = 0 if conn is None else len(_connection_data(conn)[0]) - 1
+    if K > 10 ** 8 or (s and K * (4 * s + 24) > 10 ** 9):
         raise ValueError(f"the N + 2 box at N = {N} has {2 * N + 5}^{d} modes, more than "
-                         f"the engine runs for {'a coupled' if coupled else 'any'} connection")
+                         f"the engine runs for {'a coupled' if s else 'any'} connection")
 
 
 def _radix(d: int, N: int) -> np.ndarray:
+    return (2 * N + 1) ** np.arange(d, dtype=np.int64)
+
+
+def _box_targets(steps, d: int, N: int) -> np.ndarray:
+    """targets[k, m]: the flat index of mode m + steps[k], -1 when it leaves the box, in int32.
+
+    The box is the C-order grid (side,) * d, axis j at position d - 1 - j.
+    m + s stays in it on a range of each axis, |m_j + s_j| <= N, where its
+    flat index is m's plus s . radix; check_box keeps K < 2^31.
+    """
     side = 2 * N + 1
-    return side ** np.arange(d, dtype=np.int64)
+    flat = np.arange(side ** d, dtype=np.int32).reshape((side,) * d)
+    out = np.full((len(steps),) + flat.shape, -1, dtype=np.int32)
+    for t, s in zip(out, steps):
+        if max(map(abs, s)) < side:
+            box = tuple(slice(max(0, -sj), side - max(0, sj)) for sj in reversed(s))
+            np.add(flat[box], int(np.dot(s, _radix(d, N))), out=t[box])
+    return out.reshape(len(steps), flat.size)
 
 
 def _decode_modes(flat: np.ndarray, d: int, N: int) -> np.ndarray:
-    side = 2 * N + 1
-    out = np.empty((flat.size, d), dtype=np.int64)
-    rem = flat.astype(np.int64)
-    for k in range(d):
-        out[:, k] = rem % side - N
-        rem //= side
-    return out
+    """The (len(flat), d) coordinates of flat mode indices, axis j at grid position d - 1 - j."""
+    return np.stack(np.unravel_index(flat, (2 * N + 1,) * d)[::-1], axis=1) - N
 
 
 def _phases(theta: ThetaMatrix, step, modes: np.ndarray) -> np.ndarray:
@@ -472,23 +475,25 @@ def _components(K: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     hooks every root that an edge joins to a smaller root onto the least
     such root, then jumps pointers until every node points at its root.
     parent[x] <= x throughout, so each root ends as its component's least
-    node.  Edges inside one component are dropped as they appear.
+    node.  Edges inside one component are dropped as they appear.  Nodes
+    and labels are int32 (K < 2^31), as the edges of _box_targets are.
     """
-    parent = np.arange(K)
+    parent = np.arange(K, dtype=np.int32)
     while True:
         a, b = parent[src], parent[dst]
         cross = a != b
         if not cross.any():
             break
-        src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
+        if not cross.all():
+            src, dst, a, b = src[cross], dst[cross], a[cross], b[cross]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
             up = parent[parent]
             if np.array_equal(up, parent):
                 break
             parent = up
-    roots = parent == np.arange(K)
-    return (np.cumsum(roots) - 1)[parent]
+    roots = parent == np.arange(K, dtype=np.int32)
+    return (np.cumsum(roots, dtype=np.int32) - 1)[parent]
 
 
 def _pattern_groups(patterns: np.ndarray):
@@ -682,11 +687,6 @@ class _Engine:
         a, b = np.array(self.fdims[:-1]), np.array(self.fdims[1:])
         self.mode_entries = self.r ** 2 * int(a * b @ (2 + self.r * (a + b)))
 
-    # -- helpers ----------------------------------------------------
-
-    def _frequencies(self, modes: np.ndarray) -> np.ndarray:
-        return (2j * math.pi) * (modes @ self.frame.W.T)
-
     # -- closed-form path ------------------------------------------------
 
     def _box_koszul_eigenvalues(self, N: int):
@@ -756,7 +756,7 @@ class _Engine:
             ph = _phases(self.theta, step, modes).reshape(g, c)[:, src] if k else np.ones((g, c))
             v = self.coef[k][:, i2, i1][:, None, :, None] * ph[:, None, :]  # (n, g, fiber, member)
             if k == 0:
-                w = self._frequencies(modes).reshape(g, c, self.n)
+                w = ((2j * math.pi) * (modes @ self.frame.W.T)).reshape(g, c, self.n)
                 v[:, :, i2 == i1] += w.transpose(2, 0, 1)[:, :, None]
             values.append(v.reshape(self.n, g, -1))
         return (np.concatenate(rows), np.concatenate(cols), np.concatenate(reach, axis=1),
@@ -810,14 +810,27 @@ class _Engine:
             for terms, feeds in self._spectra(self._degree_operators(mvec, pattern)):
                 self._eigensolve(terms, feeds, sub[:, 0] if c == 1 else None)
 
-    def _covector_norms(self, K: int, modes) -> np.ndarray:
-        """|v~(m)| = ||v0 + m U|| of the modes 0..K-1, modes(a, b) the (b - a, d) coordinates
-        of modes a..b-1, in slabs of 2^15 modes, so the temporaries stay small at any K."""
-        out = np.empty(K)
-        rows = 2 ** 15
-        for a in range(0, K, rows):
-            out[a:a + rows] = np.linalg.norm(modes(a, min(a + rows, K)) @ self.U + self.v0, axis=1)
-        return out
+    def _covector_norms(self, N: int) -> np.ndarray:
+        """|v~(m)| = ||v0 + m U|| of every mode of the box |m|_inf <= N, in flat order.
+
+        x and y are as in _box_koszul_eigenvalues, each summed over its grid
+        one broadcast axis at a time, so no coordinate is decoded.  A slab of
+        rows, at most 2^15 modes, sums the squares of x + y one of the 2n real
+        columns at a time: no K x 2n float array is formed.
+        """
+        n = self.n
+        coord = np.arange(-N, N + 1)[:, None]
+        y, x = np.zeros(2 * n), self.v0
+        for k in reversed(range(n)):
+            y, x = y[..., None, :] + coord * self.U[k], x[..., None, :] + coord * self.U[n + k]
+        y, x = y.reshape(-1, 2 * n), x.reshape(-1, 2 * n)
+        out = np.zeros((len(x), len(y)))
+        rows = max(1, 2 ** 15 // len(y))
+        for a in range(0, len(x), rows):
+            for col in range(2 * n):
+                t = np.add.outer(x[a:a + rows, col], y[:, col])
+                out[a:a + rows] += np.square(t, out=t)
+        return np.sqrt(out, out=out).reshape(-1)
 
     def _mode_bounds(self, low: np.ndarray, high: np.ndarray, width):
         """Per block (lo, hi, least, most) for _pick, from the Koszul covectors of its modes.
@@ -856,9 +869,9 @@ class _Engine:
         Numerical Algorithms, 2nd ed., 3.1, 3.5 and 3.6) and sigma = ||v0|| +
         N sum_k ||U[k]|| <= opbound_0 (||S~[j][0]|| is the norm of row j of
         L1), the rounding, in units of u H on the squared bounds, is at most:
-        - 2.1 (3d + 5) from |v~|: v0 + m U and its norm are within
-          gamma_{2d+3} sigma of exact, and the rounded w_j move v~ by
-          gamma_{d+2} opbound_0 more;
+        - 2.1 (3d + 5) from |v~|: v0 + m U, its d + 1 terms summed in any
+          order, and its norm are within gamma_{2d+3} sigma of exact, and the
+          rounded w_j move v~ by gamma_{d+2} opbound_0 more;
         - 2.1 (n s + 32 w) from gamma, a sum of n s products of 2-norms that
           LAPACK's SVD returns within 16 w u; rounded phases keep the shifts
           within 2u of partial isometries;
@@ -910,14 +923,16 @@ class _Engine:
         error) instead of being skipped.
 
         One box-wide mode pick followed by disc picks chunk by chunk does the
-        same.  run picks once, on every dense-size block of the box and on
-        fresh collectors (above = inf, vmax = 0), so the rule reads lo_b <=
-        max(prov, U) or hi_b >= V whatever order the kept blocks are solved
-        in; the sparse components, always solved, only lower above and raise
-        vmax.  The collector state depends only on the multiset of values
-        fed, so by induction over the chunks each disc pick, read in the
-        state the chunks before it leave, keeps every collector as solving
-        all the kept blocks would.
+        same.  run picks on fresh collectors (above = inf, vmax = 0), so the
+        rule reads lo_b <= max(prov, U) or hi_b >= V whatever order the kept
+        blocks are solved in; the sparse components, always solved, only
+        lower above and raise vmax.  The collector state depends only on the
+        multiset of values fed, so by induction over the chunks each disc
+        pick keeps every collector as solving all the kept blocks would.  The
+        pick of the union of the picks of parts of a batch is its pick: a
+        part's U is no smaller and its V no larger, so the union holds all
+        the batch's pick keeps, the blocks holding U < above and V > vmax
+        among them, and its rule reads the same thresholds.
         """
         prov = max(col.prov for col, _, _ in feeds)
         above = max(col.above for col, _, _ in feeds)
@@ -1036,49 +1051,41 @@ class _Engine:
                 for start, lam in self._box_koszul_eigenvalues(N):
                     _feed(feeds, lam, lambda at: start + at)
             else:
-                v = self._covector_norms(K, lambda a, b: _decode_modes(np.arange(a, b), d, N))
-                keep = self._pick(*self._mode_bounds(v, v, 2 ** (n - 1) * self.r), every)
+                # blocks of one mode, picked 2^16 at a time and then as the union (_pick)
+                v, w = self._covector_norms(N), 2 ** (n - 1) * self.r
+                at = np.concatenate([a + self._pick(*self._mode_bounds(
+                    v[a:a + 2 ** 16], v[a:a + 2 ** 16], w), every) for a in range(0, K, 2 ** 16)]) \
+                    if K > 2 ** 16 else np.arange(K)
+                keep = at[self._pick(*self._mode_bounds(v[at], v[at], w), every)]
                 self._run_blocks(keep[:, None], np.zeros((1, 1), dtype=np.int64))
             return self._finalize()
-        # targets[k, m]: the flat index of mode m + s_k, -1 when it leaves the box
-        flat_all = np.arange(K, dtype=np.int64)
-        modes_all = _decode_modes(flat_all, d, N)
-        radix = _radix(d, N)
-        targets = np.full((len(self.steps), K), -1, dtype=np.int64)
-        for k, s in enumerate(np.array(self.steps, dtype=np.int64)):
-            ok = np.all(np.abs(modes_all + s) <= N, axis=1)
-            targets[k, ok] = flat_all[ok] + s @ radix
-        # |v~| of every mode, formed after the loop above, whose temporaries set the peak
-        v = self._covector_norms(K, lambda a, b: modes_all[a:b])
-        del modes_all
-        ok = targets[1:] >= 0
-        labels = _components(K, np.broadcast_to(flat_all, ok.shape)[ok], targets[1:][ok])
+        targets = _box_targets(self.steps[1:], d, N)
+        ok = targets >= 0
+        labels = _components(K, np.broadcast_to(np.arange(K, dtype=np.int32), ok.shape)[ok],
+                             targets[ok])
         sizes = np.bincount(labels)
-        # modes sorted by component, then flat index; csize[i] is the size of
-        # the component of grouped[i], pos_of its position there, and
-        # pos_of[-1] = -1 keeps a target outside the box at -1
+        # modes sorted by component, then flat index; component g starts at
+        # grouped[starts[g]], pos_of[m] is the position of mode m in its
+        # component, and pos_of[-1] = -1 keeps a target outside the box at -1
         grouped, starts, _ = _group(labels)
-        csize = np.repeat(sizes, sizes)
-        pos_of = np.empty(K + 1, dtype=np.int64)
+        pos_of = np.empty(K + 1, dtype=np.int32)
         pos_of[grouped] = np.arange(K) - np.repeat(starts, sizes)
         pos_of[-1] = -1
         # one mode pick on the dense-size components; the others are always solved
-        v = v[grouped]
+        v = self._covector_norms(N)[grouped]
         dense = sizes * (self.r * max(self.fdims)) <= DENSE_BLOCK_LIMIT
         keep = ~dense
         keep[np.flatnonzero(dense)[self._pick(*self._mode_bounds(
             np.minimum.reduceat(v, starts)[dense], np.maximum.reduceat(v, starts)[dense],
             2 ** (n - 1) * self.r * sizes[dense]), every)]] = True
         del v
-        keep = np.repeat(keep, sizes)
-        grouped, csize = grouped[keep], csize[keep]
-        for c in np.unique(csize):
+        for c in np.unique(sizes[keep]):
             c = int(c)
-            # components of one size, in label order, as rows
-            members = grouped[csize == c].reshape(-1, c)
+            # the kept components of one size, in label order, as rows
+            members = grouped[starts[keep & (sizes == c)][:, None] + np.arange(c)]
             # patterns[k, g, i]: the position that step s_k sends member i of
             # component g to, -1 outside the box
-            patterns = pos_of[targets[:, members]]
+            patterns = pos_of[np.concatenate([members[None], targets[:, members]])]
             for group in _pattern_groups(patterns):
                 pattern = patterns[:, group[0]]
                 if c * self.r * max(self.fdims) > DENSE_BLOCK_LIMIT:
@@ -1089,20 +1096,12 @@ class _Engine:
         return self._finalize()
 
     def _finalize(self) -> _BoxRun:
-        dims = None
-        sigma_kept = math.inf
-        sigma_cut = 0.0
-        conclusive = True
-        kernel_modes = None
+        # (kernel, cut, kept, conclusive) of every collector, the Laplacians' first
+        ends = [col.finalize(self.tol_rel) for col in self.lap or []] + \
+            ([self.dsv.finalize(math.sqrt(self.tol_rel))] if self.dsv else [])
+        dims = kernel_modes = None
         if self.lap is not None:
-            dlist = []
-            for q in range(self.n + 1):
-                kernel, cut, kept, ok = self.lap[q].finalize(self.tol_rel)
-                dlist.append(kernel)
-                sigma_cut = max(sigma_cut, cut)
-                sigma_kept = min(sigma_kept, kept)
-                conclusive = conclusive and ok
-            dims = tuple(dlist)
+            dims = tuple(kernel for kernel, _, _, _ in ends[:self.n + 1])
             # lap[0] keeps the flat mode of each value from a single-mode block
             agg: dict | None = {}
             for at, mult in self.lap[0].kernel_modes:
@@ -1112,13 +1111,10 @@ class _Engine:
                 for mode in map(tuple, _decode_modes(at, self.d, self.N).tolist()):
                     agg[mode] = agg.get(mode, 0) + mult
             kernel_modes = None if agg is None else tuple(sorted(agg.items()))
-        ker_even = None
-        if self.dsv is not None:
-            ker_even, cut, kept, ok = self.dsv.finalize(math.sqrt(self.tol_rel))
-            sigma_cut = max(sigma_cut, cut)
-            sigma_kept = min(sigma_kept, kept)
-            conclusive = conclusive and ok
-        return _BoxRun(dims, ker_even, sigma_kept, sigma_cut, conclusive, kernel_modes)
+        return _BoxRun(dims, ends[-1][0] if self.dsv else None,
+                       min((kept for _, _, kept, _ in ends), default=math.inf),
+                       max((cut for _, cut, _, _ in ends), default=0.0),
+                       all(ok for _, _, _, ok in ends), kernel_modes)
 
 
 def _iterative_small_eigs(Lap, k: int, rng) -> tuple[np.ndarray, float, bool]:

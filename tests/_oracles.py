@@ -198,3 +198,32 @@ def exact_search_reference(exact_j, bound: int):
         if is_positive_definite_exact(S):
             return True, E.astype(int).tolist(), False
     return False, None, truncated
+
+
+def box_graph_reference(steps, U: np.ndarray, v0: np.ndarray, N: int):
+    """(targets, |v~|, labels) of the box |m|_inf <= N from every mode's coordinates.
+
+    The decode-based build of the coupling graph: the box's (K, d) int64
+    coordinates (flat index sum_k (m_k + N) side^k), one in-box test per
+    step, targets[k, m] the flat index of m + steps[k] or -1, |v~(m)| =
+    ||v0 + m U|| as one product, and the component labels that
+    scipy.sparse.csgraph.connected_components gives the steps' edges.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    d = U.shape[0]
+    side = 2 * N + 1
+    K = side ** d
+    flat = np.arange(K, dtype=np.int64)
+    modes = np.stack([flat // side ** k % side - N for k in range(d)], axis=1)
+    radix = side ** np.arange(d, dtype=np.int64)
+    targets = np.full((len(steps), K), -1, dtype=np.int64)
+    for k, s in enumerate(np.array(steps, dtype=np.int64).reshape(len(steps), d)):
+        ok = np.all(np.abs(modes + s) <= N, axis=1)
+        targets[k, ok] = flat[ok] + s @ radix
+    ok = targets >= 0
+    src = np.broadcast_to(flat, ok.shape)[ok]
+    adj = sp.csr_matrix((np.ones(src.size, dtype=np.int8), (src, targets[ok])), shape=(K, K))
+    labels = connected_components(adj, directed=False)[1]
+    return targets, np.linalg.norm(modes @ U + v0, axis=1), labels

@@ -1506,6 +1506,30 @@ def test_uncoupled_non_scalar_fiber_box_assembles_few_blocks(setup2, monkeypatch
     assert 0 < assembled[10] < 0.001 * 194_481
 
 
+@pytest.mark.parametrize("case, N", [("e1 chain", 4), ("diagonal chain", 4), ("n = 3 chain", 2),
+                                     ("fiber box", 4)])
+def test_box_runs_decode_only_assembled_and_kernel_modes(setup2, monkeypatch, case, N):
+    # _decode_modes runs on the modes of the assembled blocks and of the
+    # degree-0 kernel, never on the whole box
+    theta, cs, frame = setup2
+    if case == "n = 3 chain":
+        cs, frame, conn = n3_chain((1, 0, 0, 0, 0, 0))
+    elif case == "fiber box":
+        conn = dlb.FreeConnection(2, [MatrixElement.from_scalars(theta, np.diag([0.0, d]))
+                                      for d in (0.37 + 0.21j, -0.13 + 0.52j)])
+    else:
+        step = (1, 0, 0, 0) if case == "e1 chain" else (1, 1, 0, 0)
+        conn = gradient_connection(theta, frame, step, 0.8 - 0.3j)
+    decoded = count_calls(monkeypatch, dlb, "_decode_modes")
+    batches = count_calls(monkeypatch, dlb._Engine, "_degree_operators")
+    engine = dlb._Engine(cs, frame, conn, 1e-8)
+    assert engine.run(N, True, True).conclusive
+    kernel = sum(at.size for at, _ in engine.lap[0].kernel_modes if at is not None)
+    rows = sum(flat.size for flat, _, _ in decoded)
+    assert 0 < rows <= sum(mvec.shape[0] * mvec.shape[1] for _, mvec, _ in batches) + kernel
+    assert rows < dlb.mode_count(engine.d, N) / 10
+
+
 def test_index_n3():
     theta = ThetaMatrix.product([0.31, 0.47, 0.23])
     cs = random_complex_structure(3, np.random.default_rng(33))

@@ -94,3 +94,49 @@ def test_mode_bounds_contain_every_block_spectrum(spec):
         b = np.searchsorted(firsts, first)
         assert np.all(vals >= lo[b, None]) and np.all(vals <= hi[b, None])
         assert np.all(vals[:, 0] <= least[b]) and np.all(vals[:, -1] >= most[b])
+
+
+@pytest.mark.parametrize("n, N, m0, tol_rel", [
+    (2, 2, None, 1e-8),  # 625 modes: one round
+    (2, 8, None, 1e-8),  # 17^4 = 83,521 modes: two chunks and their union
+    (2, 10, (2, -1, 0, 3), 1e-8),
+    (3, 3, None, 1e-8),
+    (3, 3, (1, 0, -1, 0, 2, 0), 1e-5),
+    (1, 200, (5, -3), 1e-8),
+])
+def test_single_mode_pick_in_rounds_is_the_box_pick(monkeypatch, n, N, m0, tol_rel):
+    # constant fibres a_j = diag(c_j, c_j + d_j) and no step make every mode a
+    # block of one width: run picks them 2^16 at a time, then the union of
+    # those picks, and keeps what _pick keeps from the four bounds of every
+    # mode at once, on the box's fresh collectors
+    cs = random_complex_structure(n, np.random.default_rng(7))
+    frame, theta = antihol_frame(cs), THETAS.get(n, ThetaMatrix.product([0.31]))
+    c = np.zeros(n) if m0 is None else -2j * np.pi * (frame.W @ np.array(m0))
+    d = np.array([0.37 + 0.21j, -0.13 + 0.52j, 0.29 - 0.17j])[:n]
+    conn = dlb.FreeConnection(2, [MatrixElement.from_scalars(theta, np.diag([cj, cj + dj]))
+                                  for cj, dj in zip(c, d)])
+    engine = dlb._Engine(cs, frame, conn, tol_rel)
+    picks, bounds = [], []
+    run_blocks, mode_bounds = dlb._Engine._run_blocks, dlb._Engine._mode_bounds
+
+    def spy(self, members, pattern):
+        v = self._covector_norms(self.N)
+        every = [(col, 1, False) for col in self.lap + [self.dsv]]
+        assert all(col.vmax == 0 and col.above == np.inf and not col.kept for col, _, _ in every)
+        picks.append((members[:, 0], self._pick(*mode_bounds(self, v, v, 2 ** (n - 1) * 2),
+                                                every)))
+        return run_blocks(self, members, pattern)
+
+    def count(self, *args):
+        bounds.append(args[0].size)
+        return mode_bounds(self, *args)
+
+    monkeypatch.setattr(dlb._Engine, "_run_blocks", spy)
+    monkeypatch.setattr(dlb._Engine, "_mode_bounds", count)
+    engine.run(N, True, True)
+    K = dlb.mode_count(2 * n, N)
+    (got, want), = picks
+    assert np.array_equal(got, want) and 0 < got.size < K
+    # past 2^16 modes, 2^16 at a time and then the union, never the whole box
+    chunks = [] if K <= 2 ** 16 else [min(2 ** 16, K - a) for a in range(0, K, 2 ** 16)]
+    assert bounds[:-1] == chunks and (bounds[-1] == K if not chunks else bounds[-1] < K)
