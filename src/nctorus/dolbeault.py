@@ -39,9 +39,10 @@ Key structural facts the implementation leans on:
   from a single-mode block, from which kernel_modes_q0 is read.
 
 One engine per public call sets up what does not depend on N and runs the
-boxes N and N + 2.  The coupling graph is read off the box's grid shape
-(_box_targets) and labelled in numpy (_components); check_box is the one
-box-size rule.  Only sparse components and the operator export import scipy.
+boxes N and N + 2.  Coupling components are read off the box's grid shape
+(_chains: one step's chains directly, the graph of more steps labelled by
+_components); check_box is the one box-size rule.  Only sparse components
+and the operator export import scipy.
 """
 
 from __future__ import annotations
@@ -423,8 +424,8 @@ def check_box(d: int, N: int, conn: FreeConnection | None = None) -> None:
 
     The runs at N and N + 2 fit when the larger, N + 2, holds K <= 10^8
     modes and, with s >= 1 coupling steps, its per-mode arrays (int32
-    targets per step, float |v~|, int32 labels and pos_of, int64 sort
-    order) hold at most 10^9 bytes, K (4s + 24): 35.7M modes on one step.
+    targets per step, |v~| in flat and component order, the layout and
+    pos_of) hold at most 10^9 bytes, K (4s + 24): 35.7M modes on one step.
     d = 2n; None stands for the trivial connection.
     """
     K = mode_count(d, N + 2)
@@ -494,6 +495,52 @@ def _components(K: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             parent = up
     roots = parent == np.arange(K, dtype=np.int32)
     return (np.cumsum(roots, dtype=np.int32) - 1)[parent]
+
+
+def _chains(steps, d: int, N: int):
+    """(grouped, starts, sizes, pos_of): the coupling components of the box |m|_inf <= N.
+
+    Component g, numbered by least flat index as _components numbers them,
+    holds modes grouped[starts[g]:starts[g] + sizes[g]] in flat order, mode m
+    at position pos_of[m]; pos_of[-1] = -1 keeps a target outside the box at
+    -1.  Two or more steps label the edges of _box_targets (_components).
+    One step s splits the box into chains m, m + s, m + 2s, ... read off the
+    grid: on each axis j that s moves, m can step back (N + sgn(s_j) m_j) //
+    |s_j| times and ahead (N - sgn(s_j) m_j) // |s_j| times; the box is
+    convex, so a mode's steps back and ahead are the minima over the axes.
+    Flat order follows the chain when delta = s . radix > 0; back and ahead
+    swap when delta < 0.  A root (back = 0) is its chain's least mode, and
+    the chain holds ahead + 1 modes |delta| apart.  A step leaving the box
+    leaves every mode alone; its delta, which may pass int32, is set to 0.
+    One step's arrays are int32 (K < 2^31).
+    """
+    side, K, grid = 2 * N + 1, mode_count(d, N), (2 * N + 1,) * d
+    pos_of = np.full(K + 1, -1, dtype=np.int32)
+    if len(steps) > 1:
+        targets = _box_targets(steps, d, N)
+        ok = targets >= 0
+        labels = _components(K, np.broadcast_to(np.arange(K, dtype=np.int32), ok.shape)[ok],
+                             targets[ok])
+        del targets, ok
+        sizes = np.bincount(labels)
+        grouped, starts, _ = _group(labels)
+        pos_of[grouped] = np.arange(K) - np.repeat(starts, sizes)
+        return grouped, starts, sizes, pos_of
+    (s,) = steps
+    delta = int(np.dot(s, _radix(d, N))) if max(map(abs, s)) < side else 0
+    back = ahead = np.int32(side)
+    for j, sj in [(j, sj) for j, sj in enumerate(s) if sj]:
+        m = np.arange(-N, N + 1, dtype=np.int32).reshape((side,) + (1,) * j) * (1 if sj > 0 else -1)
+        back, ahead = np.minimum(back, (N + m) // abs(sj)), np.minimum(ahead, (N - m) // abs(sj))
+    if delta < 0:
+        back, ahead = ahead, back
+    pos_of[:-1].reshape(grid)[...] = back
+    roots = np.flatnonzero(pos_of[:-1] == 0).astype(np.int32)
+    sizes = np.broadcast_to(ahead, grid).reshape(-1)[roots] + np.int32(1)
+    starts = np.cumsum(sizes, dtype=np.int32) - sizes
+    grouped = (np.arange(K, dtype=np.int32) - np.repeat(starts, sizes)) * abs(delta)
+    grouped += np.repeat(roots, sizes)
+    return grouped, starts, sizes, pos_of
 
 
 def _pattern_groups(patterns: np.ndarray):
@@ -1059,18 +1106,7 @@ class _Engine:
                 keep = at[self._pick(*self._mode_bounds(v[at], v[at], w), every)]
                 self._run_blocks(keep[:, None], np.zeros((1, 1), dtype=np.int64))
             return self._finalize()
-        targets = _box_targets(self.steps[1:], d, N)
-        ok = targets >= 0
-        labels = _components(K, np.broadcast_to(np.arange(K, dtype=np.int32), ok.shape)[ok],
-                             targets[ok])
-        sizes = np.bincount(labels)
-        # modes sorted by component, then flat index; component g starts at
-        # grouped[starts[g]], pos_of[m] is the position of mode m in its
-        # component, and pos_of[-1] = -1 keeps a target outside the box at -1
-        grouped, starts, _ = _group(labels)
-        pos_of = np.empty(K + 1, dtype=np.int32)
-        pos_of[grouped] = np.arange(K) - np.repeat(starts, sizes)
-        pos_of[-1] = -1
+        grouped, starts, sizes, pos_of = _chains(self.steps[1:], d, N)
         # one mode pick on the dense-size components; the others are always solved
         v = self._covector_norms(N)[grouped]
         dense = sizes * (self.r * max(self.fdims)) <= DENSE_BLOCK_LIMIT
@@ -1079,8 +1115,8 @@ class _Engine:
             np.minimum.reduceat(v, starts)[dense], np.maximum.reduceat(v, starts)[dense],
             2 ** (n - 1) * self.r * sizes[dense]), every)]] = True
         del v
-        for c in np.unique(sizes[keep]):
-            c = int(c)
+        targets = _box_targets(self.steps[1:], d, N)  # once |v~| is freed: a lower peak
+        for c in map(int, np.unique(sizes[keep])):
             # the kept components of one size, in label order, as rows
             members = grouped[starts[keep & (sizes == c)][:, None] + np.arange(c)]
             # patterns[k, g, i]: the position that step s_k sends member i of

@@ -1,4 +1,5 @@
-"""The coupling graph and |v~| read off the box's grid shape, against the decode-based build."""
+"""The coupling graph, one step's chains and |v~| read off the box's grid shape,
+against the decode-based build."""
 
 import functools
 
@@ -29,13 +30,14 @@ def shifted_engine(n: int, seed: int) -> dlb._Engine:
 
 
 @st.composite
-def boxes(draw):
+def boxes(draw, max_steps=3):
     """(n, N, seed, steps): steps may be negative, move several axes or leave the box."""
     n = draw(st.sampled_from([1, 2, 3]))
     N = draw(st.integers(0, 3))
     reach = 2 * N + 2
     step = st.lists(st.integers(-reach, reach), min_size=2 * n, max_size=2 * n)
-    steps = draw(st.lists(step.filter(any).map(tuple), min_size=1, max_size=3, unique=True))
+    steps = draw(st.lists(step.filter(any).map(tuple), min_size=1, max_size=max_steps,
+                          unique=True))
     return n, N, draw(st.integers(0, 3)), steps
 
 
@@ -64,3 +66,26 @@ def test_grid_build_matches_the_decoded_box(spec):
     assert v.shape == (K,)
     assert np.all(np.abs(v - ref_v) <= 2 * gamma * sigma)
 
+
+@example((2, 2, 0, [(0, 0, 1, -1)]))  # a negative flat offset: flat order runs against s
+@example((2, 2, 1, [(1, 1, 0, 0)]))  # a step that moves two axes
+@example((2, 1, 2, [(0, 4, 0, -1)]))  # a step longer than the box side
+@example((1, 1, 3, [(3, -1)]))  # longer than the side, with flat offset 0
+@example((3, 0, 0, [(0, 0, 0, 0, -1, 0)]))  # the side = 1 box
+@given(boxes(max_steps=1))
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+def test_one_step_chains_match_scipy_labels(spec):
+    # the layout _chains reads off the grid against the one _group gives
+    # scipy's labels: modes by label, then flat index, each at its rank
+    n, N, seed, steps = spec
+    engine = shifted_engine(n, seed)
+    _, _, labels = box_graph_reference(steps, engine.U, engine.v0, N)
+    K = labels.size
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    pos_of = np.full(K + 1, -1)
+    pos_of[order] = np.arange(K) - np.repeat(starts, sizes)
+    got = dlb._chains(steps, 2 * n, N)
+    for array, want in zip(got, (order, starts, sizes, pos_of)):
+        assert array.dtype == np.int32 and np.array_equal(array, want)

@@ -607,9 +607,9 @@ def test_one_box_rule_for_the_cli_and_the_engine(tmp_path, capsys, monkeypatch):
             return False
         return True
 
-    # coupled on one step: 4 + 24 bytes per mode of targets, |v~|, labels,
-    # pos_of and sort order, at most 10^9 for the N + 2 box (17^6 at N = 6,
-    # 19^6 at N = 7); uncoupled: (2N + 5)^6 <= 10^8
+    # coupled on one step: 4 + 24 bytes per mode of targets, |v~| in flat and
+    # component order, layout and pos_of, at most 10^9 for the N + 2 box
+    # (17^6 at N = 6, 19^6 at N = 7); uncoupled: (2N + 5)^6 <= 10^8
     assert parses(coupled, 6) and not parses(coupled, 7)
     assert parses(uncoupled, 8) and not parses(uncoupled, 9)
     assert parses(three, 8) and not parses(three, 9)

@@ -435,13 +435,21 @@ def scipy_components(K, src, dst):
 
 def test_components_match_scipy_labels(setup2, monkeypatch):
     theta, cs, frame = setup2
+    # the five hodge-chain steps at N = 4 and 6 are one-step boxes, laid
+    # out by _chains without _components: their labels equal scipy's
+    for s in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, -1)):
+        for M in (4, 6):
+            K = dlb.mode_count(4, M)
+            targets = dlb._box_targets([s], 4, M)[0]
+            ok = targets >= 0
+            grouped, _, sizes, _ = dlb._chains([s], 4, M)
+            labels = np.empty(K, dtype=np.int64)
+            labels[grouped] = np.repeat(np.arange(sizes.size), sizes)
+            assert np.array_equal(labels, scipy_components(K, np.flatnonzero(ok), targets[ok]))
     graphs = []
-    # the five hodge-chain steps at N = 4 and the two-direction index-grid
-    # connection at N = 2, each at N and N + 2
-    chains = [(gradient_connection(theta, frame, s, 0.5), 4) for s in
-              ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, -1))]
-    for conn, N in chains + [(two_direction_connection(theta), 2)]:
-        graphs += [coupling_graph(monkeypatch, cs, frame, conn, M) for M in (N, N + 2)]
+    # the two-direction index-grid connection at N = 2, at N and N + 2
+    graphs += [coupling_graph(monkeypatch, cs, frame, two_direction_connection(theta), M)
+               for M in (2, 4)]
     # n = 3 with two steps, one of them diagonal
     theta3 = ThetaMatrix.product([0.31, 0.47, 0.23])
     cs3 = random_complex_structure(3, np.random.default_rng(33))
@@ -457,10 +465,47 @@ def test_components_match_scipy_labels(setup2, monkeypatch):
     # isolated nodes and repeated edges, in both directions; no edges at all
     graphs.append((12, np.array([3, 7, 3, 9, 9, 1]), np.array([7, 3, 7, 10, 10, 2])))
     graphs.append((5, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
-    assert len(graphs) == 2 * 6 + 4
+    assert len(graphs) == 2 + 4
     for K, src, dst in graphs:
         # equal labels, not equal up to renaming: batches keep their order
         assert np.array_equal(dlb._components(K, src, dst), scipy_components(K, src, dst))
+
+
+def group_sizes(monkeypatch):
+    """The number of keys of every _group call."""
+    sizes, orig = [], dlb._group
+
+    def wrapped(keys):
+        sizes.append(keys.size)
+        return orig(keys)
+
+    monkeypatch.setattr(dlb, "_group", wrapped)
+    return sizes
+
+
+def test_one_step_boxes_take_no_union_find_and_no_label_sort(setup2, monkeypatch):
+    # the e1, diagonal and reversed n = 2 chains and the n = 3 e1 chain: no
+    # _components call, and no _group call on the box's K mode labels
+    theta, cs, frame = setup2
+    runs = [(cs, frame, gradient_connection(theta, frame, s, 0.8 - 0.3j), 2)
+            for s in ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, -1))]
+    runs.append((*n3_chain((1, 0, 0, 0, 0, 0)), 1))
+
+    def refuse(*args):
+        raise AssertionError("a one-step box reached _components")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dlb, "_components", refuse)
+        keys = group_sizes(patch)
+        for cs_, frame_, conn, N in runs:
+            keys.clear()
+            run = dlb._Engine(cs_, frame_, conn, 1e-8).run(N, True, True)
+            assert run.conclusive and run.dims == {2: (1, 2, 1), 3: (1, 3, 3, 1)}[cs_.n]
+            assert dlb.mode_count(2 * cs_.n, N) not in keys
+    # the spy sees the label sort where it is taken: two steps still sort K labels
+    keys = group_sizes(monkeypatch)
+    dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8).run(2, False, True)
+    assert dlb.mode_count(4, 2) in keys
 
 
 def oracle_block(ref, member, r, q, K):
