@@ -29,7 +29,8 @@ Key structural facts the implementation leans on:
   is assembled only when bounds from the Koszul covectors of its modes
   (_Engine._mode_bounds) let it change a kernel decision, and eigensolved
   only when the Gershgorin discs of its formed matrix do too, by one rule
-  (_Engine._pick);
+  (_Engine._pick), and, in a wide matrix, when no Cholesky factorization
+  proves its values clear of the thresholds that rule reads;
 * with scalar constant terms a_j = c_j 1 and no other terms every mode is
   a Koszul complex, whose spectra are written down in closed form over the
   whole box; single-mode components of a coupled connection are blocks;
@@ -42,7 +43,7 @@ One engine per public call sets up what does not depend on N and runs the
 boxes N and N + 2.  Coupling components are read off the box's grid shape
 (_chains: one step's chains directly, the graph of more steps labelled by
 _components); check_box is the one box-size rule.  Only sparse components
-and the operator export import scipy.
+import scipy.
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ _GAP_BAND = 10.0
 # by _DISC_SLACK * (m + steps)^2 * eps * (a bound on every value) for mode bounds
 _DISC_SLACK = 64.0
 _EPS = float(np.finfo(float).eps)
+# a matrix of at least _CERTIFY_ROWS rows stages its eigensolve: witnesses first,
+# then a Cholesky certificate on the rest (_Engine._eigensolve).  Staged over
+# unstaged time of index box runs at n = 2 (steps e1 and k e2, N = 1..4, the
+# matrices of one width staged; medians of 21 alternating runs, 2-core VM):
+#   rows    10-20      28         30    36    42         50    54         56    98
+#   ratio   1.05-1.08  0.98-1.03  0.99  0.95  0.93-1.06  0.81  0.71-0.93  1.02  0.75
+_CERTIFY_ROWS = 48
 
 
 class NonFlatError(ValueError):
@@ -680,6 +688,54 @@ def _spectral_bounds(diag: np.ndarray, rows: np.ndarray):
             diag.min(axis=0) + slack, diag.max(axis=0) - slack)
 
 
+def _thresholds(lo, least, most, feeds):
+    """(tau_lo, tau_hi) of _Engine._pick: a block whose values all lie in (tau_lo, tau_hi)
+    can change none of the collectors of feeds, read as they stand.
+
+    tau_lo = max(prov, min(above, U)) and tau_hi = max(vmax, V), U the smallest
+    least_b of the blocks with lo_b > prov and V the largest most_b of the batch;
+    the collectors combine conservatively: the largest prov and above, the
+    smallest vmax.
+    """
+    prov = max(col.prov for col, _, _ in feeds)
+    above = max(col.above for col, _, _ in feeds)
+    vmax = min(col.vmax for col, _, _ in feeds)
+    U = np.min(least[lo > prov], initial=math.inf)
+    V = np.max(most, initial=-math.inf)
+    return max(prov, min(above, U)), max(vmax, V)
+
+
+def _cholesky_clears(A: np.ndarray, tau: float, sign: float, hi: float) -> bool:
+    """Whether np.linalg.cholesky factors sign (A - (tau + sign delta) I), for the m x m
+    Hermitian A with ||A|| <= hi and delta = _DISC_SLACK m (m + 1) eps (hi + |tau|).
+
+    Success proves every value eigvalsh returns for A above tau (sign 1) or
+    below it (sign -1); _Engine._pick gives the proof.  One matrix a call: a
+    batched call raises for the whole stack when one matrix fails.
+    """
+    m = A.shape[0]
+    delta = _DISC_SLACK * m * (m + 1) * _EPS * (hi + abs(tau))
+    B = A - (tau + sign * delta) * np.eye(m)
+    if sign < 0:
+        np.negative(B, out=B)
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _solve(M: _Sparse, idx: np.ndarray, feeds, modes: np.ndarray | None) -> None:
+    """Eigensolve blocks idx of M in one batched eigvalsh and feed their values.
+
+    modes, for single-mode blocks, holds the flat mode index of each block of M.
+    """
+    if not idx.size:
+        return
+    vals = np.linalg.eigvalsh(M.dense(idx))
+    _feed(feeds, vals, None if modes is None else lambda at: modes[idx][at // vals.shape[1]])
+
+
 # -- the engine ----------------------------------------------------------
 
 
@@ -937,7 +993,7 @@ class _Engine:
         return (np.maximum(low - g, 0.0) ** 2 - slack, (high + g) ** 2 + slack,
                 (low + g) ** 2 + slack, np.maximum(high - g, 0.0) ** 2 - slack)
 
-    def _pick(self, lo, hi, least, most, feeds) -> np.ndarray:
+    def _pick(self, lo, hi, least, most, feeds, dense=None) -> np.ndarray:
         """Indices of the blocks of a Hermitian batch whose values can change a collector.
 
         For every matrix whose raw eigenvalues go to the collectors of
@@ -967,7 +1023,32 @@ class _Engine:
         it, and, since batched eigvalsh solves each block on its own, with
         bitwise the same values.  A block whose bounds are not finite is
         always solved, so a NaN or inf reaches a collector (or eigvalsh's own
-        error) instead of being skipped.
+        error) instead of being skipped.  tau_lo = max(prov, min(above, U))
+        and tau_hi = max(vmax, V) are _thresholds.
+
+        The certificate.  With dense, which makes the dense matrices of the
+        given blocks, a picked block is also skipped when a Cholesky
+        factorization proves its values inside (tau_lo, tau_hi).  It is
+        solved without a test when least_b <= tau_lo or most_b >= tau_hi,
+        since then it surely holds a value beyond them, or when its bounds are
+        not finite.  Otherwise each side its discs fail is tested, one block
+        at a time (_cholesky_clears): np.linalg.cholesky of M_b - (tau_lo +
+        delta_b) I on the low side, of (tau_hi - delta_b) I - M_b on the high
+        side, and a LinAlgError marks the block for solving.  delta_b =
+        _DISC_SLACK m (m + 1) eps (hi_b + |tau|) for an m x m block.  A factorization that runs to completion
+        gives R^* R = A + dA with |dA| <= gamma_{m+1} |R^*| |R| (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), a
+        few times more in complex arithmetic, and || |R| ||_2 <= sqrt(m)
+        ||R||_2, so ||dA||_2 <= m gamma_{m+1} ||A + dA||_2; R^* R is positive
+        definite, its diagonal being positive, and ||A|| <=
+        hi_b + |tau| + delta_b as hi_b bounds ||M_b||.  Forming the shift and
+        the diagonal rounds by 2 u (hi_b + |tau|) more, and eigvalsh moves a
+        value by at most _DISC_SLACK m eps hi_b (_spectral_bounds).  These
+        add up to less than delta_b, so every value eigvalsh would return for
+        a certified block lies strictly inside (tau_lo, tau_hi), and the
+        argument above carries over: the blocks holding U and V have least_b
+        = U <= tau_lo or most_b = V >= tau_hi when they matter and are always
+        solved.
 
         One box-wide mode pick followed by disc picks chunk by chunk does the
         same.  run picks on fresh collectors (above = inf, vmax = 0), so the
@@ -981,29 +1062,42 @@ class _Engine:
         the batch's pick keeps, the blocks holding U < above and V > vmax
         among them, and its rule reads the same thresholds.
         """
-        prov = max(col.prov for col, _, _ in feeds)
-        above = max(col.above for col, _, _ in feeds)
-        vmax = min(col.vmax for col, _, _ in feeds)
-        clear = lo > prov
-        U = np.min(least[clear], initial=math.inf)
-        V = np.max(most, initial=-math.inf)
-        return np.nonzero((lo <= max(prov, min(above, U))) | (hi >= max(vmax, V))
-                          | ~(np.isfinite(lo) & np.isfinite(hi)))[0]
+        t_lo, t_hi = _thresholds(lo, least, most, feeds)
+        low, high, finite = lo <= t_lo, hi >= t_hi, np.isfinite(lo) & np.isfinite(hi)
+        pick = low | high | ~finite
+        if dense is not None:
+            for b in np.flatnonzero(pick & finite & (least > t_lo) & (most < t_hi)):
+                A = dense([b])[0]
+                pick[b] = not all(_cholesky_clears(A, t, sign, hi[b]) for on, t, sign
+                                  in ((low[b], t_lo, 1.0), (high[b], t_hi, -1.0)) if on)
+        return np.flatnonzero(pick)
 
     def _eigensolve(self, terms, feeds, modes: np.ndarray | None):
-        """Eigensolve the blocks of one matrix of _spectra that its discs pick, and feed them.
+        """Eigensolve the blocks of one matrix of _spectra that _pick keeps, and feed them.
 
         The matrix sum_t X_t Y_t of terms is formed (_product) and bounded
-        by its own discs (_disc_bounds); only the picked blocks are made
-        dense.  Their values go to feeds in one _feed; modes, for
-        single-mode blocks, holds the flat mode index of each block.
+        by its own discs (_disc_bounds); only the blocks picked or tested are
+        made dense.  modes, for single-mode blocks, holds the flat mode index
+        of each block.  A matrix of fewer than _CERTIFY_ROWS rows feeds its
+        picked blocks in one eigensolve.  A wider one is staged: the picked
+        blocks with the smallest least_b and the largest most_b, the likeliest
+        to lower above and raise vmax the most, are solved and fed first; _pick
+        then reads the thresholds anew over the rest, with the Cholesky
+        certificate, and the blocks it keeps are solved in one more call.
+        Each stage is a _pick against the collectors as they stand, so every
+        collector ends as a solve of the whole batch would leave it.
         """
         M = _product(terms)
-        idx = self._pick(*_spectral_bounds(*_disc_bounds(M)), feeds)
-        if not idx.size:
-            return
-        vals = np.linalg.eigvalsh(M.dense(idx))
-        _feed(feeds, vals, None if modes is None else lambda at: modes[idx][at // vals.shape[1]])
+        bounds = _spectral_bounds(*_disc_bounds(M))
+        idx = self._pick(*bounds, feeds)
+        if M.shape[0] >= _CERTIFY_ROWS and idx.size > 2:
+            _, _, least, most = bounds
+            first = np.unique(idx[[np.argmin(least[idx]), np.argmax(most[idx])]])
+            _solve(M, first, feeds, modes)
+            rest = np.setdiff1d(idx, first)
+            idx = rest[self._pick(*(b[rest] for b in bounds), feeds,
+                                  dense=lambda at: M.dense(rest[at]))]
+        _solve(M, idx, feeds, modes)
 
     def _spectra(self, ops: list[_Sparse]):
         """(terms, feeds) of each matrix whose spectrum a collector needs.
@@ -1301,65 +1395,3 @@ def pushforward_connection(theta_small: ThetaMatrix, conn_small: FreeConnection,
     ])
     terms = [term1] + [MatrixElement.zeros(theta_big, r) for _ in range(nb - 1)]
     return FreeConnection(r, terms)
-
-
-# -- raw operator export ---------------------------------------------------
-
-
-def assemble_operator(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
-                      box: TruncationBox, degree: int) -> "scipy.sparse.csr_matrix":
-    """Sparse matrix of the degree -> degree+1 operator in the natural basis.
-
-    Basis order: form index slowest, then mode (box lexicographic), then
-    fiber.  No metric normalization is applied.
-    """
-    import scipy.sparse as sp
-
-    n, r, d, N = frame.n, conn.rank, 2 * frame.n, box.N
-    if not 0 <= degree < n:
-        raise ValueError(f"degree must be in 0..{n - 1}")
-    forms = _form_indices(n)
-    signs = _wedge_signs(n, forms)
-    steps, coef = _connection_data(conn)
-    K = mode_count(d, N)
-    flat_all = np.arange(K, dtype=np.int64)
-    modes = _decode_modes(flat_all, d, N)
-    radix = _radix(d, N)
-    w = (2j * math.pi) * (modes @ frame.W.T)
-    T = []
-    for j in range(n):
-        ri = [flat_all * r + i for i in range(r)]
-        ci = list(ri)
-        data = [w[:, j]] * r
-        for step, fiber in zip(steps, coef[:, j]):
-            if not fiber.any():
-                continue
-            shifted = modes + np.array(step, dtype=np.int64)
-            ok = np.all(np.abs(shifted) <= N, axis=1)
-            src = flat_all[ok]
-            dst = (shifted[ok] + N) @ radix
-            ph = _phases(conn.theta, step, modes[ok])
-            for i2, i1 in zip(*np.nonzero(fiber)):
-                ri.append(dst * r + i2)
-                ci.append(src * r + i1)
-                data.append(fiber[i2, i1] * ph)
-        T.append(sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-            shape=(K * r, K * r),
-        ))
-    out = None
-    for j in range(n):
-        term = sp.kron(sp.csr_matrix(signs[j][degree]), T[j], format="csr")
-        out = term if out is None else out + term
-    return out
-
-
-def export_operator_coo(cs: ComplexStructure, frame: AntiholFrame, conn: FreeConnection,
-                        box: TruncationBox, degree: int) -> list[tuple[int, int, float, float]]:
-    """Coordinate triples (row, col, re, im) of the compressed operator."""
-    A = assemble_operator(cs, frame, conn, box, degree).tocoo()
-    order = np.lexsort((A.col, A.row))
-    return [
-        (int(A.row[i]), int(A.col[i]), float(A.data[i].real), float(A.data[i].imag))
-        for i in order
-    ]

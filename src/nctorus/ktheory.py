@@ -207,8 +207,6 @@ def nonalg_certificate(cs: ComplexStructure, theta: ThetaMatrix, bound: int = 5,
 
     def record(i: int, j: int, value: float) -> None:
         pa, pb = tuple(int(x) for x in vecs[i]), tuple(int(x) for x in vecs[j])
-        if pa == pb:
-            return
         if pb < pa:
             pa, pb = pb, pa
         vanishing.add((pa, pb, float(value)))

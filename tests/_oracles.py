@@ -7,7 +7,9 @@ and stable Hermite-function evaluation for the oscillator modules.  The
 Riemann-form references keep the plain loop form of the bounded search
 (itertools enumeration, Fraction products, a Sylvester test on every
 candidate); they share the kernel and the exact determinant with the
-implementation, not its vectorized scan.
+implementation, not its vectorized scan.  The full-box Dolbeault operator
+(assemble_operator) shares the connection table, wedge signs, mode decoding
+and phases with the engine, not its assembly.
 """
 
 from __future__ import annotations
@@ -227,3 +229,66 @@ def box_graph_reference(steps, U: np.ndarray, v0: np.ndarray, N: int):
     adj = sp.csr_matrix((np.ones(src.size, dtype=np.int8), (src, targets[ok])), shape=(K, K))
     labels = connected_components(adj, directed=False)[1]
     return targets, np.linalg.norm(modes @ U + v0, axis=1), labels
+
+
+def assemble_operator(cs, frame, conn, box, degree: int):
+    """Sparse CSR matrix of the degree -> degree+1 operator of the whole box, natural basis.
+
+    The engine's dense oracle.  Basis order: form index slowest, then mode
+    (box lexicographic), then fiber.  No metric normalization is applied.
+    It reads the connection table, wedge signs, mode decoding and phases of
+    nctorus.dolbeault, and assembles with code of its own: one CSR T_j per
+    direction from every step and fiber entry, summed with the wedge signs
+    by Kronecker products.
+    """
+    import scipy.sparse as sp
+
+    from nctorus import dolbeault as dlb
+
+    n, r, d, N = frame.n, conn.rank, 2 * frame.n, box.N
+    if not 0 <= degree < n:
+        raise ValueError(f"degree must be in 0..{n - 1}")
+    forms = dlb._form_indices(n)
+    signs = dlb._wedge_signs(n, forms)
+    steps, coef = dlb._connection_data(conn)
+    K = dlb.mode_count(d, N)
+    flat_all = np.arange(K, dtype=np.int64)
+    modes = dlb._decode_modes(flat_all, d, N)
+    radix = dlb._radix(d, N)
+    w = (2j * math.pi) * (modes @ frame.W.T)
+    T = []
+    for j in range(n):
+        ri = [flat_all * r + i for i in range(r)]
+        ci = list(ri)
+        data = [w[:, j]] * r
+        for step, fiber in zip(steps, coef[:, j]):
+            if not fiber.any():
+                continue
+            shifted = modes + np.array(step, dtype=np.int64)
+            ok = np.all(np.abs(shifted) <= N, axis=1)
+            src = flat_all[ok]
+            dst = (shifted[ok] + N) @ radix
+            ph = dlb._phases(conn.theta, step, modes[ok])
+            for i2, i1 in zip(*np.nonzero(fiber)):
+                ri.append(dst * r + i2)
+                ci.append(src * r + i1)
+                data.append(fiber[i2, i1] * ph)
+        T.append(sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
+            shape=(K * r, K * r),
+        ))
+    out = None
+    for j in range(n):
+        term = sp.kron(sp.csr_matrix(signs[j][degree]), T[j], format="csr")
+        out = term if out is None else out + term
+    return out
+
+
+def export_operator_coo(cs, frame, conn, box, degree: int) -> list[tuple[int, int, float, float]]:
+    """Coordinate triples (row, col, re, im) of assemble_operator, sorted by row, then column."""
+    A = assemble_operator(cs, frame, conn, box, degree).tocoo()
+    order = np.lexsort((A.col, A.row))
+    return [
+        (int(A.row[i]), int(A.col[i]), float(A.data[i].real), float(A.data[i].imag))
+        for i in order
+    ]

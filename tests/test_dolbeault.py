@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 import nctorus.dolbeault as dlb
+from _oracles import assemble_operator, export_operator_coo
 from nctorus.algebra import FourierElement, MatrixElement, ThetaMatrix
 from nctorus.complexstruct import (
     ComplexStructure,
@@ -96,8 +97,8 @@ def test_cohomology_rejects_nonflat(setup2):
 def test_dbar_squared_exactly_zero(setup2):
     theta, cs, frame = setup2
     conn = dlb.FreeConnection.trivial(theta, 2, 1)
-    A0 = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(2), 0)
-    A1 = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(2), 1)
+    A0 = assemble_operator(cs, frame, conn, dlb.TruncationBox(2), 0)
+    A1 = assemble_operator(cs, frame, conn, dlb.TruncationBox(2), 1)
     assert abs((A1 @ A0)).max() == 0.0
 
 
@@ -112,7 +113,7 @@ def test_gram_adjoint_identity(setup2):
     K = dlb.mode_count(4, N)
     rng = np.random.default_rng(8)
     for q in range(2):
-        A = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q).toarray()
+        A = assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q).toarray()
         Gq = np.kron(Ms[q], np.eye(K))
         Gq1 = np.kron(Ms[q + 1], np.eye(K))
         Astar = np.linalg.solve(Gq, A.conj().T @ Gq1)
@@ -205,7 +206,7 @@ def normalized_operators(cs, frame, conn, N):
     eye = sp.identity(dlb.mode_count(2 * n, N) * conn.rank, format="csr")
     At = []
     for q in range(n):
-        A = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q)
+        A = assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q)
         At.append(sp.kron(Ls[q + 1].conj().T, eye) @ A @ sp.kron(Linvs[q].conj().T, eye))
     return At
 
@@ -287,20 +288,33 @@ def feed(col, values):
 
 
 def solve_every_block(monkeypatch):
-    """Make every dense eigensolve take its whole batch, so collectors see whole spectra."""
+    """Make every dense eigensolve take its whole batch, so collectors see whole spectra.
+
+    Both skips, by bounds and by the Cholesky certificate, are made by _pick.
+    """
     monkeypatch.setattr(dlb._Engine, "_pick",
-                        lambda self, lo, hi, least, most, feeds: np.arange(lo.size))
+                        lambda self, lo, hi, least, most, feeds, dense=None: np.arange(lo.size))
 
 
 def record_picks(monkeypatch):
-    """Every _pick as (source, picked indices), source "modes" (_mode_bounds) or "discs"."""
+    """Every _pick as (source, picked indices, blocks read, blocks made dense).
+
+    source is "modes" (_mode_bounds), "discs" (_spectral_bounds of a formed
+    matrix) or "certificate" (the staged pick of a wide matrix, which makes
+    the blocks it tests dense).
+    """
     picks, discs = [], record_results(monkeypatch, dlb, "_spectral_bounds")
     orig = dlb._Engine._pick
 
-    def wrapped(self, lo, *rest):
-        picks.append(("discs" if any(lo is b[0] for b in discs) else "modes",
-                      orig(self, lo, *rest)))
-        return picks[-1][1]
+    def wrapped(self, lo, *rest, dense=None):
+        made = []
+        if dense is None:
+            idx = orig(self, lo, *rest)
+        else:
+            idx = orig(self, lo, *rest, dense=lambda at: made.append(len(at)) or dense(at))
+        source = "certificate" if dense else "discs" if any(lo is b[0] for b in discs) else "modes"
+        picks.append((source, idx, lo.size, sum(made)))
+        return idx
 
     monkeypatch.setattr(dlb._Engine, "_pick", wrapped)
     return picks
@@ -355,7 +369,7 @@ def test_few_n3_blocks_reach_the_eigensolver(monkeypatch):
     run = dlb._Engine(cs, frame, conn, 1e-8).run(2, True, True)
     assert run.dims == (1, 3, 3, 1) and run.conclusive
     assert [lo.size for lo, *_ in bounds] == [3125]
-    assert [source for source, _ in picks].count("modes") == 1
+    assert [source for source, *_ in picks].count("modes") == 1
     assert 0 < sum(len(mvec) for (_, mvec, _) in assembled) < 0.02 * 3125
     blocks = 5 * 3125
     # every eigensolve is a batched one (the identity metric is not eigensolved)
@@ -377,7 +391,7 @@ def test_flat_connection_whose_compression_is_no_complex():
     conn = dlb.FreeConnection(1, terms)
     assert dlb.flatness_curvature(conn, frame).max_abs == 0.0
     N = 2
-    A0, A1 = (dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q) for q in (0, 1))
+    A0, A1 = (assemble_operator(cs, frame, conn, dlb.TruncationBox(N), q) for q in (0, 1))
     assert abs(A1 @ A0).max() > 0.1
     run = dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True)
     assert run.conclusive
@@ -597,15 +611,8 @@ def test_degree_operators_write_each_direction_where_its_weight_is_nonzero(monke
     # signs, and the two directions coupled along different steps, so T_0 and
     # T_1 differ in their positions
     theta = generic_theta4()
-    J = np.zeros((4, 4))
-    J[:2, :2] = j_from_tau(0.2 + 1.1j).J
-    J[2:, 2:] = j_from_tau(-0.4 + 0.8j).J
-    cs = ComplexStructure(2, J)
-    frame = antihol_frame(cs)
-    conn = dlb.FreeConnection(1, [
-        MatrixElement(theta, [[FourierElement.monomial(theta, (1, 0, 0, 0), 1.1)]]),
-        MatrixElement(theta, [[FourierElement.monomial(theta, (0, 1, 0, 0), 0.9j)]]),
-    ])
+    cs, frame = product_structure()
+    conn = two_direction_connection(theta)
     N = 2
     engine = dlb._Engine(cs, frame, conn, 1e-8)
     signs = dlb._wedge_signs(2, engine.forms)
@@ -624,7 +631,7 @@ def test_degree_operators_write_each_direction_where_its_weight_is_nonzero(monke
     # at n = 2 row block j of the oracle's A_0 is T_j; every T_j also holds
     # its frequency on the diagonal, which vanishes at mode 0
     K = dlb.mode_count(4, N)
-    oracle = dlb.assemble_operator(cs, frame, conn, dlb.TruncationBox(N), 0).tocsr()
+    oracle = assemble_operator(cs, frame, conn, dlb.TruncationBox(N), 0).tocsr()
     for mvec, ops in calls:
         for block in mvec:
             member = (block + N) @ dlb._radix(4, N)
@@ -947,6 +954,15 @@ def test_unconverged_lobpcg_makes_report_inconclusive(setup2, monkeypatch):
 # -- the index spectrum: DD^* on the odd forms ------------------------------
 
 
+def product_structure():
+    """J of a product of two elliptic curves, with its frame, as index-grid draws it."""
+    J = np.zeros((4, 4))
+    J[:2, :2] = j_from_tau(0.2 + 1.1j).J
+    J[2:, 2:] = j_from_tau(-0.4 + 0.8j).J
+    cs = ComplexStructure(2, J)
+    return cs, antihol_frame(cs)
+
+
 def two_direction_connection(theta):
     """Non-flat, coupling e1 in direction 1 and e2 in direction 2, as in index-grid."""
     return dlb.FreeConnection(1, [
@@ -1046,20 +1062,61 @@ def record_results(monkeypatch, owner, name):
     return results
 
 
+def assert_solves_follow_picks(picks, solves, eigs):
+    """Each disc pick is followed by one solve of what it picked, or, on a
+    wide matrix whose pick keeps more than two blocks, by a solve of its one
+    or two witnesses and one of what the certificate pick on the rest keeps;
+    each solve with blocks is one batched eigvalsh."""
+    solved = iter(solves)
+    for k, (source, idx, _, _) in enumerate(picks):
+        if source != "discs":
+            continue
+        M, first, _, _ = next(solved)
+        if k + 1 < len(picks) and picks[k + 1][0] == "certificate":
+            _, kept, rest, _ = picks[k + 1]
+            M2, then, _, _ = next(solved)
+            assert M2 is M and M.shape[0] >= dlb._CERTIFY_ROWS
+            assert first.size == idx.size - rest in (1, 2) and then.size == kept.size
+            assert np.isin(first, idx).all() and np.isin(then, idx).all()
+            assert not np.isin(then, first).any()
+        else:
+            assert np.array_equal(first, idx)
+    assert next(solved, None) is None
+    assert [M.shape for (M,) in eigs] == [(idx.size, M.shape[0], M.shape[1])
+                                          for M, idx, _, _ in solves if idx.size]
+
+
 def test_laplacian_batches_solve_each_degree_once(setup2, monkeypatch):
     # both halves wanted at n = 2: the index reads the Delta_1 eigenvalues
     theta, cs, frame = setup2
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     picks = record_picks(monkeypatch)
+    solves = count_calls(monkeypatch, dlb, "_solve")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run(2, True, True)
-    # one disc pick per degree and assembled batch, and at most one eigensolve per pick
-    discs = [idx for source, idx in picks if source == "discs"]
+    # one disc pick per degree and assembled batch; Delta_1 of the 5 x 5
+    # grids has 50 rows and is staged
+    discs = [idx for source, idx, *_ in picks if source == "discs"]
     assert batches and len(discs) == (engine.n + 1) * len(batches)
-    solved = [idx for idx in discs if idx.size]
-    assert len(eigs) == len(solved)
-    assert [M.shape[0] for (M,) in eigs] == [idx.size for idx in solved]
+    assert any(source == "certificate" for source, *_ in picks)
+    assert_solves_follow_picks(picks, solves, eigs)
+
+
+def test_narrow_batches_make_one_eigvalsh_call_per_matrix(setup2, monkeypatch):
+    # the e1 chain at N = 4: matrices of 9 to 18 rows, under _CERTIFY_ROWS, so
+    # nothing is staged or tested and each picked matrix is one eigvalsh
+    theta, cs, frame = setup2
+    conn = gradient_connection(theta, frame, (1, 0, 0, 0), 0.8 - 0.3j)
+    picks = record_picks(monkeypatch)
+    solves = count_calls(monkeypatch, dlb, "_solve")
+    tests = count_calls(monkeypatch, dlb, "_cholesky_clears")
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True).conclusive
+    assert all(source != "certificate" for source, *_ in picks) and not tests
+    discs = [idx for source, idx, *_ in picks if source == "discs"]
+    assert len(solves) == len(discs) and len(eigs) == sum(idx.size > 0 for idx in discs)
+    assert_solves_follow_picks(picks, solves, eigs)
 
 
 def test_sparse_component_solves_each_degree_once(setup2, monkeypatch):
@@ -1077,20 +1134,28 @@ def test_index_only_run_solves_only_delta1(setup2, monkeypatch):
     engine = dlb._Engine(cs, frame, two_direction_connection(theta), 1e-8)
     batches = count_calls(monkeypatch, dlb._Engine, "_spectra")
     picks = record_picks(monkeypatch)
+    solves = count_calls(monkeypatch, dlb, "_solve")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     engine.run(2, False, True)
-    # one disc pick per assembled batch, and each eigensolve takes the rows
-    # it picked of Delta_1
-    discs = [idx for source, idx in picks if source == "discs"]
+    # one disc pick per assembled batch, and each eigensolve takes rows of
+    # Delta_1 that it picked, each row once, a wide Delta_1 in two stages
+    discs = [idx for source, idx, *_ in picks if source == "discs"]
     assert batches and len(discs) == len(batches)
-    assert len(eigs) == sum(idx.size > 0 for idx in discs)
-    solves = iter(eigs)
-    for (_, ops), idx in zip(batches, discs):
-        if idx.size:
-            (M,) = next(solves)
-            A0, A1 = (A.dense() for A in ops)
-            delta1 = A0 @ A0.conj().swapaxes(-1, -2) + A1.conj().swapaxes(-1, -2) @ A1
-            assert np.allclose(M, delta1[idx], rtol=0.0, atol=1e-12 * np.abs(delta1).max())
+    by_matrix = {}
+    for M, idx, _, _ in solves:
+        by_matrix.setdefault(id(M), []).append(idx)
+    assert len(by_matrix) == len(batches)
+    assert len(eigs) == sum(idx.size > 0 for _, idx, _, _ in solves)
+    eigensolved = iter(eigs)
+    for (_, ops), picked, parts in zip(batches, discs, by_matrix.values()):
+        at = np.concatenate(parts)
+        assert np.unique(at).size == at.size and np.isin(at, picked).all()
+        A0, A1 = (A.dense() for A in ops)
+        delta1 = A0 @ A0.conj().swapaxes(-1, -2) + A1.conj().swapaxes(-1, -2) @ A1
+        for idx in parts:
+            if idx.size:
+                (M,) = next(eigensolved)
+                assert np.allclose(M, delta1[idx], rtol=0.0, atol=1e-12 * np.abs(delta1).max())
     # one component spanning the box, in the oracle's basis order
     conn = four_direction_connection(theta)
     monkeypatch.setattr(dlb, "DENSE_BLOCK_LIMIT", 10)
@@ -1126,6 +1191,8 @@ def lattice_fiber_connection(theta, frame, m0):
     ("two directions", 2, False),  # non-flat, index only
     ("setup3", 1, True),          # n = 3: every Delta_q and the odd block matrix
     ("rank-2 fiber", 1, True),    # single-mode blocks, kernel_modes_q0
+    ("index grid", 2, False),     # index-grid's boxes: 50 and 162 rows, which
+    ("index grid", 4, False),     # the Cholesky certificate prunes
 ])
 def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup3, monkeypatch,
                                                                    case, N, want_dims):
@@ -1138,6 +1205,7 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
         "two directions": (cs, frame, two_direction_connection(theta)),
         "setup3": setup3,
         "rank-2 fiber": (cs, frame, lattice_fiber_connection(theta, frame, m0)),
+        "index grid": (*product_structure(), two_direction_connection(theta)),
     }[case]
 
     def run():
@@ -1146,10 +1214,17 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
         cols = (engine.lap or []) + [engine.dsv]
         return [collector_state(col) for col in cols], engine._finalize()
 
-    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
-    picked = run()
+    with monkeypatch.context() as spies:
+        picks = record_picks(spies)
+        eigs = count_calls(spies, np.linalg, "eigvalsh")
+        picked = run()
     solved = sum(len(M) for (M,) in eigs)
-    eigs.clear()
+    discs = sum(idx.size for source, idx, *_ in picks if source == "discs")
+    # the certificate only takes blocks away from the disc picks
+    assert solved <= discs
+    if case == "index grid":
+        assert solved < discs
+    eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     solve_every_block(monkeypatch)
     full = run()
     assert picked == full
@@ -1219,6 +1294,75 @@ def test_blocks_one_ulp_from_prov_are_solved():
         assert picked.finalize(0.1) == full.finalize(0.1)
 
 
+def with_spectrum(values, seed=0):
+    """A Hermitian matrix with the given eigenvalues in a random unitary basis:
+    its diagonal entries lie between them, and its discs reach far beyond."""
+    rng = np.random.default_rng(seed)
+    m = len(values)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    M = (Q * np.asarray(values, dtype=float)) @ Q.conj().T
+    return 0.5 * (M + M.conj().T)
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+def test_blocks_within_the_cholesky_margin_are_solved(side):
+    # the collector holds above = 1 and vmax = 10, which the blocks below do
+    # not move, so tau_lo = 1 and tau_hi = 10.  Each block's discs reach past
+    # the threshold on its side and its diagonal does not, so its Cholesky
+    # test decides: a block whose extreme eigenvalue lies delta / 2 inside the
+    # threshold is solved, one 4 delta inside it is proven clear and skipped
+    col = dlb._Collector(1e-3)
+    feed(col, np.array([1e-4, 1.0, 10.0]))
+    tau = 1.0 if side == "low" else 10.0
+    inner = [3.0, 5.0, 7.0] if side == "low" else [2.0, 4.0, 6.0]
+    m = len(inner) + 1
+
+    def block(f):
+        # delta of the certificate for this block, from its own disc radius
+        probe = with_spectrum(inner + [tau])
+        hi = dlb._spectral_bounds(*dlb._disc_bounds(sparse_batch([probe])))[1][0]
+        delta = dlb._DISC_SLACK * m * (m + 1) * dlb._EPS * (hi + tau)
+        return with_spectrum(inner + [tau + f * delta if side == "low" else tau - f * delta])
+
+    M = np.array([block(0.5), block(4.0)])
+    lo, hi, least, most = bounds = dlb._spectral_bounds(*dlb._disc_bounds(sparse_batch(M)))
+    idx = dlb._Engine._pick(None, *bounds, [(col, 1, False)], dense=lambda at: M[at])
+    assert np.all(least > 1.0) and np.all(most < 10.0)
+    assert np.all(lo <= 1.0) if side == "low" else np.all(hi >= 10.0)
+    assert list(idx) == [0]
+
+
+def test_non_finite_blocks_reach_the_eigensolver_past_the_certificate(monkeypatch):
+    # a wide batch of finite blocks with one non-finite one: an inf on the
+    # diagonal makes most NaN, so the block is a witness and its NaN values
+    # make the collector incomplete; an inf off the diagonal makes least inf
+    # and most -inf, so it passes the witnesses, and the certificate pick
+    # keeps it untested for eigvalsh, which refuses it
+    m = dlb._CERTIFY_ROWS
+    finite = [with_spectrum(np.linspace(1.0 + b, 9.0 + 3 * b, m), seed=b) for b in range(4)]
+    monkeypatch.setattr(dlb, "_product", lambda terms: terms)
+    picks = record_picks(monkeypatch)
+    tests = count_calls(monkeypatch, dlb, "_cholesky_clears")
+    for spot in [(0, 0), (0, 1)]:
+        bad = with_spectrum(np.linspace(2.0, 8.0, m), seed=9)
+        bad[spot] = bad[spot[::-1]] = math.inf
+        col = dlb._Collector(1e-3)
+        picks.clear()
+        tests.clear()
+        engine = dlb._Engine.__new__(dlb._Engine)
+        if spot == (0, 0):
+            with np.errstate(invalid="ignore"):  # inf - inf in its discs
+                engine._eigensolve(sparse_batch(finite + [bad]), [(col, 1, False)], None)
+            assert col.incomplete
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                engine._eigensolve(sparse_batch(finite + [bad]), [(col, 1, False)], None)
+            (_, kept, rest, made), = [p for p in picks if p[0] == "certificate"]
+            assert kept[-1] == rest - 1
+            # the finite blocks left were tested, one at a time, the non-finite one not
+            assert 0 < made == len({id(A) for A, *_ in tests}) < rest
+
+
 def test_finalize_reads_raw_eigenvalues_in_either_unit():
     # a PSD spectrum as eigvalsh returns it, fed raw in two parts of multiplicity
     # 3: the kernel is rounding noise, its largest magnitude a negative value,
@@ -1258,7 +1402,7 @@ def test_few_chain_blocks_reach_the_eigensolver(setup2, monkeypatch):
     run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
     assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
     assert [lo.size for lo, *_ in bounds] == [729]
-    assert [source for source, _ in picks].count("modes") == 1
+    assert [source for source, *_ in picks].count("modes") == 1
     assert sum(len(M) for (M,) in eigs) < 0.05 * 3 * 729
 
 
@@ -1288,7 +1432,7 @@ def test_diagonal_chain_assembles_few_blocks_in_one_mode_pick(setup2, monkeypatc
     run = dlb._Engine(cs, frame, conn, 1e-8).run(4, True, True)
     assert run.dims == (1, 2, 1) and run.ker_even == 2 and run.conclusive
     assert [lo.size for lo, *_ in bounds] == [17 * 81]
-    assert [source for source, _ in picks].count("modes") == 1
+    assert [source for source, *_ in picks].count("modes") == 1
     assert len({mvec.shape[1] for (_, mvec, _) in assembled}) > 1
     assert 0 < sum(len(mvec) for (_, mvec, _) in assembled) < 0.1 * 17 * 81
 
@@ -1306,11 +1450,16 @@ def test_only_picked_blocks_are_made_dense(setup2, monkeypatch, case, N):
     dense = record_results(monkeypatch, dlb._Sparse, "dense")
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert dlb._Engine(cs, frame, conn, 1e-8).run(N, True, True).conclusive
-    picked = sum(idx.size for source, idx in picks if source == "discs")
+    picked = sum(idx.size for source, idx, *_ in picks if source == "discs")
     assert 0 < picked < 3 * sum(len(ops[0]) for (_, ops) in batches)
     # every eigensolve is a batched one (the identity metric is not eigensolved)
     assert all(M.ndim == 3 for (M,) in eigs)
-    assert sum(len(M) for M in dense) == sum(len(M) for (M,) in eigs) == picked
+    # each block the discs pick is eigensolved or skipped by the certificate
+    # pick, and a block is made dense only to be eigensolved or tested
+    solved = sum(len(M) for (M,) in eigs)
+    assert picked == solved + sum(rest - idx.size for source, idx, rest, _ in picks
+                                  if source == "certificate")
+    assert sum(len(M) for M in dense) == solved + sum(made for *_, made in picks)
 
 
 def test_coupled_connection_with_a_non_scalar_fiber(setup2, monkeypatch):
@@ -1715,7 +1864,7 @@ def test_pushforward_preconditions():
 def test_operator_export(setup2):
     theta, cs, frame = setup2
     conn = dlb.FreeConnection.trivial(theta, 2, 1)
-    rows = dlb.export_operator_coo(cs, frame, conn, dlb.TruncationBox(1), 0)
+    rows = export_operator_coo(cs, frame, conn, dlb.TruncationBox(1), 0)
     K = dlb.mode_count(4, 1)
     assert all(len(t) == 4 for t in rows)
     assert len(rows) <= 2 * K

@@ -81,7 +81,7 @@ def test_mode_bounds_contain_every_block_spectrum(spec):
         patch.setattr(dlb._Engine, "_mode_bounds", bound)
         patch.setattr(dlb._Engine, "_degree_operators", record)
         patch.setattr(dlb._Engine, "_pick",
-                      lambda self, lo, hi, least, most, feeds: np.arange(lo.size))
+                      lambda self, lo, hi, least, most, feeds, dense=None: np.arange(lo.size))
         engine.run(N, True, True)
     assert len(bounds) == 1
     lo, hi, least, most = bounds[0]
