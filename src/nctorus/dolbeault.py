@@ -622,7 +622,7 @@ def _product(terms) -> _Sparse:
     numeric half multiplies the paired values of the batch and sums each run
     of pairs at one position, over the blocks in slices of at most 2M paired
     values, which bounds the temporaries; each block's sums do not depend on
-    the slicing.
+    the slicing.  The entries come out of _group sorted, in row-major order.
     """
     shape = (max(r0 + X.shape[0] for X, _, r0, _ in terms),
              max(c0 + Y.shape[1] for _, Y, _, c0 in terms))
@@ -657,12 +657,13 @@ def _disc_bounds(M: _Sparse):
 
     diag (m, g) holds the diagonal entries M_ii of the g blocks, rows the
     sums sum_j |M_ij| of the values, which are the entries of the dense
-    blocks _Sparse.dense builds from them.
+    blocks _Sparse.dense builds from them.  M's entries come in row-major
+    order, as _product returns them, so each row is one run of entries.
     """
     m = M.shape[-1]
-    order, starts, present = _group(M.rows)
+    starts = np.flatnonzero(np.diff(M.rows, prepend=-1))
     rows = np.zeros((len(M), m))
-    rows[:, present] = np.add.reduceat(np.abs(M.values)[:, order], starts, axis=1)
+    rows[:, M.rows[starts]] = np.add.reduceat(np.abs(M.values), starts, axis=1)
     on = M.rows == M.cols
     diag = np.zeros((len(M), m))
     diag[:, M.rows[on]] = M.values[:, on].real
@@ -792,35 +793,39 @@ class _Engine:
 
     # -- closed-form path ------------------------------------------------
 
-    def _box_koszul_eigenvalues(self, N: int):
+    def _box_koszul_eigenvalues(self, N: int, out: np.ndarray | None = None):
         """Yield (first flat index, |v~|^2) over the box |m|_inf <= N, one slab at a time.
 
         With a_j = c_j 1 and no coupling the complex on one mode is the
         Koszul complex of the covector v = w + c: wedge multiplication by v.
         Every degree of its Laplacian has the single eigenvalue |v~|^2,
-        v~ = v L1-bar, with full multiplicity.
+        v~ = v L1-bar, with full multiplicity.  _covector_norms passes out,
+        a K-array, to have each slab written into it and yielded as a view.
 
         In flat order (axis 0 fastest) the n fastest axes give y, their part
         of v~, one per column; the n slower axes plus v~(0) give x, one per
-        row.  check_box caps the N + 2 box at 10^8 modes, so there are at most
-        side^n <= 10^4 columns.  A slab, a run of rows of at most 2M modes, is
-        one real product: |x + y|^2 = X' Y'^T with X' = [2x, |x|^2, 1] and
-        Y' = [y, 1, |y|^2], 2n + 2 columns each.  Its absolute error is at
-        most about (2n + 3) eps (|x| + |y|)^2 (Higham, Accuracy and Stability
-        of Numerical Algorithms, 2nd ed., 3.1), far below the gap band;
-        cancellation can leave a kernel mode slightly negative, so the slab
-        is clipped at 0.  Only the slow coordinates of a slab are decoded.
+        row, each summed over its half-grid one broadcast axis at a time, so
+        no coordinate is decoded.  check_box caps the N + 2 box at 10^8 modes,
+        so there are at most side^n <= 10^4 rows and columns.  A slab, a run
+        of rows of at most 2M modes, is one real product: |x + y|^2 = X' Y'^T
+        with X' = [2x, |x|^2, 1] and Y' = [y, 1, |y|^2], 2n + 2 columns each.
+        Its absolute error is at most about (4n + 2) eps (|x| + |y|)^2
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        3.1), far below the gap band; cancellation can leave a kernel mode
+        slightly negative, so the slab is clipped at 0.
         """
         n = self.n
-        side = 2 * N + 1
-        y = _decode_modes(np.arange(side ** n), n, N) @ self.U[:n]
+        coord = np.arange(-N, N + 1)[:, None]
+        y, x = np.zeros(2 * n), self.v0
+        for k in reversed(range(n)):
+            y, x = y[..., None, :] + coord * self.U[k], x[..., None, :] + coord * self.U[n + k]
+        y, x = y.reshape(-1, 2 * n), x.reshape(-1, 2 * n)
+        X = np.column_stack([2 * x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
         Y = np.column_stack([y, np.ones(len(y)), np.einsum("ij,ij->i", y, y)])
         rows = 2_000_000 // len(Y)
-        for o0 in range(0, side ** n, rows):
-            o1 = min(o0 + rows, side ** n)
-            x = _decode_modes(np.arange(o0, o1), n, N) @ self.U[n:] + self.v0
-            X = np.column_stack([2 * x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
-            lam = X @ Y.T
+        grid = None if out is None else out.reshape(len(X), len(Y))
+        for o0 in range(0, len(X), rows):
+            lam = np.matmul(X[o0:o0 + rows], Y.T, out=None if grid is None else grid[o0:o0 + rows])
             np.maximum(lam, 0.0, out=lam)
             yield o0 * len(Y), lam.reshape(-1)
 
@@ -916,24 +921,13 @@ class _Engine:
     def _covector_norms(self, N: int) -> np.ndarray:
         """|v~(m)| = ||v0 + m U|| of every mode of the box |m|_inf <= N, in flat order.
 
-        x and y are as in _box_koszul_eigenvalues, each summed over its grid
-        one broadcast axis at a time, so no coordinate is decoded.  A slab of
-        rows, at most 2^15 modes, sums the squares of x + y one of the 2n real
-        columns at a time: no K x 2n float array is formed.
+        The square roots of the slabs of _box_koszul_eigenvalues, written into
+        one K-array; near |v~| = 0 they are only within eta of exact (_mode_bounds).
         """
-        n = self.n
-        coord = np.arange(-N, N + 1)[:, None]
-        y, x = np.zeros(2 * n), self.v0
-        for k in reversed(range(n)):
-            y, x = y[..., None, :] + coord * self.U[k], x[..., None, :] + coord * self.U[n + k]
-        y, x = y.reshape(-1, 2 * n), x.reshape(-1, 2 * n)
-        out = np.zeros((len(x), len(y)))
-        rows = max(1, 2 ** 15 // len(y))
-        for a in range(0, len(x), rows):
-            for col in range(2 * n):
-                t = np.add.outer(x[a:a + rows, col], y[:, col])
-                out[a:a + rows] += np.square(t, out=t)
-        return np.sqrt(out, out=out).reshape(-1)
+        out = np.empty(mode_count(self.d, N))
+        for _ in self._box_koszul_eigenvalues(N, out):
+            pass
+        return np.sqrt(out, out=out)
 
     def _mode_bounds(self, low: np.ndarray, high: np.ndarray, width):
         """Per block (lo, hi, least, most) for _pick, from the Koszul covectors of its modes.
@@ -965,6 +959,14 @@ class _Engine:
         is at most least = (min + gamma)^2 and the largest at least most =
         (max - gamma)_+^2 (Horn & Johnson, Matrix Analysis, ch. 4).
 
+        The slab product.  |v~| is the square root of a slab value of
+        _box_koszul_eigenvalues, which lies within about (4n + 2) eps (|x| +
+        |y|)^2 of |x + y|^2 for the rounded x and y there (the clip at 0 only
+        moves it closer); |x| + |y| <= ||v0|| + sum_k |m_k| ||U[k]|| <= sigma =
+        ||v0|| + N sum_k ||U[k]||; and |sqrt a - sqrt b| <= sqrt |a - b|.  So
+        eta = sqrt(64 (2n + 3) eps) sigma (run), with room to spare, bounds
+        what it adds to the rounding of x and y, and gamma + eta replaces gamma.
+
         The margin.  Each bound moves outward by _DISC_SLACK (w + s)^2 u H,
         u = eps, w = width_b, s the number of steps and H = value_bound =
         (sum_q opbound_q + gamma)^2 (run), at least every value here.  With
@@ -973,8 +975,8 @@ class _Engine:
         N sum_k ||U[k]|| <= opbound_0 (||S~[j][0]|| is the norm of row j of
         L1), the rounding, in units of u H on the squared bounds, is at most:
         - 2.1 (3d + 5) from |v~|: v0 + m U, its d + 1 terms summed in any
-          order, and its norm are within gamma_{2d+3} sigma of exact, and the
-          rounded w_j move v~ by gamma_{d+2} opbound_0 more;
+          order, and its square root are within gamma_{2d+3} sigma of exact
+          beyond eta, and the rounded w_j move v~ by gamma_{d+2} opbound_0 more;
         - 2.1 (n s + 32 w) from gamma, a sum of n s products of 2-norms that
           LAPACK's SVD returns within 16 w u; rounded phases keep the shifts
           within 2u of partial isometries;
@@ -988,7 +990,7 @@ class _Engine:
         With n <= 2^(n-1) <= w and s >= 1 these add up to less than 64 (w +
         s)^2.
         """
-        g = self.gamma
+        g = self.gamma + self.eta
         slack = _DISC_SLACK * (width + len(self.steps)) ** 2 * _EPS * self.value_bound
         return (np.maximum(low - g, 0.0) ** 2 - slack, (high + g) ** 2 + slack,
                 (low + g) ** 2 + slack, np.maximum(high - g, 0.0) ** 2 - slack)
@@ -1080,8 +1082,9 @@ class _Engine:
         made dense.  modes, for single-mode blocks, holds the flat mode index
         of each block.  A matrix of fewer than _CERTIFY_ROWS rows feeds its
         picked blocks in one eigensolve.  A wider one is staged: the picked
-        blocks with the smallest least_b and the largest most_b, the likeliest
-        to lower above and raise vmax the most, are solved and fed first; _pick
+        blocks tied at the smallest least_b or the largest most_b (twins of
+        one spectrum tie), the likeliest to lower above and raise vmax the
+        most, are solved and fed first; _pick
         then reads the thresholds anew over the rest, with the Cholesky
         certificate, and the blocks it keeps are solved in one more call.
         Each stage is a _pick against the collectors as they stand, so every
@@ -1091,10 +1094,10 @@ class _Engine:
         bounds = _spectral_bounds(*_disc_bounds(M))
         idx = self._pick(*bounds, feeds)
         if M.shape[0] >= _CERTIFY_ROWS and idx.size > 2:
-            _, _, least, most = bounds
-            first = np.unique(idx[[np.argmin(least[idx]), np.argmax(most[idx])]])
-            _solve(M, first, feeds, modes)
-            rest = np.setdiff1d(idx, first)
+            least, most = bounds[2][idx], bounds[3][idx]
+            tied = (least == least.min()) | (most == most.max())
+            _solve(M, idx[tied], feeds, modes)
+            rest = idx[~tied]
             idx = rest[self._pick(*(b[rest] for b in bounds), feeds,
                                   dense=lambda at: M.dense(rest[at]))]
         _solve(M, idx, feeds, modes)
@@ -1173,8 +1176,11 @@ class _Engine:
         for q in range(n):
             opbound[q] = sum(self.snorm[q][j] * (wmax[j] + self.coupn[j]) for j in range(n))
         lam_bound = [(opbound[q] + (opbound[q - 1] if q > 0 else 0.0)) ** 2 for q in range(n + 1)]
-        # at least every value of every block, and the scale of their rounding (_mode_bounds)
+        # value_bound is at least every value of every block and the scale of their
+        # rounding, eta how far the slab product can move |v~| near 0 (_mode_bounds)
         self.value_bound = (opbound.sum() + self.gamma) ** 2
+        self.eta = math.sqrt(_DISC_SLACK * (2 * n + 3) * _EPS) * float(
+            np.linalg.norm(self.v0) + N * np.linalg.norm(self.U, axis=1).sum())
         self.lap = [_Collector(16.0 * tol_rel * max(lam_bound[q], 1e-300))
                     for q in range(n + 1)] if want_dims else None
         # ||D|| is at most the sum of the ||A_q||, so DD^*'s values are at most its square

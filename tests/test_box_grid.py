@@ -89,3 +89,29 @@ def test_one_step_chains_match_scipy_labels(spec):
     got = dlb._chains(steps, 2 * n, N)
     for array, want in zip(got, (order, starts, sizes, pos_of)):
         assert array.dtype == np.int32 and np.array_equal(array, want)
+
+
+def test_covector_norms_stay_within_eta_at_a_lattice_kernel():
+    # c = -2 pi i W m0 puts |v~(m0)| = 0, where the slab product's rounding
+    # is largest against |v~|: eta covers it.  On 13 of the 40 seeds the norm
+    # at m0 exceeds 2 gamma_{2d+3} sigma, the largest being 0.014 eta
+    n, N, d = 2, 2, 4
+    gamma = (2 * d + 3) * dlb._EPS / (1 - (2 * d + 3) * dlb._EPS)
+    beyond = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        cs = random_complex_structure(n, rng)
+        frame = antihol_frame(cs)
+        m0 = rng.integers(-N, N + 1, d)
+        conn = dlb.FreeConnection.scalar_shift(ThetaMatrix.product(THETAS[n]),
+                                               -2j * np.pi * (frame.W @ m0))
+        engine = dlb._Engine(cs, frame, conn, 1e-8)
+        engine.run(N, False, True)  # sets eta for the box
+        _, ref_v, _ = box_graph_reference([], engine.U, engine.v0, N)
+        sigma = np.linalg.norm(engine.v0) + N * np.linalg.norm(engine.U, axis=1).sum()
+        v = engine._covector_norms(N)
+        assert np.all(np.abs(v - ref_v) <= engine.eta + 2 * gamma * sigma)
+        at = int((m0 + N) @ dlb._radix(d, N))
+        assert ref_v[at] < 1e-12 * sigma
+        beyond += v[at] > 2 * gamma * sigma
+    assert beyond > 0

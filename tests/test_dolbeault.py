@@ -1064,9 +1064,10 @@ def record_results(monkeypatch, owner, name):
 
 def assert_solves_follow_picks(picks, solves, eigs):
     """Each disc pick is followed by one solve of what it picked, or, on a
-    wide matrix whose pick keeps more than two blocks, by a solve of its one
-    or two witnesses and one of what the certificate pick on the rest keeps;
-    each solve with blocks is one batched eigvalsh."""
+    wide matrix whose pick keeps more than two blocks, by a solve of its
+    witnesses, the picked blocks tied at the smallest least_b or the largest
+    most_b, and one of what the certificate pick on the rest keeps; each
+    solve with blocks is one batched eigvalsh."""
     solved = iter(solves)
     for k, (source, idx, _, _) in enumerate(picks):
         if source != "discs":
@@ -1076,8 +1077,12 @@ def assert_solves_follow_picks(picks, solves, eigs):
             _, kept, rest, _ = picks[k + 1]
             M2, then, _, _ = next(solved)
             assert M2 is M and M.shape[0] >= dlb._CERTIFY_ROWS
-            assert first.size == idx.size - rest in (1, 2) and then.size == kept.size
-            assert np.isin(first, idx).all() and np.isin(then, idx).all()
+            _, _, least, most = dlb._spectral_bounds(*dlb._disc_bounds(M))
+            least, most = least[idx], most[idx]
+            tied = idx[(least == least.min()) | (most == most.max())]
+            assert np.array_equal(first, tied)
+            assert first.size == idx.size - rest and then.size == kept.size
+            assert np.isin(then, idx).all()
             assert not np.isin(then, first).any()
         else:
             assert np.array_equal(first, idx)
@@ -1217,6 +1222,8 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
     with monkeypatch.context() as spies:
         picks = record_picks(spies)
         eigs = count_calls(spies, np.linalg, "eigvalsh")
+        tests = count_calls(spies, dlb, "_cholesky_clears")
+        cleared = record_results(spies, dlb, "_cholesky_clears")
         picked = run()
     solved = sum(len(M) for (M,) in eigs)
     discs = sum(idx.size for source, idx, *_ in picks if source == "discs")
@@ -1224,6 +1231,10 @@ def test_picked_blocks_leave_the_collectors_as_solving_every_block(setup2, setup
     assert solved <= discs
     if case == "index grid":
         assert solved < discs
+        # a twin of the block that set vmax is a witness, never a high-side
+        # test that fails at tau_hi, its own largest value
+        assert tests and not [tau for (A, tau, sign, _), ok in zip(tests, cleared)
+                              if not ok and sign < 0 and np.linalg.eigvalsh(A)[-1] == tau]
     eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
     solve_every_block(monkeypatch)
     full = run()
@@ -1333,11 +1344,11 @@ def test_blocks_within_the_cholesky_margin_are_solved(side):
 
 
 def test_non_finite_blocks_reach_the_eigensolver_past_the_certificate(monkeypatch):
-    # a wide batch of finite blocks with one non-finite one: an inf on the
-    # diagonal makes most NaN, so the block is a witness and its NaN values
-    # make the collector incomplete; an inf off the diagonal makes least inf
-    # and most -inf, so it passes the witnesses, and the certificate pick
-    # keeps it untested for eigvalsh, which refuses it
+    # a wide batch of finite blocks with one non-finite one, which passes the
+    # witnesses (least inf, most NaN or -inf: it ties at neither end) and which
+    # the certificate pick keeps untested: an inf on the diagonal gives NaN
+    # values that make the collector incomplete; an inf off the diagonal
+    # reaches eigvalsh, which refuses it
     m = dlb._CERTIFY_ROWS
     finite = [with_spectrum(np.linspace(1.0 + b, 9.0 + 3 * b, m), seed=b) for b in range(4)]
     monkeypatch.setattr(dlb, "_product", lambda terms: terms)
